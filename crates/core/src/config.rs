@@ -114,11 +114,11 @@ impl Default for MvmuConfig {
 
 /// Analog non-ideality knobs for the functional MVM path.
 ///
-/// The default (all-zero) config is *ideal*: the simulator takes the
-/// exact integer MVM path untouched, so the three-engine differential
-/// suites stay pinned. Any nonzero knob (or an
-/// [`MvmuConfig::adc_bits_override`]) routes functional MVMs through the
-/// degraded path in `puma_xbar`, which is deterministic by construction:
+/// The default (all-zero) config is *ideal*: functional MVMs keep the
+/// exact integer kernel, so the three-engine differential suites stay
+/// pinned. Any nonzero knob routes them through the `f64` analog path of
+/// `puma_xbar` (an [`MvmuConfig::adc_bits_override`] quantizes the
+/// outputs of either path), which is deterministic by construction:
 /// every perturbation is a counter-based hash of
 /// `(seed, site, cell, time index)` — no stateful RNG is advanced by
 /// execution order — so a fixed `(config, seed)` pair replays bit-exactly

@@ -11,7 +11,7 @@ use puma_core::config::{MvmuConfig, NonIdealityConfig};
 use puma_core::error::Result;
 use puma_core::fixed::Fixed;
 use puma_core::tensor::Matrix;
-use puma_xbar::{AnalogMvmu, NoiseModel};
+use puma_xbar::{AnalogMvmu, NoiseModel, Perturbation};
 
 /// An MLP whose two weight matrices live in analog crossbars.
 #[derive(Debug, Clone)]
@@ -24,7 +24,7 @@ pub struct AnalogMlp {
     classes: usize,
     dim: usize,
     /// Read-side non-ideality applied per inference; the ideal default
-    /// keeps [`AnalogMvmu::mvm`]'s exact dispatch.
+    /// keeps [`AnalogMvmu::mvm_into`] on its exact integer kernel.
     ni: NonIdealityConfig,
 }
 
@@ -60,21 +60,20 @@ fn analog_mvm(
     site_base: u64,
     time_index: u64,
 ) -> Result<Vec<f32>> {
-    let degraded = !ni.is_ideal() || units.iter().any(|u| u.config().adc_bits_override.is_some());
     let mut acc = vec![0.0f32; out];
+    let mut chunk = vec![Fixed::ZERO; dim];
+    let mut y = vec![Fixed::ZERO; dim];
     for (t, unit) in units.iter().enumerate() {
-        let mut chunk = vec![Fixed::ZERO; dim];
         for (i, slot) in chunk.iter_mut().enumerate() {
-            let idx = t * dim + i;
-            if idx < x.len() {
-                *slot = Fixed::from_f32(x[idx]);
-            }
+            *slot = x.get(t * dim + i).map_or(Fixed::ZERO, |&v| Fixed::from_f32(v));
         }
-        let y = if degraded {
-            unit.mvm_degraded(&chunk, ni, site_base + t as u64, time_index)?
-        } else {
-            unit.mvm(&chunk)?
+        let p = Perturbation {
+            ni: *ni,
+            site: site_base + t as u64,
+            time_index,
+            ..Perturbation::none()
         };
+        unit.mvm_into(&chunk, &p, &mut y)?;
         for (a, v) in acc.iter_mut().zip(y.iter()) {
             *a += v.to_f32();
         }
@@ -95,7 +94,7 @@ impl AnalogMlp {
 
     /// [`AnalogMlp::program`] with read-side non-ideality: every
     /// inference additionally sees `ni`'s read noise, drift, and IR drop
-    /// through [`AnalogMvmu::mvm_degraded`] (plus ADC output quantization
+    /// through [`AnalogMvmu::mvm_into`] (plus ADC output quantization
     /// when `cfg` narrows the converter).
     ///
     /// # Errors

@@ -128,7 +128,7 @@ use puma_core::fixed::Fixed;
 use puma_core::timing::{InterconnectConfig, TimingModel};
 use puma_isa::{AluImmOp, AluOp, Instruction, MachineImage, MemAddr, Program, RegRef, ScalarOp};
 use puma_xbar::noise::{keyed_hash, mix64, unit_from};
-use puma_xbar::{AnalogMvmu, NoiseModel};
+use puma_xbar::{AnalogMvmu, NoiseModel, Perturbation};
 use std::sync::Arc;
 
 /// Simulation fidelity level.
@@ -550,16 +550,15 @@ pub struct NodeSim {
     /// segments and batched requests see request-relative simulated time
     /// and replay bit-exactly regardless of global scheduling.
     run_base: u64,
-    /// True when functional MVMs must take the degraded analog path
-    /// (cached from the config at construction). False routes them
-    /// through the untouched exact path — the disabled-config
-    /// bit-identity contract of the differential suites.
-    non_ideal_mvm: bool,
-    /// True when functional MVMs must take the faulted analog path
-    /// (cached from the fault plan at construction: stuck cells or dead
-    /// columns active). False leaves the exact (or merely degraded)
-    /// path untouched — the empty-plan bit-identity contract.
-    faulty_mvm: bool,
+    /// The read-side MVM perturbation (non-ideality and crossbar-cell
+    /// faults), built from the config at construction; each MVM keys it
+    /// with its site and time. An empty one selects the exact integer
+    /// kernel — the disabled-config and empty-plan bit-identity
+    /// contracts of the differential suites.
+    mvm_perturbation: Perturbation,
+    /// Scratch for the shuffled MVM input (one crossbar's rows), reused
+    /// so functional MVMs allocate nothing.
+    mvm_input: Vec<Fixed>,
     /// The injected tile death this node owns, as `(tile, at_cycle)`
     /// (`None` when the fault plan names no death on this node).
     /// Recomputed on [`NodeSim::join_cluster`]: the node id decides
@@ -892,9 +891,12 @@ impl NodeSim {
             compiled: None,
             residents: Vec::new(),
             run_base: 0,
-            non_ideal_mvm: mode == SimMode::Functional
-                && (!cfg.non_ideality.is_ideal() || cfg.tile.core.mvmu.adc_bits_override.is_some()),
-            faulty_mvm: mode == SimMode::Functional && cfg.faults.has_cell_faults(),
+            mvm_perturbation: Perturbation {
+                ni: cfg.non_ideality,
+                faults: cfg.faults,
+                ..Perturbation::none()
+            },
+            mvm_input: vec![Fixed::ZERO; cfg.tile.core.mvmu.dim],
             dead_tile: Self::dead_tile_for(&cfg, 0),
             death_fired: false,
             queue_events: 0,
@@ -986,8 +988,8 @@ impl NodeSim {
             compiled: self.compiled.clone(),
             residents: self.residents.clone(),
             run_base: 0,
-            non_ideal_mvm: self.non_ideal_mvm,
-            faulty_mvm: self.faulty_mvm,
+            mvm_perturbation: self.mvm_perturbation,
+            mvm_input: vec![Fixed::ZERO; self.cfg.tile.core.mvmu.dim],
             dead_tile: self.dead_tile,
             death_fired: false,
             queue_events: 0,
@@ -2751,17 +2753,17 @@ impl NodeSim {
                     }
                 }
                 if functional {
-                    // Degraded-path keys: the site is resident-relative
-                    // (a model sees the same noise realization wherever
-                    // its tiles land — relocation and co-tenancy purity),
-                    // the time index run-relative (segments and batched
+                    // Perturbation keys: the site is resident-relative (a
+                    // model sees the same noise realization wherever its
+                    // tiles land — relocation and co-tenancy purity), the
+                    // time index run-relative (segments and batched
                     // requests replay identically).
-                    let ni = self.cfg.non_ideality;
-                    let analog = self.non_ideal_mvm || self.faulty_mvm;
-                    let (site_base, rel_cycle) = if analog {
-                        (self.mvm_site_base(t, c), now - self.run_base)
+                    let mut p = self.mvm_perturbation;
+                    let site_base = if p.is_empty() {
+                        0
                     } else {
-                        (0, 0)
+                        p.time_index = now - self.run_base;
+                        self.mvm_site_base(t, c)
                     };
                     for unit in mask.iter() {
                         let Some(Some(mvmu)) = self.tiles[t].cores[c].mvmus.get(unit) else {
@@ -2770,26 +2772,25 @@ impl NodeSim {
                             });
                         };
                         let base = unit * dim;
-                        let raw = self.regs.xbar_in(slot)[base..base + dim].to_vec();
-                        let shuffled = shuffle_input(&raw, filter, stride);
-                        let y = if analog {
-                            mvmu.mvm_faulted(
-                                &shuffled,
-                                &ni,
-                                &self.cfg.faults,
-                                site_base + unit as u64,
-                                rel_cycle,
-                            )?
-                        } else {
-                            mvmu.mvm(&shuffled)?
-                        };
-                        self.regs.xbar_out_mut(slot)[base..base + dim].copy_from_slice(&y);
+                        shuffle_into(
+                            &self.regs.xbar_in(slot)[base..base + dim],
+                            filter,
+                            stride,
+                            &mut self.mvm_input,
+                        );
+                        p.site = site_base + unit as u64;
+                        mvmu.mvm_into(
+                            &self.mvm_input,
+                            &p,
+                            &mut self.regs.xbar_out_mut(slot)[base..base + dim],
+                        )?;
                     }
-                    if self.non_ideal_mvm {
-                        self.stats.degraded_mvm_activations += mask.count() as u64;
+                    let n = mask.count() as u64;
+                    if !p.ni.is_ideal() || self.cfg.tile.core.mvmu.adc_bits_override.is_some() {
+                        self.stats.degraded_mvm_activations += n;
                     }
-                    if self.faulty_mvm {
-                        self.stats.faulted_mvm_activations += mask.count() as u64;
+                    if p.faults.has_cell_faults() {
+                        self.stats.faulted_mvm_activations += n;
                     }
                 }
                 let latency = self.timing.mvm_latency();
@@ -3074,17 +3075,19 @@ fn send_graph(
     (senders_to, min_direct, min_indirect)
 }
 
-/// Applies MVM input shuffling (§3.2.3): the first `filter` XbarIn words
-/// form a ring that is rotated left by `stride` positions (rows past the
-/// filter see zero). Rotating modulo the *active window* lets a sliding
-/// window reuse its overlap without physical data movement: the core
-/// overwrites only the departed columns and bumps the stride.
-fn shuffle_input(raw: &[Fixed], filter: u16, stride: u16) -> Vec<Fixed> {
+/// Writes the MVM input shuffling (§3.2.3) of `raw` into `out`: the first
+/// `filter` XbarIn words form a ring that is rotated left by `stride`
+/// positions (rows past the filter see zero). Rotating modulo the *active
+/// window* lets a sliding window reuse its overlap without physical data
+/// movement: the core overwrites only the departed columns and bumps the
+/// stride.
+fn shuffle_into(raw: &[Fixed], filter: u16, stride: u16, out: &mut [Fixed]) {
     let dim = raw.len();
     let active = if filter == 0 { dim } else { (filter as usize).min(dim) };
-    (0..dim)
-        .map(|i| if i < active { raw[(i + stride as usize) % active] } else { Fixed::ZERO })
-        .collect()
+    let s = stride as usize % active;
+    out[..active - s].copy_from_slice(&raw[s..active]);
+    out[active - s..active].copy_from_slice(&raw[..s]);
+    out[active..].fill(Fixed::ZERO);
 }
 
 #[cfg(test)]
@@ -3347,19 +3350,42 @@ halt
 
     #[test]
     fn input_shuffle_rotates_and_filters() {
-        let raw: Vec<Fixed> = (0..8).map(|i| Fixed::from_bits(i as i16)).collect();
-        let rotated = shuffle_input(&raw, 0, 2);
-        assert_eq!(rotated[0].to_bits(), 2);
-        assert_eq!(rotated[7].to_bits(), 1);
-        let filtered = shuffle_input(&raw, 3, 0);
-        assert_eq!(filtered[2].to_bits(), 2);
+        let raw: Vec<Fixed> = (0..8).map(|i| Fixed::from_bits(i as i16 + 1)).collect();
+        let shuffle = |filter: u16, stride: u16| {
+            let mut out = vec![Fixed::from_bits(-1); 8];
+            shuffle_into(&raw, filter, stride, &mut out);
+            out
+        };
+        let rotated = shuffle(0, 2);
+        assert_eq!(rotated[0].to_bits(), 3);
+        assert_eq!(rotated[7].to_bits(), 2);
+        let filtered = shuffle(3, 0);
+        assert_eq!(filtered[2].to_bits(), 3);
         assert_eq!(filtered[3], Fixed::ZERO);
         // Rotation wraps modulo the active window, not the full register.
-        let ring = shuffle_input(&raw, 3, 2);
-        assert_eq!(ring[0].to_bits(), 2);
-        assert_eq!(ring[1].to_bits(), 0);
-        assert_eq!(ring[2].to_bits(), 1);
+        let ring = shuffle(3, 2);
+        assert_eq!(ring[0].to_bits(), 3);
+        assert_eq!(ring[1].to_bits(), 1);
+        assert_eq!(ring[2].to_bits(), 2);
         assert_eq!(ring[3], Fixed::ZERO);
+        // The fused copy equals the per-row ring index for every window
+        // and stride, overwriting whatever the scratch held.
+        for filter in 0..=10u16 {
+            for stride in 0..=20u16 {
+                let active = if filter == 0 { 8 } else { (filter as usize).min(8) };
+                let want: Vec<Fixed> =
+                    (0..8)
+                        .map(|i| {
+                            if i < active {
+                                raw[(i + stride as usize) % active]
+                            } else {
+                                Fixed::ZERO
+                            }
+                        })
+                        .collect();
+                assert_eq!(shuffle(filter, stride), want, "filter {filter} stride {stride}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Implements the analog MVM of §3.2 / Fig. 2 of the paper: bit-slice
 //! crossbars ([`mod@slice`]), programming (write) noise ([`noise`]), and the
 //! full logical MVMU with DAC streaming, ADC quantization, shift-and-add,
-//! and bias correction ([`mvmu`]).
+//! and bias correction ([`mvmu`]), evaluated exactly by the split-byte
+//! integer kernel ([`kernel`]) when nothing perturbs it.
 //!
 //! # Examples
 //!
@@ -28,10 +29,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod kernel;
 pub mod mvmu;
 pub mod noise;
 pub mod slice;
 
-pub use mvmu::AnalogMvmu;
+pub use mvmu::{AnalogMvmu, Perturbation};
 pub use noise::NoiseModel;
 pub use slice::CrossbarSlice;

@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 /// Write-noise model applied when programming crossbar slices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NoiseModel {
-    /// Noise level σN as defined in Fig. 13 (fraction of the 2-bit level
-    /// spacing).
+    /// Noise level σN as defined in Fig. 13 (in units of the 4-bit
+    /// reference level spacing; see the module docs).
     pub sigma: f64,
     /// RNG seed, so experiments are reproducible.
     pub seed: u64,
@@ -44,7 +44,7 @@ impl NoiseModel {
     }
 
     /// Standard deviation of the programmed level, in level units, for a
-    /// slice with `bits_per_cell` bits: `σN × (2^b − 1) / 63`.
+    /// slice with `bits_per_cell` bits: `σN × (2^b − 1) / 15`.
     pub fn level_sigma(&self, bits_per_cell: u32) -> f64 {
         self.sigma * (((1u32 << bits_per_cell) - 1) as f64) / 15.0
     }

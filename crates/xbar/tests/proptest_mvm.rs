@@ -5,9 +5,58 @@
 use proptest::prelude::*;
 use puma_core::config::MvmuConfig;
 use puma_core::fixed::Fixed;
-use puma_core::tensor::Matrix;
+use puma_core::tensor::{FixedMatrix, Matrix};
+use puma_xbar::kernel;
 use puma_xbar::slice::{decode_weight, encode_weight, reconstruct_levels, slice_levels};
-use puma_xbar::{AnalogMvmu, NoiseModel};
+use puma_xbar::{AnalogMvmu, NoiseModel, Perturbation};
+
+/// Crossbar sizes the split-byte kernel is checked at: below, at, and
+/// past its 256-row exact-`i32` chunk.
+const DIMS: [usize; 4] = [16, 128, 256, 512];
+
+/// `n` raw values, or all `fill` when an extreme pattern is selected.
+fn raw(n: usize, fill: Option<i16>) -> BoxedStrategy<Vec<i16>> {
+    match fill {
+        Some(v) => Just(vec![v; n]).boxed(),
+        None => prop::collection::vec(any::<i16>(), n..n + 1).boxed(),
+    }
+}
+
+/// Optionally an all-`i16::MIN` or all-`i16::MAX` pattern.
+fn extreme() -> impl Strategy<Value = Option<i16>> {
+    prop::sample::select(vec![None, None, Some(i16::MIN), Some(i16::MAX)])
+}
+
+/// A crossbar size from `dims`, a logical shape within it (full or
+/// padded), raw row-major weights of that shape, and a raw `dim`-long
+/// input.
+fn mvm_case(
+    dims: &[usize],
+    padded: bool,
+) -> impl Strategy<Value = (usize, usize, usize, Vec<i16>, Vec<i16>)> {
+    (prop::sample::select(dims.to_vec()), extreme(), extreme()).prop_flat_map(
+        move |(dim, w_fill, x_fill)| {
+            let shape = if padded { (1..=dim, 1..=dim).boxed() } else { Just((dim, dim)).boxed() };
+            shape.prop_flat_map(move |(rows, cols)| {
+                (Just(dim), Just(rows), Just(cols), raw(rows * cols, w_fill), raw(dim, x_fill))
+            })
+        },
+    )
+}
+
+fn fixed(bits: &[i16]) -> Vec<Fixed> {
+    bits.iter().map(|&b| Fixed::from_bits(b)).collect()
+}
+
+fn fixed_matrix(rows: usize, cols: usize, w: &[i16]) -> FixedMatrix {
+    let mut m = FixedMatrix::zeros(rows, cols).unwrap();
+    for r in 0..rows {
+        for c in 0..cols {
+            m.set(r, c, Fixed::from_bits(w[r * cols + c]));
+        }
+    }
+    m
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -40,7 +89,7 @@ proptest! {
         let x: Vec<Fixed> = (0..dim)
             .map(|i| Fixed::from_f32((((i as u64) ^ seed) % 23) as f32 / 23.0 - 0.5))
             .collect();
-        prop_assert_eq!(mvmu.mvm_exact(&x).unwrap(), m.mvm_exact(&x).unwrap());
+        prop_assert_eq!(mvmu.mvm(&x).unwrap(), m.mvm_exact(&x).unwrap());
         prop_assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), m.mvm_exact(&x).unwrap());
     }
 
@@ -61,7 +110,7 @@ proptest! {
             })
             .collect();
         // Saturates identically on both paths, never panics.
-        prop_assert_eq!(mvmu.mvm_exact(&x).unwrap(), m.mvm_exact(&x).unwrap());
+        prop_assert_eq!(mvmu.mvm(&x).unwrap(), m.mvm_exact(&x).unwrap());
         prop_assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), m.mvm_exact(&x).unwrap());
     }
 
@@ -84,5 +133,65 @@ proptest! {
             .sum::<f64>()
             / dim as f64;
         prop_assert!(mean_err.abs() < 0.8, "mean err {mean_err}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn split_byte_kernel_is_exact_for_raw_weights((dim, _, _, w, x) in mvm_case(&DIMS, false)) {
+        let m = fixed_matrix(dim, dim, &w);
+        let mut mvmu = AnalogMvmu::new(MvmuConfig { dim, ..MvmuConfig::default() }).unwrap();
+        mvmu.program(&m, &NoiseModel::noiseless()).unwrap();
+        let x = fixed(&x);
+        let mut out = vec![Fixed::from_bits(-1); dim];
+        mvmu.mvm_into(&x, &Perturbation::none(), &mut out).unwrap();
+        prop_assert_eq!(out, m.mvm_exact(&x).unwrap());
+    }
+
+    #[test]
+    fn padded_shapes_read_exact_zeros_past_the_logical_columns(
+        (dim, rows, cols, w, x) in mvm_case(&DIMS, true),
+    ) {
+        let m = fixed_matrix(rows, cols, &w);
+        let mut mvmu = AnalogMvmu::new(MvmuConfig { dim, ..MvmuConfig::default() }).unwrap();
+        mvmu.program(&m, &NoiseModel::noiseless()).unwrap();
+        // Padded input rows carry values too: their weights are zero.
+        let x = fixed(&x);
+        let mut out = vec![Fixed::from_bits(-1); dim];
+        mvmu.mvm_into(&x, &Perturbation::none(), &mut out).unwrap();
+        prop_assert_eq!(&out[..cols], m.mvm_exact(&x[..rows]).unwrap().as_slice());
+        prop_assert!(out[cols..].iter().all(|&v| v == Fixed::ZERO));
+    }
+
+    #[test]
+    fn avx2_kernel_matches_the_portable_kernel((dim, rows, cols, w, x) in mvm_case(&DIMS, true)) {
+        // Column-major weights with the padding left nonzero: both copies
+        // must skip the same rows and zero the same columns.
+        let mut weights = w;
+        weights.resize(dim * dim, i16::MIN);
+        let x = fixed(&x);
+        let mut portable = vec![Fixed::ZERO; dim];
+        kernel::mvm_portable(&weights, dim, rows, cols, &x, &mut portable);
+        let mut avx2 = vec![Fixed::from_bits(-1); dim];
+        if kernel::mvm_avx2(&weights, dim, rows, cols, &x, &mut avx2) {
+            prop_assert_eq!(avx2, portable);
+        }
+    }
+
+    #[test]
+    fn bit_serial_matches_mvm_into_with_lazy_slices(
+        (dim, _, _, w, x) in mvm_case(&[4, 8, 16], false),
+        bits in prop::sample::select(vec![1u32, 2, 3, 6]),
+    ) {
+        // Noiseless programming builds no slices: the oracle builds its
+        // ideal slices for the call.
+        let m = fixed_matrix(dim, dim, &w);
+        let cfg = MvmuConfig { dim, bits_per_cell: bits, ..MvmuConfig::default() };
+        let mut mvmu = AnalogMvmu::new(cfg).unwrap();
+        mvmu.program(&m, &NoiseModel::noiseless()).unwrap();
+        let x = fixed(&x);
+        prop_assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), mvmu.mvm(&x).unwrap());
     }
 }
