@@ -223,7 +223,7 @@ impl ClusterSim {
     }
 
     fn node_owning_input(&mut self, name: &str) -> Option<&mut NodeSim> {
-        self.nodes.iter_mut().find(|n| n.input_names().contains(&name))
+        self.nodes.iter_mut().find(|n| n.has_input(name))
     }
 
     /// Writes a named input vector on whichever node owns the binding.
@@ -266,7 +266,7 @@ impl ClusterSim {
     pub fn read_output_fixed(&self, name: &str) -> Result<Vec<Fixed>> {
         self.nodes
             .iter()
-            .find(|n| n.output_names().contains(&name))
+            .find(|n| n.has_output(name))
             .ok_or_else(|| PumaError::Execution { what: format!("no node binds output {name:?}") })?
             .read_output_fixed(name)
     }

@@ -129,6 +129,7 @@ use puma_core::timing::{InterconnectConfig, TimingModel};
 use puma_isa::{AluImmOp, AluOp, Instruction, MachineImage, MemAddr, Program, RegRef, ScalarOp};
 use puma_xbar::noise::{keyed_hash, mix64, unit_from};
 use puma_xbar::{AnalogMvmu, NoiseModel, Perturbation};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Simulation fidelity level.
@@ -390,6 +391,44 @@ struct AgentEnergy {
     busy: [u64; EnergyComponent::ALL.len()],
 }
 
+/// A node's host I/O bindings with a name → binding index over each
+/// list. Built once per image; replicas share it. When a name is bound
+/// more than once the first binding wins, as a front-to-back search
+/// would find it.
+#[derive(Debug)]
+struct IoIndex {
+    inputs: Vec<puma_isa::IoBinding>,
+    outputs: Vec<puma_isa::IoBinding>,
+    input_at: HashMap<String, usize>,
+    output_at: HashMap<String, usize>,
+}
+
+impl IoIndex {
+    fn new(image: &MachineImage) -> Self {
+        let index = |bindings: &[puma_isa::IoBinding]| {
+            let mut at = HashMap::with_capacity(bindings.len());
+            for (i, b) in bindings.iter().enumerate() {
+                at.entry(b.name.clone()).or_insert(i);
+            }
+            at
+        };
+        IoIndex {
+            input_at: index(&image.inputs),
+            output_at: index(&image.outputs),
+            inputs: image.inputs.clone(),
+            outputs: image.outputs.clone(),
+        }
+    }
+
+    fn input(&self, name: &str) -> Option<&puma_isa::IoBinding> {
+        self.input_at.get(name).map(|&i| &self.inputs[i])
+    }
+
+    fn output(&self, name: &str) -> Option<&puma_isa::IoBinding> {
+        self.output_at.get(name).map(|&i| &self.outputs[i])
+    }
+}
+
 /// An inter-node packet produced by a `send` whose destination node is
 /// not this node: a cluster scheduler ([`crate::ClusterSim`],
 /// [`crate::PipelineSim`], or an external driver of the stepping API)
@@ -452,8 +491,9 @@ pub struct NodeSim {
     agent_offsets: Vec<usize>,
     /// Dynamic instruction counts by [`InstructionCategory::index`].
     instr_counts: [u64; puma_isa::InstructionCategory::ALL.len()],
-    inputs: Vec<puma_isa::IoBinding>,
-    outputs: Vec<puma_isa::IoBinding>,
+    /// Host I/O bindings and their name index, built once per image and
+    /// shared by `Arc` with every [`NodeSim::fork_replica`].
+    io: Arc<IoIndex>,
     max_cycles: u64,
     seq: u64,
     /// Transitions recorded by the currently executing instruction (or
@@ -869,8 +909,7 @@ impl NodeSim {
             agent_energy_maps: vec![EnergyStats::new(); agents],
             agent_offsets,
             instr_counts: [0; puma_isa::InstructionCategory::ALL.len()],
-            inputs: image.inputs.clone(),
-            outputs: image.outputs.clone(),
+            io: Arc::new(IoIndex::new(image)),
             max_cycles: DEFAULT_MAX_CYCLES,
             seq: 0,
             changes: Vec::new(),
@@ -963,8 +1002,7 @@ impl NodeSim {
             agent_energy_maps: vec![EnergyStats::new(); self.agent_energy_maps.len()],
             agent_offsets: self.agent_offsets.clone(),
             instr_counts: [0; puma_isa::InstructionCategory::ALL.len()],
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
+            io: Arc::clone(&self.io),
             max_cycles: self.max_cycles,
             seq: 0,
             changes: Vec::new(),
@@ -1186,11 +1224,9 @@ impl NodeSim {
     /// length mismatches the binding.
     pub fn write_input_fixed(&mut self, name: &str, values: &[Fixed]) -> Result<()> {
         let binding = self
-            .inputs
-            .iter()
-            .find(|b| b.name == name)
-            .ok_or_else(|| PumaError::Execution { what: format!("no input named {name:?}") })?
-            .clone();
+            .io
+            .input(name)
+            .ok_or_else(|| PumaError::Execution { what: format!("no input named {name:?}") })?;
         if values.len() != binding.width {
             return Err(PumaError::ShapeMismatch { expected: binding.width, actual: values.len() });
         }
@@ -1224,10 +1260,10 @@ impl NodeSim {
     ///
     /// Returns [`PumaError::Execution`] if the name is unbound.
     pub fn read_output_fixed(&self, name: &str) -> Result<Vec<Fixed>> {
-        let binding =
-            self.outputs.iter().find(|b| b.name == name).ok_or_else(|| PumaError::Execution {
-                what: format!("no output named {name:?}"),
-            })?;
+        let binding = self
+            .io
+            .output(name)
+            .ok_or_else(|| PumaError::Execution { what: format!("no output named {name:?}") })?;
         if binding.tile.index() >= self.tiles.len() {
             return Err(PumaError::Execution {
                 what: format!("output {name:?} bound to missing tile"),
@@ -1238,12 +1274,22 @@ impl NodeSim {
 
     /// Input binding names.
     pub fn input_names(&self) -> Vec<&str> {
-        self.inputs.iter().map(|b| b.name.as_str()).collect()
+        self.io.inputs.iter().map(|b| b.name.as_str()).collect()
     }
 
     /// Output binding names.
     pub fn output_names(&self) -> Vec<&str> {
-        self.outputs.iter().map(|b| b.name.as_str()).collect()
+        self.io.outputs.iter().map(|b| b.name.as_str()).collect()
+    }
+
+    /// Whether an input binding is named `name` (an O(1) index probe).
+    pub fn has_input(&self, name: &str) -> bool {
+        self.io.input(name).is_some()
+    }
+
+    /// Whether an output binding is named `name` (an O(1) index probe).
+    pub fn has_output(&self, name: &str) -> bool {
+        self.io.output(name).is_some()
     }
 
     /// Resets program counters, memory attributes, FIFOs, and statistics so
@@ -3452,6 +3498,27 @@ halt
             NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
         assert!(sim.write_input("nope", &[1.0]).is_err());
         assert!(sim.read_output("nope").is_err());
+    }
+
+    #[test]
+    fn duplicate_binding_names_resolve_to_the_first() {
+        let cfg = tiny_config(1);
+        let mut img = image_with_core_program(&cfg, "halt\n");
+        for addr in [8, 4] {
+            let b = IoBinding { name: "v".into(), tile: TileId::new(0), addr, width: 2, count: 1 };
+            img.inputs.push(b.clone());
+            img.outputs.push(b);
+        }
+        let sim = NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
+        for mut sim in [sim.fork_replica(), sim] {
+            sim.write_input("v", &[1.0, 2.0]).unwrap();
+            assert_eq!(
+                sim.mem.peek(0, 8, 2).unwrap(),
+                vec![Fixed::from_f32(1.0), Fixed::from_f32(2.0)]
+            );
+            assert_eq!(sim.read_output("v").unwrap(), vec![1.0, 2.0]);
+            assert!(sim.has_input("v") && sim.has_output("v") && !sim.has_input("w"));
+        }
     }
 
     #[test]

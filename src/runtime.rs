@@ -1,7 +1,7 @@
 //! Host-side glue: compile a model graph, load it into the simulator,
 //! write inputs, run, and read back outputs by logical name.
 //!
-//! Three entry points, from one-shot to sustained traffic:
+//! Four entry points, from one-shot to sustained traffic:
 //!
 //! - [`ModelRunner`] — one simulator instance, one inference at a time;
 //! - [`ServeRunner`] — the serving stack: a standing pool of simulated
@@ -32,13 +32,16 @@
 //! functions of the request schedule alone — *never* of the host thread
 //! count. Host threads only parallelize the simulation work; the serving
 //! timeline is computed on the simulated clock, so percentiles are
-//! bit-reproducible and CI-gateable.
+//! bit-reproducible and CI-gateable. Multi-tenant serving also lets the
+//! schedule gate the simulation: it needs a request's duration only when
+//! the request starts, so a request it sheds is never simulated.
 
 use puma_compiler::{
     compile, compose_fabric, fit_config, relocate_image, CompiledModel, CompilerOptions, Resident,
 };
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
+use puma_core::fixed::Fixed;
 use puma_core::timing::TrafficPattern;
 use puma_isa::MachineImage;
 use puma_sim::{
@@ -49,7 +52,7 @@ use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Flattened per-binding host writes for one request (constants + input
@@ -84,6 +87,13 @@ impl SimBackend {
         match self {
             SimBackend::Node(s) => s.write_input(name, values),
             SimBackend::Cluster(s) => s.write_input(name, values),
+        }
+    }
+
+    fn write_input_fixed(&mut self, name: &str, values: &[Fixed]) -> Result<()> {
+        match self {
+            SimBackend::Node(s) => s.write_input_fixed(name, values),
+            SimBackend::Cluster(s) => s.write_input_fixed(name, values),
         }
     }
 
@@ -188,17 +198,51 @@ fn build_backend(
     }
 }
 
+/// A model's host I/O, resolved once per runner or deployment: the
+/// constants pre-converted to Q4.12 and the binding name of every input
+/// and output chunk (`"{model}:{chunk}"` for a tenant on a shared fabric),
+/// so the request path neither converts constants nor formats names.
+#[derive(Debug)]
+struct IoPlan {
+    /// Constant writes `(binding, values)`, in the compiler's order.
+    consts: Vec<(String, Vec<Fixed>)>,
+    /// Chunk binding names of each logical input, in compiler order.
+    inputs: Vec<Vec<String>>,
+    /// Chunk binding names of each logical output, in compiler order.
+    outputs: Vec<Vec<String>>,
+}
+
+impl IoPlan {
+    /// The plan of `compiled` with every binding name prefixed by `prefix`.
+    fn new(compiled: &CompiledModel, prefix: &str) -> Self {
+        let bind = |chunks: &[String]| chunks.iter().map(|c| format!("{prefix}{c}")).collect();
+        IoPlan {
+            consts: compiled
+                .const_data
+                .iter()
+                .map(|(binding, values)| {
+                    let fixed = values.iter().copied().map(Fixed::from_f32).collect();
+                    (format!("{prefix}{}", binding.name), fixed)
+                })
+                .collect(),
+            inputs: compiled.inputs.iter().map(|io| bind(&io.chunks)).collect(),
+            outputs: compiled.outputs.iter().map(|io| bind(&io.chunks)).collect(),
+        }
+    }
+}
+
 /// Validates a request's inputs against the compiled I/O layout (every
 /// logical input present, at its declared width) and streams each
-/// per-binding chunk to `emit` — the single copy of the host-side input
-/// contract shared by direct execution, input validation, and pipeline
-/// write preparation.
+/// per-binding chunk, under its planned binding name, to `emit` — the
+/// single copy of the host-side input contract shared by direct
+/// execution, input validation, and pipeline write preparation.
 fn for_each_input_chunk<S: AsRef<str>>(
     compiled: &CompiledModel,
+    plan: &IoPlan,
     inputs: &[(S, Vec<f32>)],
     emit: &mut dyn FnMut(&str, &[f32]) -> Result<()>,
 ) -> Result<()> {
-    for io in &compiled.inputs {
+    for (io, chunks) in compiled.inputs.iter().zip(&plan.inputs) {
         let (_, data) = inputs
             .iter()
             .find(|(n, _)| n.as_ref() == io.name)
@@ -207,7 +251,7 @@ fn for_each_input_chunk<S: AsRef<str>>(
             return Err(PumaError::ShapeMismatch { expected: io.width, actual: data.len() });
         }
         let mut offset = 0;
-        for (chunk, &w) in io.chunks.iter().zip(io.chunk_widths.iter()) {
+        for (chunk, &w) in chunks.iter().zip(io.chunk_widths.iter()) {
             emit(chunk, &data[offset..offset + w])?;
             offset += w;
         }
@@ -216,22 +260,28 @@ fn for_each_input_chunk<S: AsRef<str>>(
 }
 
 /// Writes one request's inputs (constants + named inputs, chunked per the
-/// compiler's layout), runs the simulator to completion, and reads back
-/// every logical output.
+/// compiler's layout), runs the simulator to completion — only the named
+/// resident's tiles when `resident` is set — and reads back every logical
+/// output.
 fn run_request<S: AsRef<str>>(
     sim: &mut SimBackend,
     compiled: &CompiledModel,
+    plan: &IoPlan,
     inputs: &[(S, Vec<f32>)],
+    resident: Option<&str>,
 ) -> Result<HashMap<String, Vec<f32>>> {
-    for (binding, values) in &compiled.const_data {
-        sim.write_input(&binding.name, values)?;
+    for (binding, values) in &plan.consts {
+        sim.write_input_fixed(binding, values)?;
     }
-    for_each_input_chunk(compiled, inputs, &mut |chunk, data| sim.write_input(chunk, data))?;
-    sim.run()?;
-    let mut out = HashMap::new();
-    for io in &compiled.outputs {
+    for_each_input_chunk(compiled, plan, inputs, &mut |chunk, data| sim.write_input(chunk, data))?;
+    match resident {
+        Some(model) => sim.run_resident(model)?,
+        None => sim.run()?,
+    };
+    let mut out = HashMap::with_capacity(compiled.outputs.len());
+    for (io, chunks) in compiled.outputs.iter().zip(&plan.outputs) {
         let mut data = Vec::with_capacity(io.width);
-        for chunk in &io.chunks {
+        for chunk in chunks {
             data.extend(sim.read_output(chunk)?);
         }
         out.insert(io.name.clone(), data);
@@ -239,10 +289,102 @@ fn run_request<S: AsRef<str>>(
     Ok(out)
 }
 
+/// [`run_request`] on a freshly reset simulator, with the run's
+/// statistics — one served request.
+fn serve_request(
+    sim: &mut SimBackend,
+    compiled: &CompiledModel,
+    plan: &IoPlan,
+    inputs: &[(String, Vec<f32>)],
+    resident: Option<&str>,
+) -> Result<RequestResult> {
+    sim.reset();
+    let outputs = run_request(sim, compiled, plan, inputs, resident)?;
+    Ok(RequestResult { outputs, stats: sim.stats().clone() })
+}
+
+/// Simulates jobs `0..jobs` across the host-thread pool and returns each
+/// job's result (`None` for a job `gate` skipped) plus the host threads
+/// used. Threads claim jobs in index order from a shared cursor (one
+/// `fetch_add` per job, never a wait) and check a simulator out of
+/// `idle` — building one with `build` on first use — returning it when
+/// the cursor runs out. This is the one execution core of replicated
+/// and multi-tenant serving.
+///
+/// With a `gate`, a thread skips a claim the schedule has already shed
+/// and reports every simulated duration back to it (see
+/// [`ScheduleGate`]). Results never depend on the thread count.
+///
+/// The spawned thread count is additionally capped at the host's
+/// available parallelism: each worker owns a full simulator replica
+/// whose working set is tens of megabytes, so oversubscribing physical
+/// cores does not just time-slice — every context switch refaults a
+/// replica's working set through the cache, and measured batch
+/// throughput *fell* with extra threads on small hosts.
+fn run_pool(
+    idle: &Mutex<Vec<SimBackend>>,
+    host_threads: usize,
+    jobs: usize,
+    build: &(dyn Fn() -> Result<SimBackend> + Sync),
+    simulate: &(dyn Fn(&mut SimBackend, usize) -> Result<RequestResult> + Sync),
+    gate: Option<&ScheduleGate<'_>>,
+) -> (Vec<Option<Result<RequestResult>>>, usize) {
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = host_threads.min(jobs).min(parallelism).max(1);
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<Result<RequestResult>>> = (0..jobs).map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut sim = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                loop {
+                    let j = cursor.fetch_add(1, Ordering::Relaxed);
+                    if j >= jobs {
+                        break;
+                    }
+                    if gate.is_some_and(|g| g.is_shed(j)) {
+                        continue;
+                    }
+                    let result = match &mut sim {
+                        Some(s) => simulate(s, j),
+                        None => build().and_then(|mut s| {
+                            let r = simulate(&mut s, j);
+                            sim = Some(s);
+                            r
+                        }),
+                    };
+                    if let Some(g) = gate {
+                        // A request that faulted in simulation occupies
+                        // its replica for zero cycles: the fault is
+                        // reported per request, not modelled as service.
+                        g.record(j, result.as_ref().map_or(0, |ok| ok.stats.cycles));
+                    }
+                    // Each index is claimed once, so the slot is empty.
+                    let _ = slots[j].set(result);
+                }
+                if let Some(s) = sim {
+                    idle.lock().unwrap_or_else(PoisonError::into_inner).push(s);
+                }
+            });
+        }
+    });
+    (slots.into_iter().map(OnceLock::into_inner).collect(), threads)
+}
+
+/// The result a pool slot must hold, or the typed error naming the
+/// missing request.
+fn claimed(
+    slot: Option<Result<RequestResult>>,
+    what: impl FnOnce() -> String,
+) -> Result<Result<RequestResult>> {
+    slot.ok_or_else(|| PumaError::Execution { what: format!("{} was never simulated", what()) })
+}
+
 /// A compiled model bound to a simulator instance.
 #[derive(Debug)]
 pub struct ModelRunner {
     compiled: CompiledModel,
+    plan: IoPlan,
     sim: SimBackend,
     ran: bool,
 }
@@ -280,7 +422,8 @@ impl ModelRunner {
         let cfg = fit_config(cfg, &compiled);
         let images = compiled.shard()?;
         let sim = build_backend(&cfg, &images, mode, noise)?;
-        Ok(ModelRunner { compiled, sim, ran: false })
+        let plan = IoPlan::new(&compiled, "");
+        Ok(ModelRunner { compiled, plan, sim, ran: false })
     }
 
     /// The compiled artifact (image, stats, I/O metadata).
@@ -301,7 +444,7 @@ impl ModelRunner {
             self.sim.reset();
         }
         self.ran = true;
-        run_request(&mut self.sim, &self.compiled, inputs)
+        run_request(&mut self.sim, &self.compiled, &self.plan, inputs, None)
     }
 
     /// Statistics of the last run.
@@ -693,6 +836,7 @@ impl BatchOutcome {
 #[derive(Debug)]
 pub struct ServeRunner {
     compiled: CompiledModel,
+    plan: IoPlan,
     /// Per-node images (one entry for single-node models; the sharded
     /// split otherwise), computed once so workers build simulators from
     /// ready-made programs.
@@ -770,8 +914,10 @@ impl ServeRunner {
         // fail; the validated instance seeds the worker pool.
         let first = build_backend(&cfg, &images, mode, noise)?;
         let prototype = first.fork_replica();
+        let plan = IoPlan::new(&compiled, "");
         Ok(ServeRunner {
             compiled,
+            plan,
             images,
             cfg,
             mode,
@@ -802,7 +948,7 @@ impl ServeRunner {
     /// upper bound: execution additionally caps at the host's available
     /// parallelism, because simulator replicas are memory-heavy and
     /// oversubscribed cores thrash the cache instead of scaling (see
-    /// `execute_all`).
+    /// `run_pool`).
     #[must_use]
     pub fn with_host_threads(mut self, threads: usize) -> Self {
         self.host_threads = threads.max(1);
@@ -899,7 +1045,7 @@ impl ServeRunner {
     fn build_sim(&self) -> Result<SimBackend> {
         let mut sim = self.prototype.fork_replica();
         if self.engine == SimEngine::Compiled {
-            let mut cache = self.compiled_images.lock().expect("compiled image cache poisoned");
+            let mut cache = self.compiled_images.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(images) = cache.as_ref() {
                 sim.adopt_compiled_images(images);
                 sim.set_engine(self.engine);
@@ -911,77 +1057,6 @@ impl ServeRunner {
             sim.set_engine(self.engine);
         }
         Ok(sim)
-    }
-
-    fn serve_one(
-        &self,
-        sim: &mut SimBackend,
-        inputs: &[(String, Vec<f32>)],
-    ) -> Result<RequestResult> {
-        sim.reset();
-        let outputs = run_request(sim, &self.compiled, inputs)?;
-        Ok(RequestResult { outputs, stats: sim.stats().clone() })
-    }
-
-    /// Runs every request's simulation across the host-thread pool
-    /// (work-stealing over a shared cursor), returning per-request
-    /// results in request order plus the host threads used. This is the
-    /// execution core shared by batch and replicated serving.
-    ///
-    /// The spawned thread count is additionally capped at the host's
-    /// available parallelism: each worker owns a full simulator replica
-    /// whose working set is tens of megabytes, so oversubscribing
-    /// physical cores does not just time-slice — every context switch
-    /// refaults a replica's working set through the cache, and measured
-    /// batch throughput *fell* with extra threads on small hosts (the
-    /// work-stealing itself is wait-free: one `fetch_add` per request).
-    /// Results never depend on the thread count either way.
-    fn execute_all(
-        &self,
-        requests: &[&[(String, Vec<f32>)]],
-    ) -> (Vec<Result<RequestResult>>, usize) {
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = self.host_threads.min(requests.len()).min(parallelism).max(1);
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RequestResult>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // Check a simulator out of the pool (building one on
-                    // first use) and return it when the queue drains.
-                    let mut sim: Option<SimBackend> =
-                        self.pool.lock().expect("sim pool poisoned").pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= requests.len() {
-                            break;
-                        }
-                        let result = match &mut sim {
-                            Some(s) => self.serve_one(s, requests[i]),
-                            None => self.build_sim().and_then(|mut s| {
-                                let r = self.serve_one(&mut s, requests[i]);
-                                sim = Some(s);
-                                r
-                            }),
-                        };
-                        *slots[i].lock().expect("request slot poisoned") = Some(result);
-                    }
-                    if let Some(s) = sim {
-                        self.pool.lock().expect("sim pool poisoned").push(s);
-                    }
-                });
-            }
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("request slot poisoned")
-                    .expect("every request index is claimed exactly once")
-            })
-            .collect();
-        (results, threads)
     }
 
     /// Serves requests arriving per `pattern` (request `i` arrives at the
@@ -1076,12 +1151,13 @@ impl ServeRunner {
         Ok(outcome)
     }
 
-    /// Replicated-worker serving: simulate every request (host-parallel,
-    /// speculative — a later-shed request may still be simulated), then
-    /// compute the deterministic virtual-time queue schedule. Requests
-    /// with malformed inputs are rejected at submission and excluded from
-    /// the schedule (matching the pipelined path), so they never displace
-    /// a valid request from the bounded queue.
+    /// Replicated-worker serving: simulate every request (host-parallel
+    /// and ungated — replicated serving rarely sheds, so few simulations
+    /// are wasted), then compute the deterministic virtual-time queue
+    /// schedule. Requests with malformed inputs are rejected at
+    /// submission and excluded from the schedule (matching the pipelined
+    /// path), so they never displace a valid request from the bounded
+    /// queue.
     fn serve_replicated(
         &self,
         arrivals: &[u64],
@@ -1090,7 +1166,19 @@ impl ServeRunner {
     ) -> Result<ServeOutcome> {
         let valid: Vec<bool> = inputs.iter().map(|i| self.validate_inputs(i).is_ok()).collect();
         let schedule_order: Vec<usize> = order.iter().copied().filter(|&i| valid[i]).collect();
-        let (mut exec, host_threads) = self.execute_all(inputs);
+        let (slots, host_threads) = run_pool(
+            &self.pool,
+            self.host_threads,
+            inputs.len(),
+            &|| self.build_sim(),
+            &|sim, i| serve_request(sim, &self.compiled, &self.plan, inputs[i], None),
+            None,
+        );
+        let mut exec = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| claimed(slot, || format!("request {i}")))
+            .collect::<Result<Vec<_>>>()?;
         // Requests that validated but faulted in simulation occupy their
         // worker for zero cycles: the fault is reported per-request, not
         // modelled as service time.
@@ -1248,7 +1336,7 @@ impl ServeRunner {
         }
         let mut sim = PipelineSim::new(self.cfg, &self.images, self.mode, &self.noise)?;
         if self.engine == SimEngine::Compiled {
-            let mut cache = self.compiled_images.lock().expect("compiled image cache poisoned");
+            let mut cache = self.compiled_images.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(images) = cache.as_ref() {
                 sim.adopt_compiled_images(images);
                 sim.set_engine(self.engine);
@@ -1266,7 +1354,7 @@ impl ServeRunner {
     /// (every logical input present, at its declared width) — the same
     /// contract [`run_request`] enforces, via the same code.
     fn validate_inputs(&self, inputs: &[(String, Vec<f32>)]) -> Result<()> {
-        for_each_input_chunk(&self.compiled, inputs, &mut |_, _| Ok(()))
+        for_each_input_chunk(&self.compiled, &self.plan, inputs, &mut |_, _| Ok(()))
     }
 
     /// Validates one request's inputs against the compiled I/O layout and
@@ -1274,7 +1362,7 @@ impl ServeRunner {
     /// across requests and passed to the pipeline separately).
     fn prepare_writes(&self, inputs: &[(String, Vec<f32>)]) -> Result<RequestWrites> {
         let mut writes = RequestWrites::new();
-        for_each_input_chunk(&self.compiled, inputs, &mut |chunk, data| {
+        for_each_input_chunk(&self.compiled, &self.plan, inputs, &mut |chunk, data| {
             writes.push((chunk.to_string(), data.to_vec()));
             Ok(())
         })?;
@@ -1855,6 +1943,14 @@ pub struct TenantOutcome {
     pub makespan_cycles: u64,
     /// Host threads actually used for the simulation work.
     pub host_threads: usize,
+    /// Requests actually simulated. The schedule gates the host-thread
+    /// pool, so a request shed before a thread claims it is never
+    /// simulated: on one host thread this is exactly the requests that
+    /// were neither shed nor malformed. With more threads a thread may
+    /// simulate a request speculatively while the schedule still waits
+    /// on another thread's duration, and the schedule may shed it
+    /// afterwards — the excess over that floor is the wasted work.
+    pub simulated: usize,
     /// Host wall-clock time spent serving.
     pub wall_seconds: f64,
 }
@@ -1865,10 +1961,6 @@ impl TenantOutcome {
         self.models.iter().find(|m| m.model == name)
     }
 }
-
-/// One speculative tenant execution job: the target model's catalog name
-/// and the request's named inputs.
-type TenantJob<'a> = (&'a str, &'a [(String, Vec<f32>)]);
 
 /// First-fit tile allocator over the fabric's per-node tile ranges.
 #[derive(Debug, Clone)]
@@ -1899,17 +1991,21 @@ impl TilePlanner {
         gaps
     }
 
-    /// Allocates `tiles` contiguous tiles at the first gap that fits,
-    /// scanning nodes in index order and gaps in base order.
+    /// The `(node, base)` where [`TilePlanner::first_fit`] would place
+    /// `tiles` contiguous tiles: the first gap that fits, scanning nodes
+    /// in index order and gaps in base order.
+    fn find_fit(&self, tiles: usize) -> Option<(usize, usize)> {
+        (0..self.allocs.len()).find_map(|node| {
+            self.gaps(node).into_iter().find(|&(_, len)| len >= tiles).map(|(base, _)| (node, base))
+        })
+    }
+
+    /// Allocates `tiles` contiguous tiles at [`TilePlanner::find_fit`].
     fn first_fit(&mut self, tiles: usize) -> Option<(usize, usize)> {
-        for node in 0..self.allocs.len() {
-            if let Some(&(base, _)) = self.gaps(node).iter().find(|&&(_, len)| len >= tiles) {
-                let at = self.allocs[node].partition_point(|&(b, _)| b < base);
-                self.allocs[node].insert(at, (base, tiles));
-                return Some((node, base));
-            }
-        }
-        None
+        let (node, base) = self.find_fit(tiles)?;
+        let at = self.allocs[node].partition_point(|&(b, _)| b < base);
+        self.allocs[node].insert(at, (base, tiles));
+        Some((node, base))
     }
 
     /// Releases the allocation starting at `base` on `node`.
@@ -1951,12 +2047,13 @@ impl TilePlanner {
 /// A [`ScalePolicy`] lets a backlogged model grow replicas onto free
 /// tiles mid-serve and release them when drained. By the relocation
 /// invariant a replica computes bit-identically wherever it sits, so
-/// the runtime simulates each request once on the model's materialized
-/// residency and treats added replicas as placement + scheduling
-/// entities: they consume real tile capacity (admission-visible) and
-/// add real service slots to the virtual-time schedule, without
-/// re-simulating identical work. Scale decisions are pure functions of
-/// the simulated clock and queue depths — replays are bit-exact.
+/// the runtime simulates each admitted request once on the model's
+/// materialized residency and treats added replicas as placement +
+/// scheduling entities: they consume real tile capacity
+/// (admission-visible) and add real service slots to the virtual-time
+/// schedule, without re-simulating identical work. Scale decisions are
+/// pure functions of the simulated clock and queue depths — replays are
+/// bit-exact.
 ///
 /// # Determinism
 ///
@@ -1978,6 +2075,8 @@ pub struct TenantServer {
     policy: ScalePolicy,
     retry: RetryPolicy,
     deployments: Vec<Deployment>,
+    /// Per deployment (same order): the tenant-prefixed I/O plan.
+    plans: Vec<IoPlan>,
     planner: TilePlanner,
     /// Idle fabric simulators (every resident loaded), checked out by
     /// host threads during a serve — same pooling as [`ServeRunner`].
@@ -2047,6 +2146,7 @@ impl TenantServer {
             policy: ScalePolicy::default(),
             retry: RetryPolicy::default(),
             deployments: Vec::new(),
+            plans: Vec::new(),
             planner: TilePlanner::new(fabric.nodes, fabric.tiles_per_node),
             pool: Mutex::new(Vec::new()),
             node_compiled: Mutex::new(None),
@@ -2150,6 +2250,7 @@ impl TenantServer {
                 available: free,
             });
         };
+        self.plans.push(IoPlan::new(compiled, &format!("{name}:")));
         self.deployments.push(Deployment { model: name.to_string(), node, base, tiles });
         // The resident set changed: pooled fabrics and composed images
         // are stale. Per-model builds stay valid (bases never move).
@@ -2197,7 +2298,7 @@ impl TenantServer {
     /// build per model serves every composed node image and every
     /// pooled fabric replica.
     fn model_compiled_at(&self, model: &str, base: usize) -> Result<Arc<CompiledImage>> {
-        let mut cache = self.model_compiled.lock().expect("model compiled cache poisoned");
+        let mut cache = self.model_compiled.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(img) = cache.get(model) {
             return Ok(Arc::clone(img));
         }
@@ -2214,7 +2315,7 @@ impl TenantServer {
     /// Per-node composed pre-decoded images for [`SimEngine::Compiled`].
     fn composed_compiled(&self, node_images: &[MachineImage]) -> Result<Vec<Arc<CompiledImage>>> {
         if let Some(images) =
-            self.node_compiled.lock().expect("compiled image cache poisoned").as_ref()
+            self.node_compiled.lock().unwrap_or_else(PoisonError::into_inner).as_ref()
         {
             return Ok(images.clone());
         }
@@ -2226,7 +2327,7 @@ impl TenantServer {
             }
             composed.push(Arc::new(CompiledImage::compose(self.mode, image.tiles.len(), &parts)));
         }
-        *self.node_compiled.lock().expect("compiled image cache poisoned") = Some(composed.clone());
+        *self.node_compiled.lock().unwrap_or_else(PoisonError::into_inner) = Some(composed.clone());
         Ok(composed)
     }
 
@@ -2236,9 +2337,9 @@ impl TenantServer {
     fn build_fabric_sim(&self) -> Result<SimBackend> {
         let images = self.node_images()?;
         // Tile death is modeled at the schedule layer (quarantine +
-        // failover + retry, see `tenant_schedule`), not inside the
-        // speculative fabric simulators: every request is simulated once
-        // and scheduling decides which attempt lands where. Cell and
+        // failover + retry, see `TenantScheduler`), not inside the
+        // fabric simulators: a request is simulated at most once and
+        // scheduling decides which attempt lands where. Cell and
         // packet faults stay in — their site keys are resident-relative,
         // so a replica's faulty outputs are placement-invariant.
         let mut cfg = self.cfg;
@@ -2254,191 +2355,130 @@ impl TenantServer {
         Ok(sim)
     }
 
-    /// Runs one request of one resident on a fabric simulator: writes
-    /// the model's constants and inputs through its tenant-prefixed
-    /// bindings, runs only that resident's tiles, and reads back the
-    /// model's logical outputs.
-    fn serve_tenant_one(
-        &self,
-        sim: &mut SimBackend,
-        model: &str,
-        inputs: &[(String, Vec<f32>)],
-    ) -> Result<RequestResult> {
-        let compiled = self.catalog.get(model).expect("deployed models stay cataloged");
-        sim.reset();
-        for (binding, values) in &compiled.const_data {
-            sim.write_input(&format!("{model}:{}", binding.name), values)?;
-        }
-        for_each_input_chunk(compiled, inputs, &mut |chunk, data| {
-            sim.write_input(&format!("{model}:{chunk}"), data)
-        })?;
-        sim.run_resident(model)?;
-        let mut outputs = HashMap::new();
-        for io in &compiled.outputs {
-            let mut data = Vec::with_capacity(io.width);
-            for chunk in &io.chunks {
-                data.extend(sim.read_output(&format!("{model}:{chunk}"))?);
-            }
-            outputs.insert(io.name.clone(), data);
-        }
-        Ok(RequestResult { outputs, stats: sim.stats().clone() })
-    }
-
-    /// Simulates every `(model, inputs)` job across the host-thread
-    /// pool — the tenant counterpart of [`ServeRunner::execute_all`],
-    /// with the same work-stealing cursor, pool checkout, and
-    /// parallelism cap. Results are in job order and independent of the
-    /// thread count.
-    fn execute_all_tenant(&self, jobs: &[TenantJob<'_>]) -> (Vec<Result<RequestResult>>, usize) {
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = self.host_threads.min(jobs.len()).min(parallelism).max(1);
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RequestResult>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut sim: Option<SimBackend> =
-                        self.pool.lock().expect("sim pool poisoned").pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let (model, inputs) = jobs[i];
-                        let result = match &mut sim {
-                            Some(s) => self.serve_tenant_one(s, model, inputs),
-                            None => self.build_fabric_sim().and_then(|mut s| {
-                                let r = self.serve_tenant_one(&mut s, model, inputs);
-                                sim = Some(s);
-                                r
-                            }),
-                        };
-                        *slots[i].lock().expect("request slot poisoned") = Some(result);
-                    }
-                    if let Some(s) = sim {
-                        self.pool.lock().expect("sim pool poisoned").push(s);
-                    }
-                });
-            }
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("request slot poisoned")
-                    .expect("every job index is claimed exactly once")
-            })
-            .collect();
-        (results, threads)
-    }
-
     /// Serves several models' request streams concurrently on the
     /// shared fabric.
     ///
-    /// Every request is simulated (host-parallel, speculative — a
-    /// later-shed request may still be simulated), then the streams are
-    /// merged into one deterministic virtual-time schedule: per-model
-    /// FIFO queues bounded by the queue depth (overload is shed per
-    /// model), service slots per live replica, departures before
-    /// same-cycle arrivals, and queue-depth-driven scale-up/down per
-    /// the [`ScalePolicy`]. Replica allocations made mid-serve are
-    /// transient: the fabric's persistent placements are unchanged
+    /// The streams are merged into one deterministic virtual-time
+    /// schedule: per-model FIFO queues bounded by the queue depth
+    /// (overload is shed per model), service slots per live replica,
+    /// departures before same-cycle arrivals, and queue-depth-driven
+    /// scale-up/down per the [`ScalePolicy`]. The schedule needs a
+    /// request's service duration only when the request starts, so it
+    /// advances as simulations finish and gates the host-thread pool: a
+    /// request the schedule has already shed is never simulated (see
+    /// [`TenantOutcome::simulated`]). Replica allocations made mid-serve
+    /// are transient: the fabric's persistent placements are unchanged
     /// afterwards.
     ///
     /// # Errors
     ///
     /// Rejects streams naming undeployed models and duplicate streams
     /// for one model; per-request faults are reported in the
-    /// per-request [`Disposition`] without failing the serve.
+    /// per-request [`Disposition`] without failing the serve. A schedule
+    /// that cannot complete once every admitted request was simulated is
+    /// a [`PumaError::Execution`].
     pub fn serve(&self, streams: &[TenantStream]) -> Result<TenantOutcome> {
         let started = Instant::now();
+        let mut placed = Vec::with_capacity(streams.len());
         for (i, s) in streams.iter().enumerate() {
-            if !self.deployments.iter().any(|d| d.model == s.model) {
+            let Some(d) = self.deployments.iter().position(|d| d.model == s.model) else {
                 return Err(PumaError::InvalidConfig {
                     what: format!("model '{}' is not deployed on this fabric", s.model),
                 });
-            }
+            };
             if streams[..i].iter().any(|t| t.model == s.model) {
                 return Err(PumaError::InvalidConfig {
                     what: format!("duplicate stream for model '{}'", s.model),
                 });
             }
+            placed.push(d);
         }
-        // Speculative execution of every request of every stream.
-        let jobs: Vec<TenantJob<'_>> = streams
+        let compiled: Vec<&CompiledModel> = streams
             .iter()
-            .flat_map(|s| s.requests.iter().map(|r| (s.model.as_str(), r.inputs.as_slice())))
+            .map(|s| &**self.catalog.get(&s.model).expect("deployed models stay cataloged"))
             .collect();
-        let (mut exec, host_threads) = self.execute_all_tenant(&jobs);
-        // Split the flat execution results back into per-stream vectors.
-        let mut exec_by_stream: Vec<Vec<Result<RequestResult>>> = Vec::with_capacity(streams.len());
-        for s in streams {
-            let rest = exec.split_off(s.requests.len());
-            exec_by_stream.push(std::mem::replace(&mut exec, rest));
+        // Malformed requests are rejected at submission and never occupy
+        // a queue slot; the rest are scheduled in (arrival, index) order.
+        let mut checks: Vec<Vec<Result<()>>> = Vec::with_capacity(streams.len());
+        let mut loads: Vec<TenantLoad> = Vec::with_capacity(streams.len());
+        for ((s, &d), c) in streams.iter().zip(&placed).zip(&compiled) {
+            let check: Vec<Result<()>> = s
+                .requests
+                .iter()
+                .map(|r| for_each_input_chunk(c, &self.plans[d], &r.inputs, &mut |_, _| Ok(())))
+                .collect();
+            let arrivals = s.pattern.arrivals(s.requests.len());
+            let mut order: Vec<usize> = (0..check.len()).filter(|&i| check[i].is_ok()).collect();
+            order.sort_by_key(|&i| (arrivals[i], i));
+            let at = &self.deployments[d];
+            let (tiles, node, base) = (at.tiles, at.node, at.base);
+            loads.push(TenantLoad { arrivals, durations: Vec::new(), order, tiles, node, base });
+            checks.push(check);
         }
-        // Per-stream arrivals, durations, and the (arrival, index)-ordered
-        // schedulable request lists (malformed requests are rejected at
-        // submission and never occupy a queue slot).
-        let loads: Vec<TenantLoad> = streams
-            .iter()
-            .zip(&exec_by_stream)
-            .map(|(s, exec)| {
-                let arrivals = s.pattern.arrivals(s.requests.len());
-                let durations: Vec<u64> =
-                    exec.iter().map(|r| r.as_ref().map_or(0, |ok| ok.stats.cycles)).collect();
-                let mut order: Vec<usize> = (0..s.requests.len())
-                    .filter(|&i| self.validate_tenant_inputs(&s.model, &s.requests[i].inputs))
-                    .collect();
-                order.sort_by_key(|&i| (arrivals[i], i));
-                let placed = self
-                    .deployments
-                    .iter()
-                    .find(|d| d.model == s.model)
-                    .expect("checked deployed above");
-                TenantLoad {
-                    arrivals,
-                    durations,
-                    order,
-                    tiles: placed.tiles,
-                    node: placed.node,
-                    base: placed.base,
-                }
-            })
-            .collect();
-        // Transient planner copy: mid-serve replica allocations must not
-        // change the fabric's persistent placements.
-        let mut planner = self.planner.clone();
         // An injected tile death is scheduling-visible (quarantine +
-        // failover + retry); the speculative simulators never see it.
+        // failover + retry); the fabric simulators never see it.
         let death =
             self.cfg.faults.tile_death.map(|d| (d.at_cycle, usize::from(d.node), d.tile as usize));
-        let schedule = tenant_schedule(
+        // The planner copy is transient: mid-serve replica allocations
+        // must not change the fabric's persistent placements.
+        let gate = ScheduleGate::new(TenantScheduler::new(
             &loads,
             self.queue_depth,
-            &self.policy,
-            &self.retry,
+            self.policy,
+            self.retry,
             death,
-            &mut planner,
+            self.planner.clone(),
+        ));
+        let (slots, host_threads) = run_pool(
+            &self.pool,
+            self.host_threads,
+            gate.claims.len(),
+            &|| self.build_fabric_sim(),
+            &|sim, j| {
+                let (s, r) = gate.claims[j];
+                let plan = &self.plans[placed[s]];
+                serve_request(
+                    sim,
+                    compiled[s],
+                    plan,
+                    &streams[s].requests[r].inputs,
+                    Some(&streams[s].model),
+                )
+            },
+            Some(&gate),
         );
+        let mut exec: Vec<Vec<Option<Result<RequestResult>>>> =
+            streams.iter().map(|s| s.requests.iter().map(|_| None).collect()).collect();
+        let mut simulated = 0usize;
+        for (slot, &(s, r)) in slots.into_iter().zip(&gate.claims) {
+            simulated += usize::from(slot.is_some());
+            exec[s][r] = slot;
+        }
+        let mut scheduler = gate.into_scheduler();
+        if let Some((s, r)) = scheduler.advance() {
+            return Err(PumaError::Execution {
+                what: format!(
+                    "the tenant schedule stalled on request {r} of model '{}' after the \
+                     pool drained",
+                    streams[s].model
+                ),
+            });
+        }
+        let (schedule, _) = scheduler.finish();
         // Assemble per-model outcomes in stream order.
         let mut models = Vec::with_capacity(streams.len());
         let mut makespan = 0u64;
         for (si, stream) in streams.iter().enumerate() {
-            let exec = &mut exec_by_stream[si];
             let load = &loads[si];
             let mut results = Vec::with_capacity(stream.requests.len());
             let mut stats = RunStats::new();
             let mut latencies = Vec::new();
-            let mut valid = vec![false; stream.requests.len()];
-            for &r in &load.order {
-                valid[r] = true;
-            }
             let mut retried = 0usize;
             let mut failed = 0usize;
             for i in 0..stream.requests.len() {
-                let schedulable = valid[i];
-                let disposition = if schedule.failed[si][i] {
+                let disposition = if let Err(e) = std::mem::replace(&mut checks[si][i], Ok(())) {
+                    Disposition::Failed(e.into())
+                } else if schedule.failed[si][i] {
                     // Lost to the injected tile death: aborted with the
                     // retry budget exhausted, or no live replica left.
                     failed += 1;
@@ -2453,20 +2493,12 @@ impl TenantServer {
                             stream.model, schedule.attempts[si][i], self.retry.max_attempts
                         ),
                     })
-                } else {
-                    match (schedulable, schedule.windows[si][i], exec[i].is_ok()) {
-                        (false, _, _) | (true, Some(_), false) => {
-                            match std::mem::replace(&mut exec[i], Ok(empty_result())) {
-                                Err(e) => Disposition::Failed(e.into()),
-                                Ok(_) => {
-                                    unreachable!("validation failed but execution succeeded")
-                                }
-                            }
-                        }
-                        (true, None, _) => Disposition::Shed,
-                        (true, Some((start, finish)), true) => {
-                            let result = std::mem::replace(&mut exec[i], Ok(empty_result()))
-                                .expect("checked above");
+                } else if let Some((start, finish)) = schedule.windows[si][i] {
+                    match claimed(exec[si][i].take(), || {
+                        format!("request {i} of model '{}'", stream.model)
+                    })? {
+                        Err(e) => Disposition::Failed(e.into()),
+                        Ok(result) => {
                             stats.merge(&result.stats);
                             latencies.push(finish - load.arrivals[i]);
                             makespan = makespan.max(finish);
@@ -2476,6 +2508,8 @@ impl TenantServer {
                             Disposition::Completed { result, start, finish }
                         }
                     }
+                } else {
+                    Disposition::Shed
                 };
                 results.push(ServedRequest { arrival: load.arrivals[i], disposition });
             }
@@ -2505,23 +2539,19 @@ impl TenantServer {
             scale_events,
             makespan_cycles: makespan,
             host_threads,
+            simulated,
             wall_seconds: started.elapsed().as_secs_f64(),
         })
     }
-
-    /// Whether one request's inputs satisfy the model's compiled I/O
-    /// layout (same contract as [`ServeRunner`]'s validation).
-    fn validate_tenant_inputs(&self, model: &str, inputs: &[(String, Vec<f32>)]) -> bool {
-        let compiled = self.catalog.get(model).expect("deployed models stay cataloged");
-        for_each_input_chunk(compiled, inputs, &mut |_, _| Ok(())).is_ok()
-    }
 }
 
-/// One model's load for [`tenant_schedule`].
+/// One model's load for [`TenantScheduler`].
 struct TenantLoad {
     /// Arrival cycle of each request (non-decreasing).
     arrivals: Vec<u64>,
-    /// Service duration of each request, in cycles.
+    /// Service duration of each request, in cycles, when known upfront;
+    /// empty when durations are revealed as simulations finish
+    /// ([`TenantScheduler::reveal`]).
     durations: Vec<u64>,
     /// Schedulable request indices in (arrival, index) order (malformed
     /// requests are excluded).
@@ -2559,7 +2589,8 @@ struct RawScaleEvent {
     live: usize,
 }
 
-/// Output of [`tenant_schedule`].
+/// Output of [`TenantScheduler`].
+#[derive(Debug, PartialEq)]
 struct TenantSchedule {
     /// Per stream, per request: the `(start, finish)` service window
     /// (`None` = shed or not schedulable).
@@ -2582,23 +2613,33 @@ struct TenantSchedule {
     failed: Vec<Vec<bool>>,
 }
 
-/// The deterministic merged multi-tenant schedule: per-model FIFO queues
-/// bounded by `depth`, one service slot per live replica,
-/// queue-depth-driven scale-up/down against `planner`'s free tiles, and
-/// fault recovery for one injected tile death `(cycle, node, tile)`.
+/// The kinds of schedule event, in their same-cycle order: departures
+/// before the tile death (a request finishing exactly at the death cycle
+/// completes), the death before fault retries, and retries before fresh
+/// arrivals (an arrival at the death cycle sees the post-death fabric).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TenantEvent {
+    Departure,
+    Death,
+    Retry,
+    Arrival,
+}
+
+/// The deterministic merged multi-tenant schedule, computed
+/// incrementally: per-model FIFO queues bounded by `depth`, one service
+/// slot per live replica, queue-depth-driven scale-up/down against the
+/// planner's free tiles, and fault recovery for one injected tile death
+/// `(cycle, node, tile)`.
 ///
-/// Event order is total and host-independent: time, then departures
-/// before the tile death (a request finishing exactly at the death
-/// cycle completes), the death before fault retries, and retries
-/// before fresh arrivals (an arrival at the death cycle sees the
-/// post-death fabric), then stream index, then request index. Scale-up
-/// fires on the arrival that makes a model's queue reach
+/// Event order is total and host-independent: time, then
+/// [`TenantEvent`] kind, then stream index, then request index.
+/// Scale-up fires on the arrival that makes a model's queue reach
 /// [`ScalePolicy::scale_up_depth`] (capacity permitting) and the new
 /// replica immediately serves the queue head; scale-down releases a
 /// scaled-up replica the moment it departs its last request with an
 /// empty queue. Slot 0 — the materialized deployment — is never
-/// released, and only the replica that just went idle is ever a
-/// release candidate, so scale-down can never evict in-flight work.
+/// released, and only the replica that just went idle is ever a release
+/// candidate, so scale-down can never evict in-flight work.
 ///
 /// When the death hits a replica's allocation (slot 0's materialized
 /// placement or a scaled-up replica's transient one — allocations are
@@ -2610,294 +2651,391 @@ struct TenantSchedule {
 /// re-placed first-fit onto free tiles (**failover**). With no free
 /// capacity and no live replica left, the model's unserved requests
 /// fail.
-fn tenant_schedule(
-    loads: &[TenantLoad],
+///
+/// # Laziness
+///
+/// A request's service duration matters only when it **starts** (at a
+/// departure, an idle-slot arrival, a scale-up, a failover, or a
+/// retry); an arrival that is queued or shed needs none. So
+/// [`TenantScheduler::advance`] processes events until the next one
+/// would start a request whose duration is not yet
+/// [revealed](TenantScheduler::reveal), and stops there *before*
+/// mutating anything. Revealing durations in any order and advancing
+/// therefore yields the same [`TenantSchedule`] as knowing them all
+/// upfront, and a request the schedule sheds never needs simulating.
+struct TenantScheduler<'a> {
+    loads: &'a [TenantLoad],
     depth: Option<usize>,
-    policy: &ScalePolicy,
-    retry: &RetryPolicy,
+    policy: ScalePolicy,
+    retry: RetryPolicy,
+    planner: TilePlanner,
+    /// Per stream, per request: the service duration, once known.
+    durations: Vec<Vec<Option<u64>>>,
+    /// Per stream, per request: shed by the bounded queue on arrival.
+    dropped: Vec<Vec<bool>>,
+    /// The schedule built so far.
+    out: TenantSchedule,
+    slots: Vec<Vec<ReplicaSlot>>,
+    waiting: Vec<VecDeque<usize>>,
+    /// Merged arrivals `(cycle, stream, request)`, consumed in order.
+    arrivals: Vec<(u64, usize, usize)>,
+    next_arrival: usize,
+    /// In-flight departures: `(finish, stream, slot, request)`.
+    departures: BinaryHeap<Reverse<(u64, usize, usize, usize)>>,
+    /// Fault retries: `(re-arrival cycle, stream, request)`.
+    retries: BinaryHeap<Reverse<(u64, usize, usize)>>,
     death: Option<(u64, usize, usize)>,
-    planner: &mut TilePlanner,
-) -> TenantSchedule {
-    let mut windows: Vec<Vec<Option<(u64, u64)>>> =
-        loads.iter().map(|l| vec![None; l.arrivals.len()]).collect();
-    let mut replica_of: Vec<Vec<Option<usize>>> =
-        loads.iter().map(|l| vec![None; l.arrivals.len()]).collect();
-    let mut shed = vec![0usize; loads.len()];
-    let mut peak = vec![1usize; loads.len()];
-    let mut attempts: Vec<Vec<usize>> = loads.iter().map(|l| vec![0; l.arrivals.len()]).collect();
-    let mut failed: Vec<Vec<bool>> = loads.iter().map(|l| vec![false; l.arrivals.len()]).collect();
-    let mut events: Vec<RawScaleEvent> = Vec::new();
-    let mut slots: Vec<Vec<ReplicaSlot>> = loads
-        .iter()
-        .map(|_| vec![ReplicaSlot { alloc: None, primary: true, busy: false, removed: false }])
-        .collect();
-    let mut waiting: Vec<VecDeque<usize>> = loads.iter().map(|_| VecDeque::new()).collect();
-    // Merged arrivals: (cycle, stream, request), consumed in order.
-    let mut arrivals: Vec<(u64, usize, usize)> = loads
-        .iter()
-        .enumerate()
-        .flat_map(|(s, l)| l.order.iter().map(move |&r| (l.arrivals[r], s, r)))
-        .collect();
-    arrivals.sort_unstable();
-    let mut next_arrival = 0usize;
-    // In-flight departures: (finish, stream, slot, request).
-    let mut departures: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = BinaryHeap::new();
-    // Fault retries: (re-arrival cycle, stream, request).
-    let mut retries: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-    let mut death_pending = death;
+}
 
-    let start = |t: u64,
-                 s: usize,
-                 r: usize,
-                 slot: usize,
-                 slots: &mut [Vec<ReplicaSlot>],
-                 windows: &mut [Vec<Option<(u64, u64)>>],
-                 replica_of: &mut [Vec<Option<usize>>],
-                 departures: &mut BinaryHeap<Reverse<(u64, usize, usize, usize)>>,
-                 attempts: &mut [Vec<usize>]| {
-        let finish = t + loads[s].durations[r];
-        windows[s][r] = Some((t, finish));
-        replica_of[s][r] = Some(slot);
-        slots[s][slot].busy = true;
-        attempts[s][r] += 1;
-        departures.push(Reverse((finish, s, slot, r)));
-    };
+impl<'a> TenantScheduler<'a> {
+    /// A schedule at cycle 0 over `loads`, with every duration the loads
+    /// carry already revealed.
+    fn new(
+        loads: &'a [TenantLoad],
+        depth: Option<usize>,
+        policy: ScalePolicy,
+        retry: RetryPolicy,
+        death: Option<(u64, usize, usize)>,
+        planner: TilePlanner,
+    ) -> Self {
+        fn per_request<T: Clone>(loads: &[TenantLoad], value: T) -> Vec<Vec<T>> {
+            loads.iter().map(|l| vec![value.clone(); l.arrivals.len()]).collect()
+        }
+        let mut arrivals: Vec<(u64, usize, usize)> = loads
+            .iter()
+            .enumerate()
+            .flat_map(|(s, l)| l.order.iter().map(move |&r| (l.arrivals[r], s, r)))
+            .collect();
+        arrivals.sort_unstable();
+        TenantScheduler {
+            loads,
+            depth,
+            policy,
+            retry,
+            planner,
+            durations: loads
+                .iter()
+                .map(|l| (0..l.arrivals.len()).map(|r| l.durations.get(r).copied()).collect())
+                .collect(),
+            dropped: per_request(loads, false),
+            out: TenantSchedule {
+                windows: per_request(loads, None),
+                replica_of: per_request(loads, None),
+                shed: vec![0; loads.len()],
+                peak: vec![1; loads.len()],
+                events: Vec::new(),
+                attempts: per_request(loads, 0),
+                failed: per_request(loads, false),
+            },
+            slots: loads
+                .iter()
+                .map(|_| {
+                    vec![ReplicaSlot { alloc: None, primary: true, busy: false, removed: false }]
+                })
+                .collect(),
+            waiting: loads.iter().map(|_| VecDeque::new()).collect(),
+            arrivals,
+            next_arrival: 0,
+            departures: BinaryHeap::new(),
+            retries: BinaryHeap::new(),
+            death,
+        }
+    }
 
-    loop {
-        // The next event: minimum virtual time; at equal times
-        // departures (0) precede the tile death (1), the death precedes
-        // fault retries (2), and retries precede fresh arrivals (3).
-        let candidates = [
-            (departures.peek().map(|&Reverse((t, ..))| t), 0u8),
-            (death_pending.map(|(t, ..)| t), 1),
-            (retries.peek().map(|&Reverse((t, ..))| t), 2),
-            (arrivals.get(next_arrival).map(|&(t, ..)| t), 3),
-        ];
-        let Some((_, event)) = candidates.iter().filter_map(|&(t, k)| t.map(|t| (t, k))).min()
-        else {
-            break;
-        };
+    /// Every schedulable request as `(stream, request)`, in merged
+    /// arrival order — the order the schedule decides them in.
+    fn arrival_order(&self) -> Vec<(usize, usize)> {
+        self.arrivals.iter().map(|&(_, s, r)| (s, r)).collect()
+    }
+
+    /// Records request `r` of stream `s`'s service duration.
+    fn reveal(&mut self, s: usize, r: usize, cycles: u64) {
+        self.durations[s][r] = Some(cycles);
+    }
+
+    /// Whether request `r` of stream `s` has been shed on arrival.
+    fn is_shed(&self, s: usize, r: usize) -> bool {
+        self.dropped[s][r]
+    }
+
+    /// Processes events until the schedule is complete (`None`) or the
+    /// next event would start a request whose duration is unknown
+    /// (`Some((stream, request))`, with that event left unprocessed).
+    fn advance(&mut self) -> Option<(usize, usize)> {
+        while let Some(event) = self.next_event() {
+            if let Err(needed) = self.step(event) {
+                return Some(needed);
+            }
+        }
+        None
+    }
+
+    /// The completed schedule and the planner's final state. Call once
+    /// [`TenantScheduler::advance`] returns `None`.
+    fn finish(mut self) -> (TenantSchedule, TilePlanner) {
+        // A stream left with no live replica (the death consumed its last
+        // slot and failover found no capacity) can never serve what is
+        // still waiting.
+        for s in 0..self.loads.len() {
+            if self.slots[s].iter().any(|x| !x.removed) {
+                continue;
+            }
+            for r in self.waiting[s].drain(..) {
+                self.out.failed[s][r] = true;
+            }
+        }
+        (self.out, self.planner)
+    }
+
+    /// The next event: minimum virtual time, ties by [`TenantEvent`].
+    fn next_event(&self) -> Option<TenantEvent> {
+        [
+            (self.departures.peek().map(|&Reverse((t, ..))| t), TenantEvent::Departure),
+            (self.death.map(|(t, ..)| t), TenantEvent::Death),
+            (self.retries.peek().map(|&Reverse((t, ..))| t), TenantEvent::Retry),
+            (self.arrivals.get(self.next_arrival).map(|&(t, ..)| t), TenantEvent::Arrival),
+        ]
+        .into_iter()
+        .filter_map(|(t, e)| t.map(|t| (t, e)))
+        .min()
+        .map(|(_, e)| e)
+    }
+
+    /// `Err((s, r))` when request `r` of stream `s` is about to start
+    /// but its duration is still unknown.
+    fn known(&self, s: usize, r: usize) -> std::result::Result<(), (usize, usize)> {
+        self.durations[s][r].map(|_| ()).ok_or((s, r))
+    }
+
+    fn live(&self, s: usize) -> usize {
+        self.slots[s].iter().filter(|x| !x.removed).count()
+    }
+
+    /// An idle live replica of stream `s` that may take a request now —
+    /// only when nobody is queued ahead.
+    fn idle_slot(&self, s: usize) -> Option<usize> {
+        self.slots[s]
+            .iter()
+            .position(|x| !x.busy && !x.removed)
+            .filter(|_| self.waiting[s].is_empty())
+    }
+
+    /// The live slot `(stream, slot)` whose allocation covers tile `dt`
+    /// of node `dn` (allocations are disjoint, so at most one does).
+    fn death_victim(&self, dn: usize, dt: usize) -> Option<(usize, usize)> {
+        (0..self.loads.len()).find_map(|s| {
+            let load = &self.loads[s];
+            self.slots[s]
+                .iter()
+                .position(|slot| {
+                    let (node, base) = slot.alloc.unwrap_or((load.node, load.base));
+                    !slot.removed && node == dn && dt >= base && dt < base + load.tiles
+                })
+                .map(|k| (s, k))
+        })
+    }
+
+    fn start(&mut self, t: u64, s: usize, r: usize, slot: usize) {
+        let finish = t + self.durations[s][r].expect("checked before the event mutated anything");
+        self.out.windows[s][r] = Some((t, finish));
+        self.out.replica_of[s][r] = Some(slot);
+        self.slots[s][slot].busy = true;
+        self.out.attempts[s][r] += 1;
+        self.departures.push(Reverse((finish, s, slot, r)));
+    }
+
+    fn push_event(&mut self, cycle: u64, stream: usize, slot: usize, kind: ScaleDirection) {
+        let live = self.live(stream);
+        self.out.events.push(RawScaleEvent { cycle, stream, slot, kind, live });
+    }
+
+    /// Adds a replica slot on `alloc` and returns its index.
+    fn add_slot(&mut self, s: usize, alloc: (usize, usize), primary: bool) -> usize {
+        self.slots[s].push(ReplicaSlot {
+            alloc: Some(alloc),
+            primary,
+            busy: false,
+            removed: false,
+        });
+        self.out.peak[s] = self.out.peak[s].max(self.live(s));
+        self.slots[s].len() - 1
+    }
+
+    /// Processes one event, or returns the request it would start whose
+    /// duration is unknown — every such check precedes the first
+    /// mutation, so a stalled event is left exactly as it was.
+    fn step(&mut self, event: TenantEvent) -> std::result::Result<(), (usize, usize)> {
         match event {
-            0 => {
-                let Reverse((t, s, slot, _)) = departures.pop().expect("candidate peeked");
-                if slots[s][slot].removed {
+            TenantEvent::Departure => {
+                let &Reverse((t, s, slot, _)) = self.departures.peek().expect("event peeked");
+                let removed = self.slots[s][slot].removed;
+                let head = self.waiting[s].front().copied().filter(|_| !removed);
+                if let Some(r) = head {
+                    self.known(s, r)?;
+                }
+                self.departures.pop();
+                if removed {
                     // A quarantined slot's aborted in-flight request:
                     // the abort and its retry were handled at the death
                     // cycle, and the slot never returns to service.
-                    continue;
+                    return Ok(());
                 }
-                slots[s][slot].busy = false;
-                if let Some(head) = waiting[s].pop_front() {
-                    start(
-                        t,
-                        s,
-                        head,
-                        slot,
-                        &mut slots,
-                        &mut windows,
-                        &mut replica_of,
-                        &mut departures,
-                        &mut attempts,
-                    );
-                } else if !slots[s][slot].primary {
+                self.slots[s][slot].busy = false;
+                if let Some(r) = head {
+                    self.waiting[s].pop_front();
+                    self.start(t, s, r, slot);
+                } else if !self.slots[s][slot].primary {
                     // An idle scaled-up replica with an empty queue
                     // drains away; its tiles return to the free pool.
                     // Primary replicas (slot 0 and its failover
                     // replacement) stay resident.
                     let (node, base) =
-                        slots[s][slot].alloc.expect("scaled-up replicas carry an allocation");
-                    planner.release(node, base);
-                    slots[s][slot].removed = true;
-                    let live = slots[s].iter().filter(|x| !x.removed).count();
-                    events.push(RawScaleEvent {
-                        cycle: t,
-                        stream: s,
-                        slot,
-                        kind: ScaleDirection::Down,
-                        live,
-                    });
+                        self.slots[s][slot].alloc.expect("scaled-up replicas carry an allocation");
+                    self.planner.release(node, base);
+                    self.slots[s][slot].removed = true;
+                    self.push_event(t, s, slot, ScaleDirection::Down);
                 }
             }
-            1 => {
-                let (dc, dn, dt) = death_pending.take().expect("candidate peeked");
-                // Allocations are disjoint, so at most one live slot
-                // across all streams covers the dead tile.
-                'streams: for s in 0..loads.len() {
-                    for k in 0..slots[s].len() {
-                        if slots[s][k].removed {
-                            continue;
-                        }
-                        let (node, base) =
-                            slots[s][k].alloc.unwrap_or((loads[s].node, loads[s].base));
-                        if node != dn || dt < base || dt >= base + loads[s].tiles {
-                            continue;
-                        }
-                        // Quarantine: the slot leaves service; its tiles
-                        // stay allocated so nothing is ever re-placed
-                        // onto the dead tile.
-                        slots[s][k].removed = true;
-                        let live = slots[s].iter().filter(|x| !x.removed).count();
-                        events.push(RawScaleEvent {
-                            cycle: dc,
-                            stream: s,
-                            slot: k,
-                            kind: ScaleDirection::Quarantine,
-                            live,
-                        });
-                        // Abort the in-flight victim; retry it after the
-                        // exponential backoff while the budget allows.
-                        let victim = departures
-                            .iter()
-                            .find(|&&Reverse((_, ss, kk, _))| ss == s && kk == k)
-                            .map(|&Reverse((_, _, _, r))| r);
-                        if let Some(r) = victim {
-                            windows[s][r] = None;
-                            replica_of[s][r] = None;
-                            if attempts[s][r] < retry.max_attempts {
-                                let exp = (attempts[s][r] as u32 - 1).min(63);
-                                let delay = retry.backoff_cycles.saturating_mul(1u64 << exp);
-                                retries.push(Reverse((dc.saturating_add(delay), s, r)));
-                            } else {
-                                failed[s][r] = true;
-                            }
-                        }
-                        // Failover: re-place the replica onto free
-                        // tiles, first-fit like any deployment. The
-                        // recovered replica immediately serves the
-                        // queue head.
-                        if let Some(alloc) = planner.first_fit(loads[s].tiles) {
-                            let primary = slots[s][k].primary;
-                            slots[s].push(ReplicaSlot {
-                                alloc: Some(alloc),
-                                primary,
-                                busy: false,
-                                removed: false,
-                            });
-                            let slot = slots[s].len() - 1;
-                            let live = slots[s].iter().filter(|x| !x.removed).count();
-                            peak[s] = peak[s].max(live);
-                            events.push(RawScaleEvent {
-                                cycle: dc,
-                                stream: s,
-                                slot,
-                                kind: ScaleDirection::Failover,
-                                live,
-                            });
-                            if let Some(head) = waiting[s].pop_front() {
-                                start(
-                                    dc,
-                                    s,
-                                    head,
-                                    slot,
-                                    &mut slots,
-                                    &mut windows,
-                                    &mut replica_of,
-                                    &mut departures,
-                                    &mut attempts,
-                                );
-                            }
-                        }
-                        break 'streams;
+            TenantEvent::Death => {
+                let (dc, dn, dt) = self.death.expect("event peeked");
+                let victim = self.death_victim(dn, dt);
+                let failover_head = victim
+                    .filter(|&(s, _)| self.planner.find_fit(self.loads[s].tiles).is_some())
+                    .and_then(|(s, _)| self.waiting[s].front().map(|&r| (s, r)));
+                if let Some((s, r)) = failover_head {
+                    self.known(s, r)?;
+                }
+                self.death = None;
+                let Some((s, k)) = victim else { return Ok(()) };
+                // Quarantine: the slot leaves service; its tiles stay
+                // allocated so nothing is ever re-placed onto the dead
+                // tile.
+                self.slots[s][k].removed = true;
+                self.push_event(dc, s, k, ScaleDirection::Quarantine);
+                // Abort the in-flight victim; retry it after the
+                // exponential backoff while the budget allows.
+                let aborted = self
+                    .departures
+                    .iter()
+                    .find(|&&Reverse((_, ss, kk, _))| ss == s && kk == k)
+                    .map(|&Reverse((_, _, _, r))| r);
+                if let Some(r) = aborted {
+                    self.out.windows[s][r] = None;
+                    self.out.replica_of[s][r] = None;
+                    let attempts = self.out.attempts[s][r];
+                    if attempts < self.retry.max_attempts {
+                        let exp = (attempts as u32 - 1).min(63);
+                        let delay = self.retry.backoff_cycles.saturating_mul(1u64 << exp);
+                        self.retries.push(Reverse((dc.saturating_add(delay), s, r)));
+                    } else {
+                        self.out.failed[s][r] = true;
+                    }
+                }
+                // Failover: re-place the replica onto free tiles,
+                // first-fit like any deployment. The recovered replica
+                // immediately serves the queue head.
+                if let Some(alloc) = self.planner.first_fit(self.loads[s].tiles) {
+                    let slot = self.add_slot(s, alloc, self.slots[s][k].primary);
+                    self.push_event(dc, s, slot, ScaleDirection::Failover);
+                    if let Some(r) = self.waiting[s].pop_front() {
+                        self.start(dc, s, r, slot);
                     }
                 }
             }
-            2 => {
-                let Reverse((t, s, r)) = retries.pop().expect("candidate peeked");
-                let idle = slots[s]
-                    .iter()
-                    .position(|x| !x.busy && !x.removed)
-                    .filter(|_| waiting[s].is_empty());
+            TenantEvent::Retry => {
+                let &Reverse((t, s, r)) = self.retries.peek().expect("event peeked");
+                let idle = self.idle_slot(s);
+                if idle.is_some() {
+                    self.known(s, r)?;
+                }
+                self.retries.pop();
                 if let Some(slot) = idle {
-                    start(
-                        t,
-                        s,
-                        r,
-                        slot,
-                        &mut slots,
-                        &mut windows,
-                        &mut replica_of,
-                        &mut departures,
-                        &mut attempts,
-                    );
-                } else if slots[s].iter().any(|x| !x.removed) {
+                    self.start(t, s, r, slot);
+                } else if self.live(s) > 0 {
                     // Retries bypass the bounded queue: the request was
                     // already admitted once.
-                    waiting[s].push_back(r);
+                    self.waiting[s].push_back(r);
                 } else {
-                    failed[s][r] = true;
+                    self.out.failed[s][r] = true;
                 }
             }
-            _ => {
-                let (t, s, r) = arrivals[next_arrival];
-                next_arrival += 1;
-                let idle = slots[s]
-                    .iter()
-                    .position(|x| !x.busy && !x.removed)
-                    .filter(|_| waiting[s].is_empty());
+            TenantEvent::Arrival => {
+                let (t, s, r) = self.arrivals[self.next_arrival];
+                let idle = self.idle_slot(s);
+                let queued = idle.is_none() && self.depth.is_none_or(|d| self.waiting[s].len() < d);
+                let scale_up = queued
+                    && self.waiting[s].len() + 1 >= self.policy.scale_up_depth
+                    && self.live(s) < self.policy.max_replicas
+                    && self.planner.find_fit(self.loads[s].tiles).is_some();
+                if idle.is_some() {
+                    self.known(s, r)?;
+                } else if scale_up {
+                    self.known(s, self.waiting[s].front().copied().unwrap_or(r))?;
+                }
+                self.next_arrival += 1;
                 if let Some(slot) = idle {
-                    start(
-                        t,
-                        s,
-                        r,
-                        slot,
-                        &mut slots,
-                        &mut windows,
-                        &mut replica_of,
-                        &mut departures,
-                        &mut attempts,
-                    );
-                } else if depth.is_none_or(|d| waiting[s].len() < d) {
-                    waiting[s].push_back(r);
-                    let live = slots[s].iter().filter(|x| !x.removed).count();
-                    if waiting[s].len() >= policy.scale_up_depth && live < policy.max_replicas {
-                        if let Some(alloc) = planner.first_fit(loads[s].tiles) {
-                            slots[s].push(ReplicaSlot {
-                                alloc: Some(alloc),
-                                primary: false,
-                                busy: false,
-                                removed: false,
-                            });
-                            let slot = slots[s].len() - 1;
-                            peak[s] = peak[s].max(live + 1);
-                            events.push(RawScaleEvent {
-                                cycle: t,
-                                stream: s,
-                                slot,
-                                kind: ScaleDirection::Up,
-                                live: live + 1,
-                            });
-                            let head = waiting[s].pop_front().expect("pushed above");
-                            start(
-                                t,
-                                s,
-                                head,
-                                slot,
-                                &mut slots,
-                                &mut windows,
-                                &mut replica_of,
-                                &mut departures,
-                                &mut attempts,
-                            );
-                        }
+                    self.start(t, s, r, slot);
+                } else if queued {
+                    self.waiting[s].push_back(r);
+                    let alloc =
+                        if scale_up { self.planner.first_fit(self.loads[s].tiles) } else { None };
+                    if let Some(alloc) = alloc {
+                        let slot = self.add_slot(s, alloc, false);
+                        self.push_event(t, s, slot, ScaleDirection::Up);
+                        let head = self.waiting[s].pop_front().expect("pushed above");
+                        self.start(t, s, head, slot);
                     }
                 } else {
-                    shed[s] += 1;
+                    self.out.shed[s] += 1;
+                    self.dropped[s][r] = true;
                 }
             }
         }
+        Ok(())
     }
-    // A stream left with no live replica (the death consumed its last
-    // slot and failover found no capacity) can never serve what is
-    // still waiting.
-    for s in 0..loads.len() {
-        if slots[s].iter().any(|x| !x.removed) {
-            continue;
-        }
-        for r in waiting[s].drain(..) {
-            failed[s][r] = true;
-        }
+}
+
+/// The tenant pool's admission gate over a [`TenantScheduler`]: pool
+/// job `j` is the `j`-th request of the schedule's merged arrival order.
+/// A thread skips a job already decided shed and reveals each simulated
+/// duration, advancing the schedule as far as the known durations
+/// allow. Threads never wait here for a decision: an undecided job —
+/// possible only with more than one host thread — is simulated
+/// speculatively.
+struct ScheduleGate<'a> {
+    claims: Vec<(usize, usize)>,
+    scheduler: Mutex<TenantScheduler<'a>>,
+}
+
+impl<'a> ScheduleGate<'a> {
+    fn new(mut scheduler: TenantScheduler<'a>) -> Self {
+        scheduler.advance();
+        ScheduleGate { claims: scheduler.arrival_order(), scheduler: Mutex::new(scheduler) }
     }
-    TenantSchedule { windows, replica_of, shed, peak, events, attempts, failed }
+
+    /// A thread that panics holding the lock re-raises when the pool's
+    /// thread scope joins, so a recovered guard never yields a schedule.
+    fn lock(&self) -> std::sync::MutexGuard<'_, TenantScheduler<'a>> {
+        self.scheduler.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether job `j` was already shed (so it is never simulated).
+    fn is_shed(&self, j: usize) -> bool {
+        let (s, r) = self.claims[j];
+        self.lock().is_shed(s, r)
+    }
+
+    /// Reveals job `j`'s simulated duration and advances the schedule.
+    fn record(&self, j: usize, cycles: u64) {
+        let (s, r) = self.claims[j];
+        let mut scheduler = self.lock();
+        scheduler.reveal(s, r, cycles);
+        scheduler.advance();
+    }
+
+    fn into_scheduler(self) -> TenantScheduler<'a> {
+        self.scheduler.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
@@ -3023,6 +3161,24 @@ mod tests {
                 .unwrap();
         }
         catalog
+    }
+
+    /// The batch form of [`TenantScheduler`]: every duration known upfront
+    /// (from the loads), run to completion against `planner`.
+    fn tenant_schedule(
+        loads: &[TenantLoad],
+        depth: Option<usize>,
+        policy: &ScalePolicy,
+        retry: &RetryPolicy,
+        death: Option<(u64, usize, usize)>,
+        planner: &mut TilePlanner,
+    ) -> TenantSchedule {
+        let mut scheduler =
+            TenantScheduler::new(loads, depth, *policy, *retry, death, planner.clone());
+        assert_eq!(scheduler.advance(), None, "every duration is known upfront");
+        let (schedule, after) = scheduler.finish();
+        *planner = after;
+        schedule
     }
 
     fn load(arrivals: Vec<u64>, durations: Vec<u64>, tiles: usize) -> TenantLoad {
@@ -3339,5 +3495,132 @@ mod tests {
             want
         );
         assert_eq!(s.max, lat);
+    }
+
+    /// One random tenant scenario for the laziness property: loads with
+    /// their true durations, queue depth, policies, tile death, and a
+    /// planner with every stream deployed (`None` when they do not fit).
+    #[allow(clippy::type_complexity)]
+    fn random_scenario(
+        rng: &mut proptest::test_runner::TestRng,
+    ) -> Option<(
+        Vec<TenantLoad>,
+        Option<usize>,
+        ScalePolicy,
+        RetryPolicy,
+        Option<(u64, usize, usize)>,
+        TilePlanner,
+    )> {
+        let nodes = 1 + rng.next_index(2);
+        let tiles_per_node = 2 + rng.next_index(7);
+        let mut planner = TilePlanner::new(nodes, tiles_per_node);
+        let mut loads = Vec::new();
+        for _ in 0..1 + rng.next_index(3) {
+            let tiles = 1 + rng.next_index(2);
+            let (node, base) = planner.first_fit(tiles)?;
+            let n = rng.next_index(14);
+            let mut t = 0u64;
+            let mut arrivals = Vec::with_capacity(n);
+            let mut durations = Vec::with_capacity(n);
+            for _ in 0..n {
+                t += rng.next_index(40) as u64;
+                arrivals.push(t);
+                // A request that faulted in simulation serves 0 cycles.
+                durations.push(if rng.next_index(8) == 0 {
+                    0
+                } else {
+                    1 + rng.next_index(80) as u64
+                });
+            }
+            // Malformed requests never enter the schedule.
+            let order = (0..n).filter(|_| rng.next_index(10) != 0).collect();
+            loads.push(TenantLoad { arrivals, durations, order, tiles, node, base });
+        }
+        let depth = [None, Some(0), Some(1), Some(2), Some(4)][rng.next_index(5)];
+        let policy = if rng.next_index(2) == 0 {
+            ScalePolicy::default()
+        } else {
+            ScalePolicy::new(1 + rng.next_index(3), 1 + rng.next_index(3))
+        };
+        let retry = RetryPolicy::new(1 + rng.next_index(3), rng.next_index(20) as u64);
+        let death = (rng.next_index(2) == 0).then(|| {
+            (rng.next_index(300) as u64, rng.next_index(nodes), rng.next_index(tiles_per_node))
+        });
+        Some((loads, depth, policy, retry, death, planner))
+    }
+
+    /// The resumable scheduler's laziness property: whether durations
+    /// are revealed only when a start asks for them, or in a random
+    /// order regardless of need, the finished schedule (and planner) is
+    /// the one computed with every duration known upfront — and the
+    /// only durations ever asked for are those of requests that start,
+    /// so a shed request never needs simulating.
+    #[test]
+    fn tenant_scheduler_reveals_in_any_order_to_the_upfront_schedule() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(0x7e4a_4747);
+        let mut cases = 0;
+        while cases < 400 {
+            let Some((loads, depth, policy, retry, death, planner)) = random_scenario(&mut rng)
+            else {
+                continue;
+            };
+            cases += 1;
+            let mut upfront_planner = planner.clone();
+            let upfront =
+                tenant_schedule(&loads, depth, &policy, &retry, death, &mut upfront_planner);
+            let hidden: Vec<TenantLoad> = loads
+                .iter()
+                .map(|l| TenantLoad {
+                    arrivals: l.arrivals.clone(),
+                    durations: Vec::new(),
+                    order: l.order.clone(),
+                    tiles: l.tiles,
+                    node: l.node,
+                    base: l.base,
+                })
+                .collect();
+            let fresh =
+                || TenantScheduler::new(&hidden, depth, policy, retry, death, planner.clone());
+
+            // Lazy: reveal exactly what each stall asks for.
+            let mut lazy = fresh();
+            let mut asked = Vec::new();
+            while let Some((s, r)) = lazy.advance() {
+                assert!(!asked.contains(&(s, r)), "case {cases}: asked for ({s}, {r}) twice");
+                asked.push((s, r));
+                lazy.reveal(s, r, loads[s].durations[r]);
+            }
+            let (schedule, after) = lazy.finish();
+            assert_eq!(schedule, upfront, "case {cases}: lazy reveal changed the schedule");
+            assert_eq!(after.allocs, upfront_planner.allocs, "case {cases}");
+            for (s, l) in loads.iter().enumerate() {
+                for &r in &l.order {
+                    let started = upfront.attempts[s][r] > 0;
+                    assert_eq!(asked.contains(&(s, r)), started, "case {cases}: ({s}, {r})");
+                }
+            }
+
+            // Random order: reveal everything one at a time, advancing
+            // after each; a shed decision, once made, is final.
+            let mut all = fresh().arrival_order();
+            for i in (1..all.len()).rev() {
+                all.swap(i, rng.next_index(i + 1));
+            }
+            let mut random = fresh();
+            random.advance();
+            for &(s, r) in &all {
+                random.reveal(s, r, loads[s].durations[r]);
+                random.advance();
+                for &(s, r) in &all {
+                    if random.is_shed(s, r) {
+                        assert_eq!(upfront.attempts[s][r], 0, "case {cases}: ({s}, {r})");
+                    }
+                }
+            }
+            assert_eq!(random.advance(), None);
+            let (schedule, after) = random.finish();
+            assert_eq!(schedule, upfront, "case {cases}: random reveal changed the schedule");
+            assert_eq!(after.allocs, upfront_planner.allocs, "case {cases}");
+        }
     }
 }
