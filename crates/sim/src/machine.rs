@@ -599,6 +599,10 @@ pub struct NodeSim {
     /// Scratch for the shuffled MVM input (one crossbar's rows), reused
     /// so functional MVMs allocate nothing.
     mvm_input: Vec<Fixed>,
+    /// Scratch for a functional vector instruction's result, reused so
+    /// vector ops and register copies allocate nothing once it has grown
+    /// to the widest vector.
+    vec_out: Vec<Fixed>,
     /// The injected tile death this node owns, as `(tile, at_cycle)`
     /// (`None` when the fault plan names no death on this node).
     /// Recomputed on [`NodeSim::join_cluster`]: the node id decides
@@ -936,6 +940,7 @@ impl NodeSim {
                 ..Perturbation::none()
             },
             mvm_input: vec![Fixed::ZERO; cfg.tile.core.mvmu.dim],
+            vec_out: Vec::new(),
             dead_tile: Self::dead_tile_for(&cfg, 0),
             death_fired: false,
             queue_events: 0,
@@ -1028,6 +1033,7 @@ impl NodeSim {
             run_base: 0,
             mvm_perturbation: self.mvm_perturbation,
             mvm_input: vec![Fixed::ZERO; self.cfg.tile.core.mvmu.dim],
+            vec_out: Vec::new(),
             dead_tile: self.dead_tile,
             death_fired: false,
             queue_events: 0,
@@ -2093,7 +2099,17 @@ impl NodeSim {
     /// pure-charge runs accounted as whole segments under the
     /// segment-boundary invariant (module docs).
     fn run_compiled(&mut self, agent: AgentId, now: u64) -> Result<()> {
-        let image = self.compiled.clone().expect("Compiled engine always holds a compiled image");
+        // Borrow the image for the call without touching its reference
+        // count, which every replica that adopted the image shares: take
+        // it out of `self` and put it back on every exit.
+        let image = self.compiled.take().expect("Compiled engine always holds a compiled image");
+        let result = self.run_compiled_on(&image, agent, now);
+        self.compiled = Some(image);
+        result
+    }
+
+    /// [`NodeSim::run_compiled`]'s body, over a borrowed image.
+    fn run_compiled_on(&mut self, image: &CompiledImage, agent: AgentId, now: u64) -> Result<()> {
         let prog = image.program(
             agent.tile as usize,
             if agent.is_tile_ctl() { None } else { Some(agent.core as usize) },
@@ -2610,7 +2626,7 @@ impl NodeSim {
                         MemOutcome::Blocked(b) => {
                             return Ok(Step::Blocked(WaitCond::for_mem_block(b)))
                         }
-                        MemOutcome::Done(words) => words,
+                        MemOutcome::Done(words) => words.to_vec(),
                     }
                 } else {
                     match self.mem.try_consume(t, a, width as usize)? {
@@ -2866,16 +2882,16 @@ impl NodeSim {
                 let w = width as usize;
                 if functional {
                     let x = self.regs.read_vec(slot, src1, w)?;
-                    let y: Vec<Fixed> = x
-                        .into_iter()
-                        .map(|v| match op {
-                            AluImmOp::Add => v + imm,
-                            AluImmOp::Sub => v - imm,
-                            AluImmOp::Mul => v * imm,
-                            AluImmOp::Div => v / imm,
-                        })
-                        .collect();
-                    self.regs.write_vec(slot, dest, &y)?;
+                    let out = &mut self.vec_out;
+                    out.clear();
+                    // One loop per op, so each compiles to straight-line SIMD.
+                    match op {
+                        AluImmOp::Add => out.extend(x.iter().map(|&v| v + imm)),
+                        AluImmOp::Sub => out.extend(x.iter().map(|&v| v - imm)),
+                        AluImmOp::Mul => out.extend(x.iter().map(|&v| v * imm)),
+                        AluImmOp::Div => out.extend(x.iter().map(|&v| v / imm)),
+                    }
+                    self.regs.write_vec(slot, dest, &self.vec_out)?;
                 }
                 let latency = self.timing.vfu_cycles(w);
                 self.charge(agent, EnergyComponent::Vfu, self.timing.vfu_energy_nj(w), latency);
@@ -2912,8 +2928,9 @@ impl NodeSim {
             Instruction::Copy { dest, src, width } => {
                 let w = width as usize;
                 if functional {
-                    let values = self.regs.read_vec(slot, src, w)?;
-                    self.regs.write_vec(slot, dest, &values)?;
+                    self.vec_out.clear();
+                    self.vec_out.extend_from_slice(self.regs.read_vec(slot, src, w)?);
+                    self.regs.write_vec(slot, dest, &self.vec_out)?;
                 }
                 let latency = self.timing.copy_cycles(w);
                 self.charge(
@@ -2934,7 +2951,7 @@ impl NodeSim {
                         }
                         MemOutcome::Done(v) => v,
                     };
-                    self.regs.write_vec(slot, dest, &values)?;
+                    self.regs.write_vec(slot, dest, values)?;
                 } else {
                     match self.mem.try_consume(t, a, w)? {
                         MemOutcome::Blocked(b) => {
@@ -2959,7 +2976,7 @@ impl NodeSim {
                 let w = width as usize;
                 let written = if functional {
                     let values = self.regs.read_vec(slot, src, w)?;
-                    self.mem.try_write(t, a, &values, count)?
+                    self.mem.try_write(t, a, values, count)?
                 } else {
                     self.mem.try_write_zeros(t, a, w, count)?
                 };
@@ -3007,65 +3024,60 @@ impl NodeSim {
         w: usize,
     ) -> Result<()> {
         let a = self.regs.read_vec(slot, src1, w)?;
-        let result: Vec<Fixed> = match op {
-            AluOp::Not => a.iter().map(|v| Fixed::from_bits(!v.to_bits())).collect(),
-            AluOp::Relu => a.iter().map(|v| v.relu()).collect(),
+        let out = &mut self.vec_out;
+        out.clear();
+        match op {
+            AluOp::Not => out.extend(a.iter().map(|v| Fixed::from_bits(!v.to_bits()))),
+            AluOp::Relu => out.extend(a.iter().map(|v| v.relu())),
             AluOp::Sigmoid | AluOp::Tanh | AluOp::Log | AluOp::Exp => {
-                a.iter().map(|&v| self.lut.eval(op, v)).collect()
+                out.extend(a.iter().map(|&v| self.lut.eval(op, v)))
             }
             AluOp::Rand => {
                 let core = &mut self.tiles[t].cores[c];
-                (0..w)
-                    .map(|_| {
-                        // xorshift32 per core, deterministic.
-                        let mut x = core.rng;
-                        x ^= x << 13;
-                        x ^= x >> 17;
-                        x ^= x << 5;
-                        core.rng = x;
-                        Fixed::from_bits((x & 0xFFF) as i16)
-                    })
-                    .collect()
+                out.extend((0..w).map(|_| {
+                    // xorshift32 per core, deterministic.
+                    let mut x = core.rng;
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    core.rng = x;
+                    Fixed::from_bits((x & 0xFFF) as i16)
+                }))
             }
             AluOp::Subsample => {
                 let k = self.regs.read(slot, src2)?.to_bits().max(1) as usize;
                 let src = self.regs.read_vec(slot, src1, w * k)?;
-                src.iter().step_by(k).copied().take(w).collect()
+                out.extend(src.iter().step_by(k).copied().take(w))
             }
             AluOp::Shl | AluOp::Shr => {
                 let k = (self.regs.read(slot, src2)?.to_bits().max(0) as u32).min(15);
-                a.iter()
-                    .map(|v| {
-                        Fixed::from_bits(if op == AluOp::Shl {
-                            // Saturating arithmetic left shift: like the rest
-                            // of the datapath, overflow clamps at the Q4.12
-                            // range instead of silently flipping sign.
-                            puma_core::fixed::clamp_i32((v.to_bits() as i32) << k)
-                        } else {
-                            v.to_bits() >> k
-                        })
+                out.extend(a.iter().map(|v| {
+                    Fixed::from_bits(if op == AluOp::Shl {
+                        // Saturating arithmetic left shift: like the rest
+                        // of the datapath, overflow clamps at the Q4.12
+                        // range instead of silently flipping sign.
+                        puma_core::fixed::clamp_i32((v.to_bits() as i32) << k)
+                    } else {
+                        v.to_bits() >> k
                     })
-                    .collect()
+                }))
             }
             _ => {
                 let b = self.regs.read_vec(slot, src2, w)?;
-                a.iter()
-                    .zip(b.iter())
-                    .map(|(&x, &y)| match op {
-                        AluOp::Add => x + y,
-                        AluOp::Sub => x - y,
-                        AluOp::Mul => x * y,
-                        AluOp::Div => x / y,
-                        AluOp::And => Fixed::from_bits(x.to_bits() & y.to_bits()),
-                        AluOp::Or => Fixed::from_bits(x.to_bits() | y.to_bits()),
-                        AluOp::Min => x.min(y),
-                        AluOp::Max => x.max(y),
-                        _ => unreachable!("unary ops handled above"),
-                    })
-                    .collect()
+                out.extend(a.iter().zip(b).map(|(&x, &y)| match op {
+                    AluOp::Add => x + y,
+                    AluOp::Sub => x - y,
+                    AluOp::Mul => x * y,
+                    AluOp::Div => x / y,
+                    AluOp::And => Fixed::from_bits(x.to_bits() & y.to_bits()),
+                    AluOp::Or => Fixed::from_bits(x.to_bits() | y.to_bits()),
+                    AluOp::Min => x.min(y),
+                    AluOp::Max => x.max(y),
+                    _ => unreachable!("unary ops handled above"),
+                }))
             }
-        };
-        self.regs.write_vec(slot, dest, &result)
+        }
+        self.regs.write_vec(slot, dest, &self.vec_out)
     }
 }
 
@@ -3670,6 +3682,77 @@ halt
     }
 
     #[test]
+    fn vector_ops_match_scalar_fixed_arithmetic() {
+        type Op = fn(Fixed, Fixed) -> Fixed;
+        let cfg = tiny_config(1);
+        let binary: [(&str, Op); 8] = [
+            ("add", Fixed::saturating_add),
+            ("sub", Fixed::saturating_sub),
+            ("mul", Fixed::saturating_mul),
+            ("div", Fixed::saturating_div),
+            ("and", |x, y| Fixed::from_bits(x.to_bits() & y.to_bits())),
+            ("or", |x, y| Fixed::from_bits(x.to_bits() | y.to_bits())),
+            ("min", Fixed::min),
+            ("max", Fixed::max),
+        ];
+        let imm = Fixed::from_f32(-1.5);
+        let immediate: [(&str, Op); 4] = [
+            ("addi", Fixed::saturating_add),
+            ("subi", Fixed::saturating_sub),
+            ("muli", Fixed::saturating_mul),
+            ("divi", Fixed::saturating_div),
+        ];
+        let mut source = String::from("load r0 @0 8\nload r8 @8 8\n");
+        for (k, (name, _)) in binary.iter().enumerate() {
+            let (r, a) = (16 + 8 * k, 32 + 8 * k);
+            source += &format!("{name} r{r} r0 r8 8\nstore @{a} r{r} 1 8\n");
+        }
+        for (k, (name, _)) in immediate.iter().enumerate() {
+            let (r, a) = (80 + 8 * k, 96 + 8 * k);
+            source += &format!("{name} r{r} r0 {} 8\nstore @{a} r{r} 1 8\n", imm.to_f32());
+        }
+        source += "halt\n";
+        let mut img = image_with_core_program(&cfg, &source);
+        for (name, addr, width) in [("x", 0, 8), ("y", 8, 8)] {
+            img.inputs.push(IoBinding {
+                name: name.into(),
+                tile: TileId::new(0),
+                addr,
+                width,
+                count: 1,
+            });
+        }
+        img.outputs.push(IoBinding {
+            name: "out".into(),
+            tile: TileId::new(0),
+            addr: 32,
+            width: 96,
+            count: 1,
+        });
+        let bits = |v: [i16; 8]| v.map(Fixed::from_bits);
+        let x = bits([i16::MAX, i16::MIN, 4096, -4096, 1234, -1, 0, 30000]);
+        let y = bits([i16::MAX, 1, 0, -4096, -20000, i16::MIN, 7, 30000]);
+        let mut sim =
+            NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
+        sim.write_input_fixed("x", &x).unwrap();
+        sim.write_input_fixed("y", &y).unwrap();
+        sim.run().unwrap();
+        let out = sim.read_output_fixed("out").unwrap();
+        let lanes = out.chunks(8);
+        let expected = binary
+            .iter()
+            .map(|(name, f)| (*name, x.iter().zip(&y).map(|(&a, &b)| f(a, b)).collect::<Vec<_>>()))
+            .chain(
+                immediate
+                    .iter()
+                    .map(|(name, f)| (*name, x.iter().map(|&a| f(a, imm)).collect::<Vec<_>>())),
+            );
+        for (got, (name, want)) in lanes.zip(expected) {
+            assert_eq!(got, want.as_slice(), "{name}");
+        }
+    }
+
+    #[test]
     fn runaway_loop_hits_cycle_cap_on_every_engine() {
         let cfg = tiny_config(1);
         // The halt is unreachable; it only satisfies image validation.
@@ -3685,6 +3768,34 @@ halt
                 }
                 other => panic!("{engine:?}: expected cycle-cap fault, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn compiled_runs_leave_an_adopted_image_refcount_alone() {
+        let cfg = tiny_config(1);
+        let finite = image_with_core_program(&cfg, "set r0 7\nset r1 5\niadd r2 r0 r1\nhalt\n");
+        let runaway = image_with_core_program(&cfg, "jmp 0\nhalt\n");
+        for (img, capped) in [(&finite, false), (&runaway, true)] {
+            let mut owner =
+                NodeSim::new(cfg, img, SimMode::Timing, &NoiseModel::noiseless()).unwrap();
+            owner.set_engine(SimEngine::Compiled);
+            let image = owner.compiled_image().unwrap();
+            let mut sim =
+                NodeSim::new(cfg, img, SimMode::Timing, &NoiseModel::noiseless()).unwrap();
+            sim.adopt_compiled_image(Arc::clone(&image));
+            sim.set_engine(SimEngine::Compiled);
+            sim.set_max_cycles(10_000);
+            let count = Arc::strong_count(&image);
+            let mut runs = Vec::new();
+            for _ in 0..2 {
+                sim.reset();
+                runs.push(sim.run().map(|stats| stats.cycles).map_err(|e| e.to_string()));
+                assert_eq!(Arc::strong_count(&image), count, "capped: {capped}");
+                assert!(Arc::ptr_eq(&sim.compiled_image().unwrap(), &image));
+            }
+            assert_eq!(runs[0].is_err(), capped, "{runs:?}");
+            assert_eq!(runs[0], runs[1], "the next run reuses the image");
         }
     }
 

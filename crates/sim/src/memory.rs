@@ -149,7 +149,8 @@ impl MemArena {
         Ok(slot.base + addr as usize)
     }
 
-    /// Attempts a blocking consume-read of `width` words (Fig. 6 read).
+    /// Attempts a blocking consume-read of `width` words (Fig. 6 read),
+    /// returning a view of the words read.
     ///
     /// All words must be valid; each has its count decremented and is
     /// invalidated when the count reaches zero.
@@ -162,15 +163,14 @@ impl MemArena {
         tile: usize,
         addr: u32,
         width: usize,
-    ) -> Result<MemOutcome<Vec<Fixed>>> {
+    ) -> Result<MemOutcome<&[Fixed]>> {
         let start = self.check_range(tile, addr, width)?;
         if let Some(i) = Self::first_zero(&self.valid[start..start + width]) {
             return Ok(MemOutcome::Blocked(MemBlock::NotValid { addr: addr + i as u32 }));
         }
-        let out = self.data[start..start + width].to_vec();
         self.consume_attrs(start, width);
         self.slots[tile].generation += 1;
-        Ok(MemOutcome::Done(out))
+        Ok(MemOutcome::Done(&self.data[start..start + width]))
     }
 
     /// Index of the first zero byte in `lane`, if any — the bulk form of
@@ -400,7 +400,10 @@ impl SharedMemory {
     ///
     /// Returns [`PumaError::Execution`] if the range is out of bounds.
     pub fn try_read(&mut self, addr: u32, width: usize) -> Result<MemOutcome<Vec<Fixed>>> {
-        self.arena.try_read(0, addr, width)
+        Ok(match self.arena.try_read(0, addr, width)? {
+            MemOutcome::Done(words) => MemOutcome::Done(words.to_vec()),
+            MemOutcome::Blocked(b) => MemOutcome::Blocked(b),
+        })
     }
 
     /// [`SharedMemory::try_read`] without materializing the data; see

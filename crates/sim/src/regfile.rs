@@ -110,15 +110,16 @@ impl RegArena {
         Ok(())
     }
 
-    /// Reads a contiguous vector of `width` registers starting at `base`.
+    /// A view of the contiguous vector of `width` registers starting at
+    /// `base`.
     ///
     /// # Errors
     ///
     /// Returns [`PumaError::Execution`] if the range exceeds the bank.
-    pub fn read_vec(&self, slot: usize, base: RegRef, width: usize) -> Result<Vec<Fixed>> {
+    pub fn read_vec(&self, slot: usize, base: RegRef, width: usize) -> Result<&[Fixed]> {
         let bank = self.bank(slot, base.space);
         let start = base.index as usize;
-        bank.get(start..start + width).map(|s| s.to_vec()).ok_or_else(|| PumaError::Execution {
+        bank.get(start..start + width).ok_or_else(|| PumaError::Execution {
             what: format!("register range out of bounds: {base}+{width}"),
         })
     }

@@ -10,9 +10,57 @@ use puma_xbar::kernel;
 use puma_xbar::slice::{decode_weight, encode_weight, reconstruct_levels, slice_levels};
 use puma_xbar::{AnalogMvmu, NoiseModel, Perturbation};
 
-/// Crossbar sizes the split-byte kernel is checked at: below, at, and
-/// past its 256-row exact-`i32` chunk.
+/// Crossbar sizes the split-byte kernel is checked at through
+/// [`AnalogMvmu`] (which takes powers of two): below, at, and past its
+/// 256-row exact-`i32` chunk.
 const DIMS: [usize; 4] = [16, 128, 256, 512];
+
+/// Crossbar sizes the kernel copies are checked at directly: [`DIMS`] plus
+/// sizes that are not a multiple of the 16-row SIMD slice.
+const KERNEL_DIMS: [usize; 7] = [8, 16, 24, 100, 128, 256, 512];
+
+/// One copy of the kernel: writes `out`, or returns `false` when the host
+/// cannot run it.
+type KernelCopy = fn(&[i16], usize, usize, usize, &[Fixed], &mut [Fixed]) -> bool;
+
+/// Every copy of the kernel, by name, narrowest first.
+const COPIES: [(&str, KernelCopy); 2] = [
+    ("portable", |w, dim, rows, cols, x, out| {
+        kernel::mvm_portable(w, dim, rows, cols, x, out);
+        true
+    }),
+    ("avx2", kernel::mvm_avx2),
+];
+
+/// Each copy the host runs, by name, with its output (written over a
+/// nonzero fill, so a copy that skips an output shows).
+fn run_copies(
+    weights: &[i16],
+    dim: usize,
+    rows: usize,
+    cols: usize,
+    x: &[Fixed],
+) -> Vec<(&'static str, Vec<Fixed>)> {
+    COPIES
+        .iter()
+        .filter_map(|&(name, copy)| {
+            let mut out = vec![Fixed::from_bits(-1); dim];
+            copy(weights, dim, rows, cols, x, &mut out).then_some((name, out))
+        })
+        .collect()
+}
+
+/// Column-major `dim × dim` kernel weights holding the row-major
+/// `rows × cols` matrix `w`, with every padding cell set to `pad`.
+fn column_major(dim: usize, rows: usize, cols: usize, w: &[i16], pad: i16) -> Vec<i16> {
+    let mut weights = vec![pad; dim * dim];
+    for r in 0..rows {
+        for c in 0..cols {
+            weights[c * dim + r] = w[r * cols + c];
+        }
+    }
+    weights
+}
 
 /// `n` raw values, or all `fill` when an extreme pattern is selected.
 fn raw(n: usize, fill: Option<i16>) -> BoxedStrategy<Vec<i16>> {
@@ -166,17 +214,34 @@ proptest! {
     }
 
     #[test]
-    fn avx2_kernel_matches_the_portable_kernel((dim, rows, cols, w, x) in mvm_case(&DIMS, true)) {
-        // Column-major weights with the padding left nonzero: both copies
+    fn every_kernel_copy_is_exact_for_raw_weights(
+        (dim, rows, cols, w, x) in mvm_case(&KERNEL_DIMS, true),
+    ) {
+        // Zero padding, as programming leaves it: every copy equals the
+        // digital reference on the logical shape and reads exact zeros
+        // past the logical columns.
+        let weights = column_major(dim, rows, cols, &w, 0);
+        let x = fixed(&x);
+        let mut expected = fixed_matrix(rows, cols, &w).mvm_exact(&x[..rows]).unwrap();
+        expected.resize(dim, Fixed::ZERO);
+        for (name, out) in run_copies(&weights, dim, rows, cols, &x) {
+            prop_assert_eq!(&out, &expected, "{} copy", name);
+        }
+    }
+
+    #[test]
+    fn avx2_kernel_matches_the_portable_kernel(
+        (dim, rows, cols, w, x) in mvm_case(&KERNEL_DIMS, true),
+    ) {
+        // Column-major weights with the padding left nonzero: every copy
         // must skip the same rows and zero the same columns.
         let mut weights = w;
         weights.resize(dim * dim, i16::MIN);
         let x = fixed(&x);
         let mut portable = vec![Fixed::ZERO; dim];
         kernel::mvm_portable(&weights, dim, rows, cols, &x, &mut portable);
-        let mut avx2 = vec![Fixed::from_bits(-1); dim];
-        if kernel::mvm_avx2(&weights, dim, rows, cols, &x, &mut avx2) {
-            prop_assert_eq!(avx2, portable);
+        for (name, out) in run_copies(&weights, dim, rows, cols, &x) {
+            prop_assert_eq!(&out, &portable, "{} copy", name);
         }
     }
 
@@ -194,4 +259,33 @@ proptest! {
         let x = fixed(&x);
         prop_assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), mvmu.mvm(&x).unwrap());
     }
+}
+
+/// The sums' extremes: all-`i16::MIN` weights against all-`MIN` and
+/// all-`MAX` inputs, over one 256-row chunk and over two.
+#[test]
+fn every_kernel_copy_is_exact_at_the_extremes() {
+    for dim in [256, 512] {
+        let w = vec![i16::MIN; dim * dim];
+        let m = fixed_matrix(dim, dim, &w);
+        for fill in [i16::MIN, i16::MAX] {
+            let x = vec![Fixed::from_bits(fill); dim];
+            let expected = m.mvm_exact(&x).unwrap();
+            for (name, out) in run_copies(&w, dim, dim, dim, &x) {
+                assert_eq!(out, expected, "{name} copy, dim {dim}, inputs {fill}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_selected_copy_runs_on_this_host() {
+    let selected = kernel::selected();
+    println!("mvm dispatches to the {selected} kernel copy");
+    let runnable: Vec<&str> =
+        run_copies(&[0; 256], 16, 16, 16, &[Fixed::ZERO; 16]).into_iter().map(|(n, _)| n).collect();
+    // `mvm` runs the AVX2 copy exactly when it is runnable, and
+    // `selected` names the copy `mvm` runs.
+    let avx2 = runnable.contains(&"avx2");
+    assert_eq!(selected, if avx2 { "avx2" } else { "portable" }, "runnable: {runnable:?}");
 }

@@ -992,19 +992,21 @@ impl ServeRunner {
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
-        for sim in self.pool.get_mut().expect("sim pool poisoned") {
+        for sim in self.pool.get_mut().unwrap_or_else(PoisonError::into_inner) {
             sim.set_engine(engine);
         }
-        if let Some(p) = self.pipeline_sim.get_mut().expect("pipeline sim poisoned").as_mut() {
+        if let Some(p) =
+            self.pipeline_sim.get_mut().unwrap_or_else(PoisonError::into_inner).as_mut()
+        {
             p.set_engine(engine);
         }
         if engine == SimEngine::Compiled {
-            let cache = self.compiled_images.get_mut().expect("compiled image cache poisoned");
+            let cache = self.compiled_images.get_mut().unwrap_or_else(PoisonError::into_inner);
             if cache.is_none() {
                 *cache = self
                     .pool
                     .get_mut()
-                    .expect("sim pool poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .first()
                     .and_then(SimBackend::compiled_images);
             }
@@ -1276,7 +1278,7 @@ impl ServeRunner {
             self.queue_depth,
             self.deadline,
         );
-        *self.pipeline_sim.lock().expect("pipeline sim poisoned") = Some(sim);
+        *self.pipeline_sim.lock().unwrap_or_else(PoisonError::into_inner) = Some(sim);
         let report = report?;
         let mut dispositions: Vec<Option<Disposition>> =
             (0..arrivals.len()).map(|_| None).collect();
@@ -1331,7 +1333,7 @@ impl ServeRunner {
     /// Takes the cached pipeline instance or builds one (sharing any
     /// already-compiled per-node images with the replicated pool).
     fn checkout_pipeline(&self) -> Result<PipelineSim> {
-        if let Some(sim) = self.pipeline_sim.lock().expect("pipeline sim poisoned").take() {
+        if let Some(sim) = self.pipeline_sim.lock().unwrap_or_else(PoisonError::into_inner).take() {
             return Ok(sim);
         }
         let mut sim = PipelineSim::new(self.cfg, &self.images, self.mode, &self.noise)?;
@@ -2158,7 +2160,7 @@ impl TenantServer {
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
-        self.pool.get_mut().expect("sim pool poisoned").clear();
+        self.pool.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
         self
     }
 
@@ -2254,8 +2256,8 @@ impl TenantServer {
         self.deployments.push(Deployment { model: name.to_string(), node, base, tiles });
         // The resident set changed: pooled fabrics and composed images
         // are stale. Per-model builds stay valid (bases never move).
-        self.pool.get_mut().expect("sim pool poisoned").clear();
-        *self.node_compiled.get_mut().expect("compiled image cache poisoned") = None;
+        self.pool.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+        *self.node_compiled.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
         Ok(self.deployments.last().expect("just pushed"))
     }
 
@@ -3468,6 +3470,60 @@ mod tests {
         let bad =
             server.serve(&[TenantStream::new("ghost", vec![], TrafficPattern::Batch)]).unwrap_err();
         assert!(bad.to_string().contains("'ghost'"));
+    }
+
+    #[test]
+    fn pipelined_serve_recovers_a_poisoned_pipeline_cache() {
+        // Two chained layers sharded over two nodes: a two-stage pipeline.
+        let mut m = puma_compiler::graph::Model::new("chain");
+        let x = m.input("x", 16);
+        let a = m.constant_matrix("A", Matrix::from_fn(16, 16, |r, c| ((r + c) % 7) as f32 * 0.02));
+        let h = m.mvm(a, x).unwrap();
+        let h = m.tanh(h);
+        let b = m.constant_matrix("B", Matrix::from_fn(16, 16, |r, c| ((r * c) % 5) as f32 * 0.03));
+        let y = m.mvm(b, h).unwrap();
+        let y = m.tanh(y);
+        m.output("y", y);
+        let options = CompilerOptions {
+            partitioning: puma_compiler::Partitioning::Sharded { nodes: 2 },
+            ..CompilerOptions::default()
+        };
+        // One 16×16 MVMU per tile, so each layer's weights take a tile.
+        let mut cfg = NodeConfig::default();
+        cfg.tile.core.mvmu.dim = 16;
+        cfg.tile.core.mvmus_per_core = 1;
+        cfg.tile.cores_per_tile = 1;
+        let runner =
+            ServeRunner::new(&m, &cfg, &options, SimMode::Functional, &NoiseModel::noiseless())
+                .unwrap()
+                .with_pipeline(true);
+        assert_eq!(runner.nodes_per_request(), 2);
+        let requests: Vec<ServeRequest> = (0..3u64)
+            .map(|i| ServeRequest::new(i * 500, vec![("x".to_string(), vec![0.1 * i as f32; 16])]))
+            .collect();
+        let outputs = |outcome: &ServeOutcome| -> Vec<Vec<f32>> {
+            outcome
+                .results
+                .iter()
+                .map(|r| match &r.disposition {
+                    Disposition::Completed { result, .. } => result.outputs["y"].clone(),
+                    other => panic!("request not completed: {other:?}"),
+                })
+                .collect()
+        };
+        let clean = runner.serve(&requests).unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _cache = runner.pipeline_sim.lock();
+                panic!("poisoning the pipeline cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(runner.pipeline_sim.is_poisoned());
+        let recovered = runner.serve(&requests).unwrap();
+        assert_eq!(outputs(&recovered), outputs(&clean));
+        assert_eq!(recovered.latency, clean.latency);
+        assert_eq!(recovered.stages, clean.stages);
     }
 
     #[test]
