@@ -50,6 +50,7 @@ pub const SCALE: f32 = (1i32 << FRAC_BITS) as f32;
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
+#[repr(transparent)]
 pub struct Fixed(i16);
 
 impl Fixed {
@@ -68,6 +69,29 @@ impl Fixed {
     #[inline]
     pub const fn from_bits(bits: i16) -> Self {
         Fixed(bits)
+    }
+
+    /// A vector of `len` zeros taken from the allocator already zeroed,
+    /// so the pages it spans stay untouched — and cost no resident
+    /// memory — until something writes them. Large, sparsely used state
+    /// planes (the simulator's memory and register arenas) allocate with
+    /// this instead of `vec![Fixed::ZERO; len]`, which writes every word.
+    pub fn zeroed_vec(len: usize) -> Vec<Fixed> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let layout = std::alloc::Layout::array::<Fixed>(len).expect("zeroed_vec: length overflow");
+        // SAFETY: `Fixed` is a `repr(transparent)` `i16`, so all-zero
+        // bytes are a valid `Fixed` (`Fixed::ZERO`). The buffer comes from
+        // the global allocator with exactly the layout a `Vec<Fixed>` of
+        // capacity `len` owns, and all `len` elements are initialized.
+        unsafe {
+            let ptr = std::alloc::alloc_zeroed(layout).cast::<Fixed>();
+            if ptr.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            Vec::from_raw_parts(ptr, len, len)
+        }
     }
 
     /// Returns the raw two's-complement bit pattern.

@@ -60,6 +60,7 @@ pub mod cluster;
 pub mod compiled;
 mod equeue;
 pub mod fifo;
+pub mod lanes;
 pub mod lut;
 pub mod machine;
 pub mod memory;

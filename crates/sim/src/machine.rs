@@ -18,11 +18,49 @@
 //!   control-flow instructions still execute so loops behave). This is
 //!   what makes node-scale models tractable to simulate.
 //!
-//! Two execution engines with bit-identical semantics (see [`SimEngine`]):
-//! the reference per-instruction event loop, and the default run-ahead
-//! engine, which executes straight-line runs of core-local instructions
-//! inside one event and re-enters the queue only at synchronization
-//! points.
+//! Three execution engines with bit-identical semantics (see
+//! [`SimEngine`]): the reference per-instruction event loop; the default
+//! run-ahead engine, which executes straight-line runs of core-local
+//! instructions inside one event and re-enters the queue only at
+//! synchronization points; and the compiled engine, which runs the same
+//! scheduler over pre-decoded micro-op segments.
+//!
+//! # Lanes
+//!
+//! A simulator forked with [`NodeSim::fork_lanes`] serves `K` requests in
+//! one run, one per *lane*. The data plane is lane-major — `K` copies of
+//! every register word ([`RegArena`]) and shared-memory word
+//! ([`MemArena`]), allocated zeroed so a lane never written costs no
+//! resident memory — and everything else runs once:
+//!
+//! - **Shared:** the program counters, the attribute buffer (`valid`
+//!   and `count`), FIFO occupancy, the event queue and its horizons,
+//!   timing, energy, [`RunStats`] and the instruction counts. Timing never
+//!   depends on data, so a `K`-lane run takes exactly the cycles and
+//!   energy of each request's solo run.
+//! - **Per lane:** vector and immediate ALU ops, `AluInt`, `Shl`/`Shr`
+//!   shift amounts, `Copy`, MVMs (the lane loop sits inside the unit
+//!   loop, so lanes after the first find the unit's weights in cache),
+//!   loads, stores, and functional packet payloads (`K × width` words,
+//!   lane after lane). Host inputs are written per lane; constants once
+//!   for all lanes.
+//! - **Written to every lane:** `Set`, and `Rand`, which draws once per
+//!   word — each lane sees the stream a solo run, reseeded at reset,
+//!   would draw.
+//! - **Read from lane 0:** branch operands, index registers and
+//!   `Subsample` strides. The lane certificate guarantees every lane holds
+//!   the same value there (debug builds check it).
+//! - **Unchanged:** non-ideality perturbations keep their `(site, time
+//!   index)` keys, identical in every lane because timing is shared; a
+//!   run that fails fails every lane, as each request's solo run would.
+//!
+//! [`NodeSim::fork_lanes`] forks more than one lane only for a standalone
+//! [`SimMode::Functional`] node whose image passes the certificate
+//! ([`crate::lanes::certified`], checked per core program): no `Branch`
+//! operand, index register or `Subsample` stride may be written —
+//! directly or through an `AluInt` chain — by a `Load`, `Alu`, `AluImm`,
+//! `Copy` or `Mvm`. Packet faults, whose decisions hash the payload,
+//! apply only to inter-node sends, which a standalone node never makes.
 //!
 //! # Run-ahead safety: the per-tile event-horizon invariant
 //!
@@ -118,6 +156,7 @@ use crate::equeue::{
     PRIO_WAKE,
 };
 use crate::fifo::{FifoArena, Packet};
+use crate::lanes::Lanes;
 use crate::lut::RomLut;
 use crate::memory::{MemArena, MemOutcome};
 use crate::regfile::RegArena;
@@ -130,7 +169,7 @@ use puma_isa::{AluImmOp, AluOp, Instruction, MachineImage, MemAddr, Program, Reg
 use puma_xbar::noise::{keyed_hash, mix64, unit_from};
 use puma_xbar::{AnalogMvmu, NoiseModel, Perturbation};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Simulation fidelity level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -459,6 +498,16 @@ pub struct NodeSim {
     fd_energy_nj: f64,
     mode: SimMode,
     engine: SimEngine,
+    /// Data lanes allocated: the most requests one run serves side by
+    /// side (module docs, "Lanes"). 1 unless forked with
+    /// [`NodeSim::fork_lanes`].
+    lanes: usize,
+    /// Lanes the current run computes, `1..=lanes` (see
+    /// [`NodeSim::reset_lanes`]).
+    live: usize,
+    /// The lane certificate of the programs, computed on first use and
+    /// shared with every fork (the programs are).
+    certificate: Arc<OnceLock<bool>>,
     tiles: Vec<TileState>,
     /// All tiles' attribute-buffer shared memories, packed into one
     /// node-level arena (one data plane + one attribute plane,
@@ -906,6 +955,9 @@ impl NodeSim {
             cfg,
             mode,
             engine: SimEngine::default(),
+            lanes: 1,
+            live: 1,
+            certificate: Arc::default(),
             tiles,
             lut: RomLut::new(),
             stats: RunStats::new(),
@@ -960,8 +1012,80 @@ impl NodeSim {
     /// Equivalent to rebuilding from the machine image (the replica
     /// starts reset), minus the image decode and crossbar programming
     /// cost, and at a fraction of the per-replica memory footprint (see
-    /// [`NodeSim::state_bytes`]).
+    /// [`NodeSim::state_bytes`]). The replica has this simulator's lane
+    /// count.
     pub fn fork_replica(&self) -> NodeSim {
+        self.fork_with(self.lanes)
+    }
+
+    /// [`NodeSim::fork_replica`] with `lanes` data lanes, so one run
+    /// serves `lanes` requests (module docs, "Lanes"). The extra lanes
+    /// are allocated zeroed: a lane never written costs no resident
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::InvalidConfig`] for zero lanes, and for more
+    /// than one lane unless the simulator is a standalone
+    /// [`SimMode::Functional`] node whose image passes
+    /// [`NodeSim::lane_certified`].
+    pub fn fork_lanes(&self, lanes: usize) -> Result<NodeSim> {
+        if lanes == 0
+            || (lanes > 1
+                && (self.mode != SimMode::Functional
+                    || self.cluster_nodes != 1
+                    || !self.lane_certified()))
+        {
+            return Err(PumaError::InvalidConfig {
+                what: format!(
+                    "{lanes} lanes need a standalone functional node with a lane-certified \
+                     image"
+                ),
+            });
+        }
+        Ok(self.fork_with(lanes))
+    }
+
+    /// Whether every core program passes the lane certificate
+    /// ([`crate::lanes::certified`]): no branch, index register or
+    /// subsample stride can depend on lane data, so the lanes of a run
+    /// always agree on control.
+    pub fn lane_certified(&self) -> bool {
+        *self.certificate.get_or_init(|| {
+            self.tiles
+                .iter()
+                .flat_map(|t| &t.cores)
+                .all(|c| crate::lanes::certified(&c.program, &self.cfg.tile.core))
+        })
+    }
+
+    /// Data lanes allocated: the most requests one run can serve.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// [`NodeSim::reset`], then computes only the first `live` lanes until
+    /// the next call, so a pass with fewer requests than lanes spends
+    /// nothing on idle ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::InvalidConfig`] unless `1 ≤ live ≤`
+    /// [`NodeSim::lanes`].
+    pub fn reset_lanes(&mut self, live: usize) -> Result<()> {
+        if live == 0 || live > self.lanes {
+            return Err(PumaError::InvalidConfig {
+                what: format!("{live} live lanes on a {}-lane simulator", self.lanes),
+            });
+        }
+        self.reset();
+        self.live = live;
+        self.mem.set_lanes(live);
+        self.regs.set_lanes(live);
+        Ok(())
+    }
+
+    fn fork_with(&self, lanes: usize) -> NodeSim {
         let tiles: Vec<TileState> = self
             .tiles
             .iter()
@@ -993,8 +1117,11 @@ impl NodeSim {
             fd_energy_nj: self.fd_energy_nj,
             mode: self.mode,
             engine: self.engine,
-            mem: MemArena::new(tile_count, self.cfg.tile.shared_memory_words()),
-            regs: RegArena::new(reg_slots, &self.cfg.tile.core),
+            lanes,
+            live: lanes,
+            certificate: Arc::clone(&self.certificate),
+            mem: MemArena::with_lanes(tile_count, self.cfg.tile.shared_memory_words(), lanes),
+            regs: RegArena::with_lanes(reg_slots, &self.cfg.tile.core, lanes),
             fifos: FifoArena::new(
                 tile_count,
                 self.cfg.tile.receive_fifos,
@@ -1042,10 +1169,11 @@ impl NodeSim {
     }
 
     /// Approximate bytes of *per-replica mutable state*: the three state
-    /// arenas plus per-agent accumulators and control state. Everything
-    /// `Arc`-shared across replicas — programs, programmed crossbars,
-    /// the compiled micro-op image — is excluded: this is the marginal
-    /// footprint of one more worker in a serving pool.
+    /// arenas (every data lane included) plus per-agent accumulators and
+    /// control state. Everything `Arc`-shared across replicas — programs,
+    /// programmed crossbars, the compiled micro-op image — is excluded:
+    /// this is the marginal footprint of one more worker in a serving
+    /// pool.
     pub fn state_bytes(&self) -> usize {
         self.mem.state_bytes()
             + self.regs.state_bytes()
@@ -1222,19 +1350,50 @@ impl NodeSim {
         self.write_input_fixed(name, &fixed)
     }
 
-    /// Fixed-point variant of [`NodeSim::write_input`].
+    /// Fixed-point variant of [`NodeSim::write_input`]. Every lane gets
+    /// the same values.
     ///
     /// # Errors
     ///
     /// Returns [`PumaError::Execution`] if the name is unbound or the
     /// length mismatches the binding.
     pub fn write_input_fixed(&mut self, name: &str, values: &[Fixed]) -> Result<()> {
+        self.poke_input(name, values.len(), Lanes::one(values))
+    }
+
+    /// Writes one request's values per live lane into a named input:
+    /// lane `l` gets `lanes[l]` (see [`NodeSim::reset_lanes`]). Charged
+    /// as one host write, like [`NodeSim::write_input`]: the
+    /// lanes share one simulated machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] if the name is unbound, a length
+    /// mismatches the binding, or the values are not one per live lane.
+    pub fn write_input_lanes(&mut self, name: &str, lanes: &[&[f32]]) -> Result<()> {
+        if lanes.len() != self.live {
+            return Err(PumaError::Execution {
+                what: format!("{} input lanes for {} live lanes", lanes.len(), self.live),
+            });
+        }
+        let width = lanes[0].len();
+        if let Some(bad) = lanes.iter().find(|l| l.len() != width) {
+            return Err(PumaError::ShapeMismatch { expected: width, actual: bad.len() });
+        }
+        let fixed: Vec<Fixed> =
+            lanes.iter().flat_map(|l| l.iter().copied().map(Fixed::from_f32)).collect();
+        self.poke_input(name, width, Lanes::packed(&fixed, width, lanes.len()))
+    }
+
+    /// The shared body of the input writers: checks the binding, pokes
+    /// `values` (`width` words per lane) and charges one off-chip write.
+    fn poke_input(&mut self, name: &str, width: usize, values: Lanes<'_>) -> Result<()> {
         let binding = self
             .io
             .input(name)
             .ok_or_else(|| PumaError::Execution { what: format!("no input named {name:?}") })?;
-        if values.len() != binding.width {
-            return Err(PumaError::ShapeMismatch { expected: binding.width, actual: values.len() });
+        if width != binding.width {
+            return Err(PumaError::ShapeMismatch { expected: binding.width, actual: width });
         }
         if binding.tile.index() >= self.tiles.len() {
             return Err(PumaError::Execution {
@@ -1242,7 +1401,7 @@ impl NodeSim {
             });
         }
         self.mem.poke(binding.tile.index(), binding.addr, values, binding.count)?;
-        let bytes = (values.len() * 2) as u64;
+        let bytes = (width * 2) as u64;
         self.stats.energy.add(
             EnergyComponent::OffChip,
             self.timing.offchip_energy_nj(bytes),
@@ -1266,6 +1425,25 @@ impl NodeSim {
     ///
     /// Returns [`PumaError::Execution`] if the name is unbound.
     pub fn read_output_fixed(&self, name: &str) -> Result<Vec<Fixed>> {
+        Ok(self.output_words(0, name)?.to_vec())
+    }
+
+    /// [`NodeSim::read_output`] of one lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] if the name is unbound or the
+    /// lane is not live.
+    pub fn read_output_lane(&self, name: &str, lane: usize) -> Result<Vec<f32>> {
+        if lane >= self.live {
+            return Err(PumaError::Execution {
+                what: format!("lane {lane} of {} live lanes", self.live),
+            });
+        }
+        Ok(self.output_words(lane, name)?.iter().map(|v| v.to_f32()).collect())
+    }
+
+    fn output_words(&self, lane: usize, name: &str) -> Result<&[Fixed]> {
         let binding = self
             .io
             .output(name)
@@ -1275,7 +1453,7 @@ impl NodeSim {
                 what: format!("output {name:?} bound to missing tile"),
             });
         }
-        self.mem.peek(binding.tile.index(), binding.addr, binding.width)
+        self.mem.peek(lane, binding.tile.index(), binding.addr, binding.width)
     }
 
     /// Input binding names.
@@ -2195,7 +2373,7 @@ impl NodeSim {
                 MicroOp::Set { dest, imm } => {
                     self.last_time = self.last_time.max(t);
                     self.regs
-                        .write(reg_slot, dest, Fixed::from_bits(imm))
+                        .write_all(reg_slot, dest, Fixed::from_bits(imm))
                         .expect("bounds proven at compile time");
                     let cost = prog.costs[pc as usize];
                     self.charge_cost(slot, &cost);
@@ -2204,25 +2382,7 @@ impl NodeSim {
                 }
                 MicroOp::AluInt { op, dest, src1, src2 } => {
                     self.last_time = self.last_time.max(t);
-                    let a = self
-                        .regs
-                        .read(reg_slot, src1)
-                        .expect("bounds proven at compile time")
-                        .to_bits();
-                    let b = self
-                        .regs
-                        .read(reg_slot, src2)
-                        .expect("bounds proven at compile time")
-                        .to_bits();
-                    let y: i16 = match op {
-                        ScalarOp::Add => a.wrapping_add(b),
-                        ScalarOp::Sub => a.wrapping_sub(b),
-                        ScalarOp::Eq => (a == b) as i16,
-                        ScalarOp::Gt => (a > b) as i16,
-                        ScalarOp::Ne => (a != b) as i16,
-                    };
-                    self.regs
-                        .write(reg_slot, dest, Fixed::from_bits(y))
+                    alu_int(&mut self.regs, reg_slot, op, dest, src1, src2)
                         .expect("bounds proven at compile time");
                     let cost = prog.costs[pc as usize];
                     self.charge_cost(slot, &cost);
@@ -2233,12 +2393,12 @@ impl NodeSim {
                     self.last_time = self.last_time.max(t);
                     let a = self
                         .regs
-                        .read(reg_slot, src1)
+                        .read_uniform(reg_slot, src1)
                         .expect("bounds proven at compile time")
                         .to_bits();
                     let b = self
                         .regs
-                        .read(reg_slot, src2)
+                        .read_uniform(reg_slot, src2)
                         .expect("bounds proven at compile time")
                         .to_bits();
                     let next = if cond.eval(a, b) { target } else { pc + 1 };
@@ -2525,7 +2685,7 @@ impl NodeSim {
                     });
                 }
                 let core = &self.tiles[agent.tile as usize].cores[agent.core as usize];
-                let bits = self.regs.read(core.reg_slot as usize, reg)?.to_bits();
+                let bits = self.regs.read_uniform(core.reg_slot as usize, reg)?.to_bits();
                 if bits < 0 {
                     return Err(PumaError::Execution {
                         what: format!(
@@ -2626,7 +2786,8 @@ impl NodeSim {
                         MemOutcome::Blocked(b) => {
                             return Ok(Step::Blocked(WaitCond::for_mem_block(b)))
                         }
-                        MemOutcome::Done(words) => words.to_vec(),
+                        // One payload carries every lane, lane after lane.
+                        MemOutcome::Done(lanes) => lanes.iter().flatten().copied().collect(),
                     }
                 } else {
                     match self.mem.try_consume(t, a, width as usize)? {
@@ -2741,7 +2902,7 @@ impl NodeSim {
                 // does not lose the packet.
                 let front_len = match self.fifos.front(t, fifo)? {
                     None => return Ok(Step::Blocked(WaitCond::FifoPacket(fifo))),
-                    Some(p) => p.words.len(),
+                    Some(p) => p.words.len() / self.live,
                 };
                 // A width mismatch means two senders sharing a virtualized
                 // FIFO interleaved (§4.2: the compiler reuses FIFO ids
@@ -2766,7 +2927,8 @@ impl NodeSim {
                     }
                     let packet = self.fifos.pop(t, fifo)?.expect("front checked above");
                     let written = if self.mode == SimMode::Functional {
-                        self.mem.try_write(t, a, &packet.words, count)?
+                        let lanes = Lanes::packed(&packet.words, width as usize, self.live);
+                        self.mem.try_write(t, a, lanes, count)?
                     } else {
                         self.mem.try_write_zeros(t, a, width as usize, count)?
                     };
@@ -2834,18 +2996,22 @@ impl NodeSim {
                             });
                         };
                         let base = unit * dim;
-                        shuffle_into(
-                            &self.regs.xbar_in(slot)[base..base + dim],
-                            filter,
-                            stride,
-                            &mut self.mvm_input,
-                        );
                         p.site = site_base + unit as u64;
-                        mvmu.mvm_into(
-                            &self.mvm_input,
-                            &p,
-                            &mut self.regs.xbar_out_mut(slot)[base..base + dim],
-                        )?;
+                        // Lanes loop inside the unit loop, so lanes after
+                        // the first find the unit's weights in cache.
+                        for lane in 0..self.live {
+                            shuffle_into(
+                                &self.regs.xbar_in(lane, slot)[base..base + dim],
+                                filter,
+                                stride,
+                                &mut self.mvm_input,
+                            );
+                            mvmu.mvm_into(
+                                &self.mvm_input,
+                                &p,
+                                &mut self.regs.xbar_out_mut(lane, slot)[base..base + dim],
+                            )?;
+                        }
                     }
                     let n = mask.count() as u64;
                     if !p.ni.is_ideal() || self.cfg.tile.core.mvmu.adc_bits_override.is_some() {
@@ -2881,46 +3047,32 @@ impl NodeSim {
             Instruction::AluImm { op, dest, src1, imm, width } => {
                 let w = width as usize;
                 if functional {
-                    let x = self.regs.read_vec(slot, src1, w)?;
+                    let lanes = self.regs.read_vec(slot, src1, w)?;
                     let out = &mut self.vec_out;
                     out.clear();
-                    // One loop per op, so each compiles to straight-line SIMD.
-                    match op {
-                        AluImmOp::Add => out.extend(x.iter().map(|&v| v + imm)),
-                        AluImmOp::Sub => out.extend(x.iter().map(|&v| v - imm)),
-                        AluImmOp::Mul => out.extend(x.iter().map(|&v| v * imm)),
-                        AluImmOp::Div => out.extend(x.iter().map(|&v| v / imm)),
+                    for x in lanes.iter() {
+                        // One loop per op, so each compiles to straight-line SIMD.
+                        match op {
+                            AluImmOp::Add => out.extend(x.iter().map(|&v| v + imm)),
+                            AluImmOp::Sub => out.extend(x.iter().map(|&v| v - imm)),
+                            AluImmOp::Mul => out.extend(x.iter().map(|&v| v * imm)),
+                            AluImmOp::Div => out.extend(x.iter().map(|&v| v / imm)),
+                        }
                     }
-                    self.regs.write_vec(slot, dest, &self.vec_out)?;
+                    self.regs.write_vec(slot, dest, Lanes::packed(&self.vec_out, w, self.live))?;
                 }
                 let latency = self.timing.vfu_cycles(w);
                 self.charge(agent, EnergyComponent::Vfu, self.timing.vfu_energy_nj(w), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::AluInt { op, dest, src1, src2 } => {
-                // Scalar integer ops always execute: loop counters and
-                // computed addresses must work in Timing mode too.
-                // Compare results (Eq/Gt/Ne) are raw-bit integer booleans —
-                // bit value 1, not Q4.12 1.0 — matching Branch and the rest
-                // of the scalar domain, which operate on raw register bits
-                // (the booleans-feed-branches contract; see puma-isa
-                // ScalarOp docs).
-                let a = self.regs.read(slot, src1)?.to_bits();
-                let b = self.regs.read(slot, src2)?.to_bits();
-                let y: i16 = match op {
-                    ScalarOp::Add => a.wrapping_add(b),
-                    ScalarOp::Sub => a.wrapping_sub(b),
-                    ScalarOp::Eq => (a == b) as i16,
-                    ScalarOp::Gt => (a > b) as i16,
-                    ScalarOp::Ne => (a != b) as i16,
-                };
-                self.regs.write(slot, dest, Fixed::from_bits(y))?;
+                alu_int(&mut self.regs, slot, op, dest, src1, src2)?;
                 let latency = self.timing.sfu_cycles();
                 self.charge(agent, EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::Set { dest, imm } => {
-                self.regs.write(slot, dest, Fixed::from_bits(imm))?;
+                self.regs.write_all(slot, dest, Fixed::from_bits(imm))?;
                 let latency = self.timing.sfu_cycles();
                 self.charge(agent, EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
@@ -2929,8 +3081,8 @@ impl NodeSim {
                 let w = width as usize;
                 if functional {
                     self.vec_out.clear();
-                    self.vec_out.extend_from_slice(self.regs.read_vec(slot, src, w)?);
-                    self.regs.write_vec(slot, dest, &self.vec_out)?;
+                    self.vec_out.extend(self.regs.read_vec(slot, src, w)?.iter().flatten());
+                    self.regs.write_vec(slot, dest, Lanes::packed(&self.vec_out, w, self.live))?;
                 }
                 let latency = self.timing.copy_cycles(w);
                 self.charge(
@@ -2997,8 +3149,8 @@ impl NodeSim {
             }
             Instruction::Jump { pc: target } => Ok(Step::Advance { next_pc: target, latency: 1 }),
             Instruction::Branch { cond, src1, src2, pc: target } => {
-                let a = self.regs.read(slot, src1)?.to_bits();
-                let b = self.regs.read(slot, src2)?.to_bits();
+                let a = self.regs.read_uniform(slot, src1)?.to_bits();
+                let b = self.regs.read_uniform(slot, src2)?.to_bits();
                 let next = if cond.eval(a, b) { target } else { pc + 1 };
                 let latency = self.timing.sfu_cycles();
                 self.charge(agent, EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
@@ -3027,12 +3179,14 @@ impl NodeSim {
         let out = &mut self.vec_out;
         out.clear();
         match op {
-            AluOp::Not => out.extend(a.iter().map(|v| Fixed::from_bits(!v.to_bits()))),
-            AluOp::Relu => out.extend(a.iter().map(|v| v.relu())),
+            AluOp::Not => out.extend(a.iter().flatten().map(|v| Fixed::from_bits(!v.to_bits()))),
+            AluOp::Relu => out.extend(a.iter().flatten().map(|v| v.relu())),
             AluOp::Sigmoid | AluOp::Tanh | AluOp::Log | AluOp::Exp => {
-                out.extend(a.iter().map(|&v| self.lut.eval(op, v)))
+                out.extend(a.iter().flatten().map(|&v| self.lut.eval(op, v)))
             }
             AluOp::Rand => {
+                // One draw per word, written to every lane: each lane sees
+                // the stream a solo run (reseeded at reset) would.
                 let core = &mut self.tiles[t].cores[c];
                 out.extend((0..w).map(|_| {
                     // xorshift32 per core, deterministic.
@@ -3042,42 +3196,49 @@ impl NodeSim {
                     x ^= x << 5;
                     core.rng = x;
                     Fixed::from_bits((x & 0xFFF) as i16)
-                }))
+                }));
+                return self.regs.write_vec(slot, dest, Lanes::one(&self.vec_out));
             }
             AluOp::Subsample => {
-                let k = self.regs.read(slot, src2)?.to_bits().max(1) as usize;
+                let k = self.regs.read_uniform(slot, src2)?.to_bits().max(1) as usize;
                 let src = self.regs.read_vec(slot, src1, w * k)?;
-                out.extend(src.iter().step_by(k).copied().take(w))
+                for lane in src.iter() {
+                    out.extend(lane.iter().step_by(k).copied().take(w));
+                }
             }
             AluOp::Shl | AluOp::Shr => {
-                let k = (self.regs.read(slot, src2)?.to_bits().max(0) as u32).min(15);
-                out.extend(a.iter().map(|v| {
-                    Fixed::from_bits(if op == AluOp::Shl {
-                        // Saturating arithmetic left shift: like the rest
-                        // of the datapath, overflow clamps at the Q4.12
-                        // range instead of silently flipping sign.
-                        puma_core::fixed::clamp_i32((v.to_bits() as i32) << k)
-                    } else {
-                        v.to_bits() >> k
-                    })
-                }))
+                for (lane, x) in a.iter().enumerate() {
+                    let k = (self.regs.read(lane, slot, src2)?.to_bits().max(0) as u32).min(15);
+                    out.extend(x.iter().map(|v| {
+                        Fixed::from_bits(if op == AluOp::Shl {
+                            // Saturating arithmetic left shift: like the
+                            // rest of the datapath, overflow clamps at the
+                            // Q4.12 range instead of silently flipping sign.
+                            puma_core::fixed::clamp_i32((v.to_bits() as i32) << k)
+                        } else {
+                            v.to_bits() >> k
+                        })
+                    }));
+                }
             }
             _ => {
                 let b = self.regs.read_vec(slot, src2, w)?;
-                out.extend(a.iter().zip(b).map(|(&x, &y)| match op {
-                    AluOp::Add => x + y,
-                    AluOp::Sub => x - y,
-                    AluOp::Mul => x * y,
-                    AluOp::Div => x / y,
-                    AluOp::And => Fixed::from_bits(x.to_bits() & y.to_bits()),
-                    AluOp::Or => Fixed::from_bits(x.to_bits() | y.to_bits()),
-                    AluOp::Min => x.min(y),
-                    AluOp::Max => x.max(y),
-                    _ => unreachable!("unary ops handled above"),
-                }))
+                for (x, y) in a.iter().zip(b.iter()) {
+                    out.extend(x.iter().zip(y).map(|(&x, &y)| match op {
+                        AluOp::Add => x + y,
+                        AluOp::Sub => x - y,
+                        AluOp::Mul => x * y,
+                        AluOp::Div => x / y,
+                        AluOp::And => Fixed::from_bits(x.to_bits() & y.to_bits()),
+                        AluOp::Or => Fixed::from_bits(x.to_bits() | y.to_bits()),
+                        AluOp::Min => x.min(y),
+                        AluOp::Max => x.max(y),
+                        _ => unreachable!("unary ops handled above"),
+                    }));
+                }
             }
         }
-        self.regs.write_vec(slot, dest, &self.vec_out)
+        self.regs.write_vec(slot, dest, Lanes::packed(&self.vec_out, w, self.live))
     }
 }
 
@@ -3131,6 +3292,35 @@ fn send_graph(
         })
         .collect();
     (senders_to, min_direct, min_indirect)
+}
+
+/// Executes one scalar integer op in every lane. Scalar ops always
+/// execute, in Timing mode too: loop counters and computed addresses
+/// must work there. Compare results (Eq/Gt/Ne) are raw-bit integer
+/// booleans — bit value 1, not Q4.12 1.0 — matching Branch and the rest
+/// of the scalar domain, which operate on raw register bits (the
+/// booleans-feed-branches contract; see puma-isa `ScalarOp` docs).
+fn alu_int(
+    regs: &mut RegArena,
+    slot: usize,
+    op: ScalarOp,
+    dest: RegRef,
+    src1: RegRef,
+    src2: RegRef,
+) -> Result<()> {
+    for lane in 0..regs.lanes() {
+        let a = regs.read(lane, slot, src1)?.to_bits();
+        let b = regs.read(lane, slot, src2)?.to_bits();
+        let y: i16 = match op {
+            ScalarOp::Add => a.wrapping_add(b),
+            ScalarOp::Sub => a.wrapping_sub(b),
+            ScalarOp::Eq => (a == b) as i16,
+            ScalarOp::Gt => (a > b) as i16,
+            ScalarOp::Ne => (a != b) as i16,
+        };
+        regs.write(lane, slot, dest, Fixed::from_bits(y))?;
+    }
+    Ok(())
 }
 
 /// Writes the MVM input shuffling (§3.2.3) of `raw` into `out`: the first
@@ -3230,6 +3420,60 @@ halt
         }
         assert!(sim.stats().cycles > 0);
         assert_eq!(sim.stats().mvmu_activations, 1);
+    }
+
+    #[test]
+    fn lane_runs_match_solo_runs() {
+        let cfg = tiny_config(1);
+        let mut img = image_with_core_program(
+            &cfg,
+            "load xi0 @0 16\nmvm 1 0 0\ntanh r0 xo0 16\nstore @64 r0 1 16\nhalt\n",
+        );
+        img.core_mut(TileId::new(0), CoreId::new(0)).mvmu_weights[0] =
+            Some(identity_weights(16, 0.5));
+        let bind = |name: &str, addr| IoBinding {
+            name: name.into(),
+            tile: TileId::new(0),
+            addr,
+            width: 16,
+            count: 1,
+        };
+        img.inputs.push(bind("x", 0));
+        img.outputs.push(bind("y", 64));
+        let noise = NoiseModel::noiseless();
+        let mut solo = NodeSim::new(cfg, &img, SimMode::Functional, &noise).unwrap();
+        let inputs: Vec<Vec<f32>> = (0..3)
+            .map(|r| (0..16).map(|i| (i as f32 - 8.0) * 0.1 * (r + 1) as f32).collect())
+            .collect();
+        let solos: Vec<(Vec<f32>, RunStats)> = inputs
+            .iter()
+            .map(|x| {
+                solo.reset();
+                solo.write_input("x", x).unwrap();
+                solo.run().unwrap();
+                (solo.read_output("y").unwrap(), solo.stats().clone())
+            })
+            .collect();
+        let mut lanes = solo.fork_lanes(3).unwrap();
+        for live in [2, 3, 1] {
+            lanes.reset_lanes(live).unwrap();
+            let x: Vec<&[f32]> = inputs[..live].iter().map(Vec::as_slice).collect();
+            lanes.write_input_lanes("x", &x).unwrap();
+            lanes.run().unwrap();
+            for (lane, (y, stats)) in solos[..live].iter().enumerate() {
+                assert_eq!(
+                    &lanes.read_output_lane("y", lane).unwrap(),
+                    y,
+                    "{live} live, lane {lane}"
+                );
+                assert_eq!(lanes.stats(), stats, "every lane's run costs a solo run");
+            }
+            assert!(lanes.read_output_lane("y", live).is_err(), "lane {live} is idle");
+        }
+        assert!(lanes.write_input_lanes("x", &[&inputs[0], &inputs[1]]).is_err());
+        assert!(lanes.reset_lanes(0).is_err() && lanes.reset_lanes(4).is_err());
+        let timing = NodeSim::new(cfg, &img, SimMode::Timing, &noise).unwrap();
+        assert!(timing.fork_lanes(2).is_err(), "timing runs carry no lane data");
     }
 
     #[test]
@@ -3525,7 +3769,7 @@ halt
         for mut sim in [sim.fork_replica(), sim] {
             sim.write_input("v", &[1.0, 2.0]).unwrap();
             assert_eq!(
-                sim.mem.peek(0, 8, 2).unwrap(),
+                sim.mem.peek(0, 0, 8, 2).unwrap(),
                 vec![Fixed::from_f32(1.0), Fixed::from_f32(2.0)]
             );
             assert_eq!(sim.read_output("v").unwrap(), vec![1.0, 2.0]);

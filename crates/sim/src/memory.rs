@@ -14,7 +14,13 @@
 //! of two per tile, and a serving replica clones two flat buffers.
 //! [`SharedMemory`] remains as the single-tile view (the unit-test and
 //! protocol-test surface) and is a one-slot arena.
+//!
+//! The data plane is lane-major: an arena built with `K` lanes holds `K`
+//! copies of it back to back, one per request of a lane-batched pass,
+//! while the attribute planes stay single (synchronization is shared by
+//! every lane). Reads return all lanes of a range at once ([`Lanes`]).
 
+use crate::lanes::Lanes;
 use puma_core::error::{PumaError, Result};
 use puma_core::fixed::Fixed;
 
@@ -74,7 +80,17 @@ struct MemSlot {
 /// attribute words per inference).
 #[derive(Debug, Clone)]
 pub struct MemArena {
+    /// `lanes` data planes of `plane` words each, lane after lane,
+    /// allocated zeroed so lanes and tiles never written cost no
+    /// resident memory.
     data: Vec<Fixed>,
+    /// Words per lane (every tile's region).
+    plane: usize,
+    /// Lanes in use: every operation covers lanes `0..lanes`; the ones
+    /// past it hold zeros.
+    lanes: usize,
+    /// Lanes allocated.
+    capacity: usize,
     /// Validity plane: 1 = valid (unconsumed data), 0 = invalid.
     valid: Vec<u8>,
     /// Remaining-consumer plane; meaningful only where `valid` is 1.
@@ -85,8 +101,17 @@ pub struct MemArena {
 impl MemArena {
     /// Allocates `tiles` regions of `words` invalid words each.
     pub fn new(tiles: usize, words: usize) -> Self {
+        Self::with_lanes(tiles, words, 1)
+    }
+
+    /// [`MemArena::new`] with `lanes` data planes (at least one).
+    pub fn with_lanes(tiles: usize, words: usize, lanes: usize) -> Self {
+        let lanes = lanes.max(1);
         MemArena {
-            data: vec![Fixed::ZERO; tiles * words],
+            data: Fixed::zeroed_vec(lanes * tiles * words),
+            plane: tiles * words,
+            lanes,
+            capacity: lanes,
             valid: vec![0; tiles * words],
             count: vec![0; tiles * words],
             slots: (0..tiles)
@@ -98,6 +123,19 @@ impl MemArena {
     /// Number of tile regions.
     pub fn tiles(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Puts the first `lanes` allocated lanes in use. Only on a clean
+    /// arena — every tile just reset — so the lanes past the old count
+    /// still hold zeros.
+    ///
+    /// # Panics
+    ///
+    /// If `lanes` is zero or exceeds the allocated lanes.
+    pub fn set_lanes(&mut self, lanes: usize) {
+        assert!((1..=self.capacity).contains(&lanes), "{lanes} of {} lanes", self.capacity);
+        debug_assert!(self.slots.iter().all(|s| s.hi == 0), "lanes change on a dirty arena");
+        self.lanes = lanes;
     }
 
     /// Capacity of one tile region in words.
@@ -120,7 +158,10 @@ impl MemArena {
     pub fn reset_tile(&mut self, tile: usize) {
         let slot = &mut self.slots[tile];
         let (base, hi) = (slot.base, slot.hi);
-        self.data[base..base + hi].fill(Fixed::ZERO);
+        for lane in 0..self.lanes {
+            let start = lane * self.plane + base;
+            self.data[start..start + hi].fill(Fixed::ZERO);
+        }
         self.valid[base..base + hi].fill(0);
         self.count[base..base + hi].fill(0);
         slot.hi = 0;
@@ -149,8 +190,13 @@ impl MemArena {
         Ok(slot.base + addr as usize)
     }
 
+    /// Every lane's words at arena-absolute `[start, start + width)`.
+    fn lanes_at(&self, start: usize, width: usize) -> Lanes<'_> {
+        Lanes::strided(&self.data, start, width, self.plane, self.lanes)
+    }
+
     /// Attempts a blocking consume-read of `width` words (Fig. 6 read),
-    /// returning a view of the words read.
+    /// returning a view of the words read in every lane.
     ///
     /// All words must be valid; each has its count decremented and is
     /// invalidated when the count reaches zero.
@@ -163,14 +209,14 @@ impl MemArena {
         tile: usize,
         addr: u32,
         width: usize,
-    ) -> Result<MemOutcome<&[Fixed]>> {
+    ) -> Result<MemOutcome<Lanes<'_>>> {
         let start = self.check_range(tile, addr, width)?;
         if let Some(i) = Self::first_zero(&self.valid[start..start + width]) {
             return Ok(MemOutcome::Blocked(MemBlock::NotValid { addr: addr + i as u32 }));
         }
         self.consume_attrs(start, width);
         self.slots[tile].generation += 1;
-        Ok(MemOutcome::Done(&self.data[start..start + width]))
+        Ok(MemOutcome::Done(self.lanes_at(start, width)))
     }
 
     /// Index of the first zero byte in `lane`, if any — the bulk form of
@@ -242,7 +288,8 @@ impl MemArena {
     }
 
     /// Attempts a blocking write of `values` with consumer count `count`
-    /// (Fig. 6 write). All destination words must be invalid.
+    /// (Fig. 6 write). All destination words must be invalid. `values`
+    /// holds one lane per data lane, or a single lane written to all.
     ///
     /// # Errors
     ///
@@ -252,23 +299,24 @@ impl MemArena {
         &mut self,
         tile: usize,
         addr: u32,
-        values: &[Fixed],
+        values: Lanes<'_>,
         count: u16,
     ) -> Result<MemOutcome<()>> {
-        let start = self.check_range(tile, addr, values.len())?;
+        let width = values.width();
+        let start = self.check_range(tile, addr, width)?;
         if count == 0 {
             return Err(PumaError::Execution {
                 what: format!("write at {addr} with zero consumer count"),
             });
         }
-        if let Some(i) = Self::first_one(&self.valid[start..start + values.len()]) {
+        if let Some(i) = Self::first_one(&self.valid[start..start + width]) {
             return Ok(MemOutcome::Blocked(MemBlock::StillValid { addr: addr + i as u32 }));
         }
-        self.data[start..start + values.len()].copy_from_slice(values);
-        self.valid[start..start + values.len()].fill(1);
-        self.count[start..start + values.len()].fill(count);
+        values.store(&mut self.data, start, self.plane, self.lanes);
+        self.valid[start..start + width].fill(1);
+        self.count[start..start + width].fill(count);
         let slot = &mut self.slots[tile];
-        slot.hi = slot.hi.max(addr as usize + values.len());
+        slot.hi = slot.hi.max(addr as usize + width);
         slot.generation += 1;
         Ok(MemOutcome::Done(()))
     }
@@ -298,7 +346,10 @@ impl MemArena {
         if let Some(i) = Self::first_one(&self.valid[start..start + width]) {
             return Ok(MemOutcome::Blocked(MemBlock::StillValid { addr: addr + i as u32 }));
         }
-        self.data[start..start + width].fill(Fixed::ZERO);
+        for lane in 0..self.lanes {
+            let dst = lane * self.plane + start;
+            self.data[dst..dst + width].fill(Fixed::ZERO);
+        }
         self.valid[start..start + width].fill(1);
         self.count[start..start + width].fill(count);
         let slot = &mut self.slots[tile];
@@ -307,30 +358,32 @@ impl MemArena {
         Ok(MemOutcome::Done(()))
     }
 
-    /// Host-side non-consuming read (used to fetch outputs after a run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds or any
-    /// word was never produced.
-    pub fn peek(&self, tile: usize, addr: u32, width: usize) -> Result<Vec<Fixed>> {
-        let start = self.check_range(tile, addr, width)?;
-        Ok(self.data[start..start + width].to_vec())
-    }
-
-    /// Host-side forced write (used to inject inputs before a run); does not
-    /// respect blocking semantics.
+    /// Host-side non-consuming read of one lane (used to fetch outputs
+    /// after a run).
     ///
     /// # Errors
     ///
     /// Returns [`PumaError::Execution`] if the range is out of bounds.
-    pub fn poke(&mut self, tile: usize, addr: u32, values: &[Fixed], count: u16) -> Result<()> {
-        let start = self.check_range(tile, addr, values.len())?;
-        self.data[start..start + values.len()].copy_from_slice(values);
-        self.valid[start..start + values.len()].fill(1);
-        self.count[start..start + values.len()].fill(count);
+    pub fn peek(&self, lane: usize, tile: usize, addr: u32, width: usize) -> Result<&[Fixed]> {
+        let start = self.check_range(tile, addr, width)?;
+        Ok(self.lanes_at(start, width).lane(lane))
+    }
+
+    /// Host-side forced write (used to inject inputs before a run); does not
+    /// respect blocking semantics. `values` holds one lane per data lane,
+    /// or a single lane written to all.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] if the range is out of bounds.
+    pub fn poke(&mut self, tile: usize, addr: u32, values: Lanes<'_>, count: u16) -> Result<()> {
+        let width = values.width();
+        let start = self.check_range(tile, addr, width)?;
+        values.store(&mut self.data, start, self.plane, self.lanes);
+        self.valid[start..start + width].fill(1);
+        self.count[start..start + width].fill(count);
         let slot = &mut self.slots[tile];
-        slot.hi = slot.hi.max(addr as usize + values.len());
+        slot.hi = slot.hi.max(addr as usize + width);
         slot.generation += 1;
         Ok(())
     }
@@ -401,7 +454,7 @@ impl SharedMemory {
     /// Returns [`PumaError::Execution`] if the range is out of bounds.
     pub fn try_read(&mut self, addr: u32, width: usize) -> Result<MemOutcome<Vec<Fixed>>> {
         Ok(match self.arena.try_read(0, addr, width)? {
-            MemOutcome::Done(words) => MemOutcome::Done(words.to_vec()),
+            MemOutcome::Done(words) => MemOutcome::Done(words.lane(0).to_vec()),
             MemOutcome::Blocked(b) => MemOutcome::Blocked(b),
         })
     }
@@ -424,7 +477,7 @@ impl SharedMemory {
     /// Returns [`PumaError::Execution`] if the range is out of bounds or
     /// `count` is zero (a zero-consumer write would deadlock all readers).
     pub fn try_write(&mut self, addr: u32, values: &[Fixed], count: u16) -> Result<MemOutcome<()>> {
-        self.arena.try_write(0, addr, values, count)
+        self.arena.try_write(0, addr, Lanes::one(values), count)
     }
 
     /// [`SharedMemory::try_write`] of an all-zero payload; see
@@ -450,7 +503,7 @@ impl SharedMemory {
     /// Returns [`PumaError::Execution`] if the range is out of bounds or any
     /// word was never produced.
     pub fn peek(&self, addr: u32, width: usize) -> Result<Vec<Fixed>> {
-        self.arena.peek(0, addr, width)
+        Ok(self.arena.peek(0, 0, addr, width)?.to_vec())
     }
 
     /// Host-side forced write (used to inject inputs before a run); does not
@@ -460,7 +513,7 @@ impl SharedMemory {
     ///
     /// Returns [`PumaError::Execution`] if the range is out of bounds.
     pub fn poke(&mut self, addr: u32, values: &[Fixed], count: u16) -> Result<()> {
-        self.arena.poke(0, addr, values, count)
+        self.arena.poke(0, addr, Lanes::one(values), count)
     }
 
     /// True if the word at `addr` is valid (has unconsumed data).
@@ -565,7 +618,7 @@ mod tests {
     #[test]
     fn arena_tiles_are_isolated() {
         let mut a = MemArena::new(3, 8);
-        a.try_write(1, 0, &[fx(1.0); 2], 1).unwrap();
+        a.try_write(1, 0, Lanes::one(&[fx(1.0); 2]), 1).unwrap();
         // Other tiles see nothing at the same tile-relative address.
         assert!(!a.is_valid(0, 0).unwrap());
         assert!(!a.is_valid(2, 0).unwrap());
@@ -574,7 +627,7 @@ mod tests {
         assert_eq!(a.generation(0), 0);
         assert!(a.generation(1) > 0);
         // Per-tile reset clears only that tile's dirty range.
-        a.try_write(2, 0, &[fx(3.0)], 1).unwrap();
+        a.try_write(2, 0, Lanes::one(&[fx(3.0)]), 1).unwrap();
         a.reset_tile(1);
         assert!(!a.is_valid(1, 0).unwrap());
         assert!(a.is_valid(2, 0).unwrap());
@@ -586,8 +639,36 @@ mod tests {
         let mut a = MemArena::new(2, 4);
         // Address 4 is out of bounds for tile 0 even though tile 1's
         // region sits right behind it in the backing plane.
-        assert!(a.try_write(0, 0, &[fx(1.0); 5], 1).is_err());
-        let err = a.peek(0, 2, 3).unwrap_err();
+        assert!(a.try_write(0, 0, Lanes::one(&[fx(1.0); 5]), 1).is_err());
+        let err = a.peek(0, 0, 2, 3).unwrap_err();
         assert!(format!("{err}").contains("exceeds capacity 4"), "{err}");
+    }
+
+    #[test]
+    fn lanes_share_attributes_but_not_data() {
+        let mut a = MemArena::with_lanes(2, 8, 3);
+        let words = [fx(1.0), fx(2.0), fx(3.0)];
+        a.try_write(1, 4, Lanes::packed(&words, 1, 3), 2).unwrap();
+        for (lane, &w) in words.iter().enumerate() {
+            assert_eq!(a.peek(lane, 1, 4, 1).unwrap(), &[w]);
+        }
+        // One read consumes the word for every lane.
+        match a.try_read(1, 4, 1).unwrap() {
+            MemOutcome::Done(read) => assert_eq!(
+                read.iter().collect::<Vec<_>>(),
+                vec![&[fx(1.0)][..], &[fx(2.0)][..], &[fx(3.0)][..]]
+            ),
+            other => panic!("expected data, got {other:?}"),
+        }
+        assert!(a.is_valid(1, 4).unwrap(), "count 2 leaves one consumer");
+        // A single lane writes to all; reset clears every lane.
+        a.poke(0, 0, Lanes::one(&[fx(5.0)]), 1).unwrap();
+        assert_eq!(a.peek(2, 0, 0, 1).unwrap(), &[fx(5.0)]);
+        a.reset_tile(0);
+        a.reset_tile(1);
+        for lane in 0..3 {
+            assert_eq!(a.peek(lane, 0, 0, 1).unwrap(), &[Fixed::ZERO]);
+            assert_eq!(a.peek(lane, 1, 4, 1).unwrap(), &[Fixed::ZERO]);
+        }
     }
 }

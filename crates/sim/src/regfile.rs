@@ -4,20 +4,33 @@
 //! probe and the unit-test surface). The simulator itself packs every
 //! core's three banks into one contiguous [`RegArena`] slab, indexed by
 //! a per-core slot — hundreds of cores' register state then lives in one
-//! allocation, and a serving replica clones one flat buffer.
+//! allocation, and a serving replica clones one flat buffer. The slab is
+//! lane-major: with `K` lanes it holds `K` copies of every core's banks,
+//! one per request of a lane-batched pass.
 
+use crate::lanes::Lanes;
 use puma_core::config::CoreConfig;
 use puma_core::error::{PumaError, Result};
 use puma_core::fixed::Fixed;
 use puma_isa::{RegRef, RegSpace};
 
 /// All cores' register banks packed into one slab. Core `slot` owns the
-/// range `[slot * stride, (slot + 1) * stride)`, laid out XbarIn, then
-/// XbarOut, then the general-purpose file. Access semantics, watermark
-/// resets, and error messages are identical to [`CoreRegisters`].
+/// range `[slot * stride, (slot + 1) * stride)` of each lane, laid out
+/// XbarIn, then XbarOut, then the general-purpose file; lane `l` starts
+/// at `l * plane`. Access semantics, watermark resets, and error messages
+/// are identical to [`CoreRegisters`].
 #[derive(Debug, Clone)]
 pub struct RegArena {
+    /// `lanes` planes of `plane` words, allocated zeroed so untouched
+    /// lanes cost no resident memory.
     slab: Vec<Fixed>,
+    /// Words per lane (every core slot).
+    plane: usize,
+    /// Lanes in use: every operation covers lanes `0..lanes`; the ones
+    /// past it hold zeros.
+    lanes: usize,
+    /// Lanes allocated.
+    capacity: usize,
     /// Bank sizes `[xbar_in, xbar_out, general]`, uniform across cores.
     bank_len: [usize; 3],
     /// Words per core slot (the sum of the bank sizes).
@@ -30,10 +43,19 @@ pub struct RegArena {
 impl RegArena {
     /// Allocates `slots` core slots sized per the core configuration.
     pub fn new(slots: usize, cfg: &CoreConfig) -> Self {
+        Self::with_lanes(slots, cfg, 1)
+    }
+
+    /// [`RegArena::new`] with `lanes` register planes (at least one).
+    pub fn with_lanes(slots: usize, cfg: &CoreConfig, lanes: usize) -> Self {
+        let lanes = lanes.max(1);
         let bank_len = [cfg.xbar_in_words(), cfg.xbar_out_words(), cfg.register_file_words];
         let stride = bank_len.iter().sum();
         RegArena {
-            slab: vec![Fixed::ZERO; slots * stride],
+            slab: Fixed::zeroed_vec(lanes * slots * stride),
+            plane: slots * stride,
+            lanes,
+            capacity: lanes,
             bank_len,
             stride,
             hi: vec![[0; 3]; slots],
@@ -47,14 +69,33 @@ impl RegArena {
             + self.hi.len() * std::mem::size_of::<[usize; 3]>()
     }
 
-    /// Zeroes every written register of one core slot in place, at a
-    /// cost proportional to the registers actually used.
+    /// Number of register lanes in use.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Puts the first `lanes` allocated lanes in use. Only on a clean
+    /// arena — every slot just reset — so the lanes past the old count
+    /// still hold zeros.
+    ///
+    /// # Panics
+    ///
+    /// If `lanes` is zero or exceeds the allocated lanes.
+    pub fn set_lanes(&mut self, lanes: usize) {
+        assert!((1..=self.capacity).contains(&lanes), "{lanes} of {} lanes", self.capacity);
+        debug_assert!(self.hi.iter().all(|h| *h == [0; 3]), "lanes change on a dirty arena");
+        self.lanes = lanes;
+    }
+
+    /// Zeroes every written register of one core slot in place, in
+    /// every lane, at a cost proportional to the registers actually used.
     pub fn reset_slot(&mut self, slot: usize) {
-        let base = slot * self.stride;
-        let mut off = base;
-        for (b, len) in self.bank_len.iter().enumerate() {
-            self.slab[off..off + self.hi[slot][b]].fill(Fixed::ZERO);
-            off += len;
+        for lane in 0..self.lanes {
+            let mut off = lane * self.plane + slot * self.stride;
+            for (b, len) in self.bank_len.iter().enumerate() {
+                self.slab[off..off + self.hi[slot][b]].fill(Fixed::ZERO);
+                off += len;
+            }
         }
         self.hi[slot] = [0; 3];
     }
@@ -67,92 +108,119 @@ impl RegArena {
         }
     }
 
-    /// Start offset of `(slot, bank)` in the slab.
-    fn bank_base(&self, slot: usize, bank: usize) -> usize {
-        slot * self.stride + self.bank_len[..bank].iter().sum::<usize>()
+    /// Lane-0 slab offset of `[reg, reg + width)` in core `slot`, or
+    /// `None` if the range leaves the register's bank.
+    fn offset(&self, slot: usize, reg: RegRef, width: usize) -> Option<usize> {
+        let b = Self::bank_slot(reg.space);
+        let start = reg.index as usize;
+        (start + width <= self.bank_len[b])
+            .then(|| slot * self.stride + self.bank_len[..b].iter().sum::<usize>() + start)
     }
 
-    fn bank(&self, slot: usize, space: RegSpace) -> &[Fixed] {
-        let b = Self::bank_slot(space);
-        let base = self.bank_base(slot, b);
-        &self.slab[base..base + self.bank_len[b]]
+    fn read_error(reg: RegRef) -> PumaError {
+        PumaError::Execution { what: format!("register read out of range: {reg}") }
     }
 
-    fn bank_mut(&mut self, slot: usize, space: RegSpace) -> &mut [Fixed] {
-        let b = Self::bank_slot(space);
-        let base = self.bank_base(slot, b);
-        &mut self.slab[base..base + self.bank_len[b]]
-    }
-
-    /// Reads one register of core `slot`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] on out-of-range indices.
-    pub fn read(&self, slot: usize, reg: RegRef) -> Result<Fixed> {
-        self.bank(slot, reg.space).get(reg.index as usize).copied().ok_or_else(|| {
-            PumaError::Execution { what: format!("register read out of range: {reg}") }
-        })
-    }
-
-    /// Writes one register of core `slot`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] on out-of-range indices.
-    pub fn write(&mut self, slot: usize, reg: RegRef, value: Fixed) -> Result<()> {
-        let cell = self.bank_mut(slot, reg.space).get_mut(reg.index as usize).ok_or_else(|| {
-            PumaError::Execution { what: format!("register write out of range: {reg}") }
-        })?;
-        *cell = value;
+    fn mark_written(&mut self, slot: usize, reg: RegRef, width: usize) {
         let hi = &mut self.hi[slot][Self::bank_slot(reg.space)];
-        *hi = (*hi).max(reg.index as usize + 1);
+        *hi = (*hi).max(reg.index as usize + width);
+    }
+
+    /// Reads one register of core `slot` in one lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] on out-of-range indices.
+    pub fn read(&self, lane: usize, slot: usize, reg: RegRef) -> Result<Fixed> {
+        let at = self.offset(slot, reg, 1).ok_or_else(|| Self::read_error(reg))?;
+        Ok(self.slab[lane * self.plane + at])
+    }
+
+    /// Reads one register that every lane holds alike — a branch operand,
+    /// an index register, a read width: lane 0, which the lane certificate
+    /// guarantees the other lanes agree with (checked in debug builds).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] on out-of-range indices.
+    pub fn read_uniform(&self, slot: usize, reg: RegRef) -> Result<Fixed> {
+        let at = self.offset(slot, reg, 1).ok_or_else(|| Self::read_error(reg))?;
+        let value = self.slab[at];
+        debug_assert!(
+            (1..self.lanes).all(|l| self.slab[l * self.plane + at] == value),
+            "lanes disagree on {reg}: a lane-certified program read lane data as control"
+        );
+        Ok(value)
+    }
+
+    /// Writes one register of core `slot` in one lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] on out-of-range indices.
+    pub fn write(&mut self, lane: usize, slot: usize, reg: RegRef, value: Fixed) -> Result<()> {
+        let at = self.offset(slot, reg, 1).ok_or_else(|| PumaError::Execution {
+            what: format!("register write out of range: {reg}"),
+        })?;
+        self.slab[lane * self.plane + at] = value;
+        self.mark_written(slot, reg, 1);
+        Ok(())
+    }
+
+    /// Writes one register of core `slot` in every lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::Execution`] on out-of-range indices.
+    pub fn write_all(&mut self, slot: usize, reg: RegRef, value: Fixed) -> Result<()> {
+        for lane in 0..self.lanes {
+            self.write(lane, slot, reg, value)?;
+        }
         Ok(())
     }
 
     /// A view of the contiguous vector of `width` registers starting at
-    /// `base`.
+    /// `base`, in every lane.
     ///
     /// # Errors
     ///
     /// Returns [`PumaError::Execution`] if the range exceeds the bank.
-    pub fn read_vec(&self, slot: usize, base: RegRef, width: usize) -> Result<&[Fixed]> {
-        let bank = self.bank(slot, base.space);
-        let start = base.index as usize;
-        bank.get(start..start + width).ok_or_else(|| PumaError::Execution {
+    pub fn read_vec(&self, slot: usize, base: RegRef, width: usize) -> Result<Lanes<'_>> {
+        let at = self.offset(slot, base, width).ok_or_else(|| PumaError::Execution {
             what: format!("register range out of bounds: {base}+{width}"),
-        })
+        })?;
+        Ok(Lanes::strided(&self.slab, at, width, self.plane, self.lanes))
     }
 
-    /// Writes a contiguous vector starting at `base`.
+    /// Writes a contiguous vector starting at `base`: one lane of
+    /// `values` per register lane, or a single lane written to all.
     ///
     /// # Errors
     ///
     /// Returns [`PumaError::Execution`] if the range exceeds the bank.
-    pub fn write_vec(&mut self, slot: usize, base: RegRef, values: &[Fixed]) -> Result<()> {
-        let hi_slot = Self::bank_slot(base.space);
-        let bank = self.bank_mut(slot, base.space);
-        let start = base.index as usize;
-        let cells =
-            bank.get_mut(start..start + values.len()).ok_or_else(|| PumaError::Execution {
-                what: format!("register range out of bounds: {base}+{}", values.len()),
-            })?;
-        cells.copy_from_slice(values);
-        let hi = &mut self.hi[slot][hi_slot];
-        *hi = (*hi).max(start + values.len());
+    pub fn write_vec(&mut self, slot: usize, base: RegRef, values: Lanes<'_>) -> Result<()> {
+        let width = values.width();
+        let at = self.offset(slot, base, width).ok_or_else(|| PumaError::Execution {
+            what: format!("register range out of bounds: {base}+{width}"),
+        })?;
+        values.store(&mut self.slab, at, self.plane, self.lanes);
+        self.mark_written(slot, base, width);
         Ok(())
     }
 
-    /// Direct view of one core's XbarIn bank (the DAC inputs).
-    pub fn xbar_in(&self, slot: usize) -> &[Fixed] {
-        self.bank(slot, RegSpace::XbarIn)
+    /// Direct view of one core's XbarIn bank (the DAC inputs) in one lane.
+    pub fn xbar_in(&self, lane: usize, slot: usize) -> &[Fixed] {
+        let at = lane * self.plane + slot * self.stride;
+        &self.slab[at..at + self.bank_len[0]]
     }
 
-    /// Direct mutable view of one core's XbarOut bank (the ADC outputs).
-    /// The whole bank counts as written for [`RegArena::reset_slot`].
-    pub fn xbar_out_mut(&mut self, slot: usize) -> &mut [Fixed] {
+    /// Direct mutable view of one core's XbarOut bank (the ADC outputs)
+    /// in one lane. The whole bank counts as written for
+    /// [`RegArena::reset_slot`].
+    pub fn xbar_out_mut(&mut self, lane: usize, slot: usize) -> &mut [Fixed] {
         self.hi[slot][1] = self.bank_len[1];
-        self.bank_mut(slot, RegSpace::XbarOut)
+        let at = lane * self.plane + slot * self.stride + self.bank_len[0];
+        &mut self.slab[at..at + self.bank_len[1]]
     }
 }
 
@@ -335,15 +403,15 @@ mod tests {
     fn arena_slots_are_isolated() {
         let cfg = CoreConfig::default();
         let mut a = RegArena::new(3, &cfg);
-        a.write(1, RegRef::general(0), Fixed::ONE).unwrap();
-        assert_eq!(a.read(1, RegRef::general(0)).unwrap(), Fixed::ONE);
-        assert_eq!(a.read(0, RegRef::general(0)).unwrap(), Fixed::ZERO);
-        assert_eq!(a.read(2, RegRef::general(0)).unwrap(), Fixed::ZERO);
+        a.write(0, 1, RegRef::general(0), Fixed::ONE).unwrap();
+        assert_eq!(a.read(0, 1, RegRef::general(0)).unwrap(), Fixed::ONE);
+        assert_eq!(a.read(0, 0, RegRef::general(0)).unwrap(), Fixed::ZERO);
+        assert_eq!(a.read(0, 2, RegRef::general(0)).unwrap(), Fixed::ZERO);
         // Slot reset clears only that slot.
-        a.write(2, RegRef::xbar_in(5), Fixed::ONE).unwrap();
+        a.write(0, 2, RegRef::xbar_in(5), Fixed::ONE).unwrap();
         a.reset_slot(1);
-        assert_eq!(a.read(1, RegRef::general(0)).unwrap(), Fixed::ZERO);
-        assert_eq!(a.read(2, RegRef::xbar_in(5)).unwrap(), Fixed::ONE);
+        assert_eq!(a.read(0, 1, RegRef::general(0)).unwrap(), Fixed::ZERO);
+        assert_eq!(a.read(0, 2, RegRef::xbar_in(5)).unwrap(), Fixed::ONE);
     }
 
     #[test]
@@ -353,10 +421,32 @@ mod tests {
         // The last general register of slot 0 is in bounds; one past it
         // is an error even though slot 1's banks follow in the slab.
         let last = RegRef::general(cfg.register_file_words as u16 - 1);
-        a.write(0, last, Fixed::ONE).unwrap();
-        assert!(a.read(0, RegRef::general(cfg.register_file_words as u16)).is_err());
-        assert!(a.write_vec(0, last, &[Fixed::ZERO; 2]).is_err());
-        assert_eq!(a.xbar_in(0).len(), cfg.xbar_in_words());
-        assert_eq!(a.xbar_out_mut(1).len(), cfg.xbar_out_words());
+        a.write(0, 0, last, Fixed::ONE).unwrap();
+        assert!(a.read(0, 0, RegRef::general(cfg.register_file_words as u16)).is_err());
+        assert!(a.write_vec(0, last, Lanes::one(&[Fixed::ZERO; 2])).is_err());
+        assert_eq!(a.xbar_in(0, 0).len(), cfg.xbar_in_words());
+        assert_eq!(a.xbar_out_mut(0, 1).len(), cfg.xbar_out_words());
+    }
+
+    #[test]
+    fn arena_lanes_are_isolated_and_reset_together() {
+        let cfg = CoreConfig::default();
+        let mut a = RegArena::with_lanes(2, &cfg, 3);
+        let r = RegRef::general(7);
+        a.write_all(1, r, Fixed::ONE).unwrap();
+        assert_eq!(a.read_uniform(1, r).unwrap(), Fixed::ONE);
+        a.write(2, 1, r, Fixed::MAX).unwrap();
+        assert_eq!(a.read(1, 1, r).unwrap(), Fixed::ONE);
+        assert_eq!(a.read(2, 1, r).unwrap(), Fixed::MAX);
+        let words = [Fixed::ONE, Fixed::MIN, Fixed::MAX];
+        a.write_vec(1, RegRef::general(0), Lanes::packed(&words, 1, 3)).unwrap();
+        let view = a.read_vec(1, RegRef::general(0), 1).unwrap();
+        assert_eq!(view.iter().map(|l| l[0]).collect::<Vec<_>>(), words);
+        assert_eq!(a.read(0, 0, RegRef::general(0)).unwrap(), Fixed::ZERO);
+        a.reset_slot(1);
+        for lane in 0..3 {
+            assert_eq!(a.read(lane, 1, r).unwrap(), Fixed::ZERO);
+            assert_eq!(a.read(lane, 1, RegRef::general(0)).unwrap(), Fixed::ZERO);
+        }
     }
 }

@@ -51,6 +51,7 @@ use puma_sim::{
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -58,6 +59,13 @@ use std::time::Instant;
 /// Flattened per-binding host writes for one request (constants + input
 /// chunks), as consumed by [`PipelineRequest::writes`].
 type RequestWrites = Vec<(String, Vec<f32>)>;
+
+/// Requests one simulator pass of replicated functional serving serves
+/// at most, one per data lane (see the "Lanes" section of
+/// [`puma_sim::machine`]). Four lanes keep lanes 2–4 of each crossbar's
+/// weights in cache and cost about 1 MiB of resident state per MLPL4
+/// replica; eight would cost about five.
+const LANES: usize = 4;
 
 /// One simulator instance: a single node, or a cluster of nodes executing
 /// a sharded model. Presents the uniform write/run/read surface the
@@ -69,10 +77,18 @@ enum SimBackend {
 }
 
 impl SimBackend {
-    fn reset(&mut self) {
+    /// Resets for a pass of `live` requests, one per lane (a cluster has
+    /// one lane).
+    fn reset_lanes(&mut self, live: usize) -> Result<()> {
         match self {
-            SimBackend::Node(s) => s.reset(),
-            SimBackend::Cluster(s) => s.reset(),
+            SimBackend::Node(s) => s.reset_lanes(live),
+            SimBackend::Cluster(s) if live == 1 => {
+                s.reset();
+                Ok(())
+            }
+            SimBackend::Cluster(_) => Err(PumaError::InvalidConfig {
+                what: format!("{live} live lanes on a one-lane cluster"),
+            }),
         }
     }
 
@@ -83,13 +99,6 @@ impl SimBackend {
         }
     }
 
-    fn write_input(&mut self, name: &str, values: &[f32]) -> Result<()> {
-        match self {
-            SimBackend::Node(s) => s.write_input(name, values),
-            SimBackend::Cluster(s) => s.write_input(name, values),
-        }
-    }
-
     fn write_input_fixed(&mut self, name: &str, values: &[Fixed]) -> Result<()> {
         match self {
             SimBackend::Node(s) => s.write_input_fixed(name, values),
@@ -97,10 +106,32 @@ impl SimBackend {
         }
     }
 
-    fn read_output(&self, name: &str) -> Result<Vec<f32>> {
+    /// Writes one request's chunk per live lane (a cluster has one lane).
+    fn write_input_lanes(&mut self, name: &str, lanes: &[&[f32]]) -> Result<()> {
+        match (self, lanes) {
+            (SimBackend::Node(s), _) => s.write_input_lanes(name, lanes),
+            (SimBackend::Cluster(s), [one]) => s.write_input(name, one),
+            (SimBackend::Cluster(_), _) => Err(PumaError::Execution {
+                what: format!("{} input lanes for a one-lane cluster", lanes.len()),
+            }),
+        }
+    }
+
+    fn read_output_lane(&self, name: &str, lane: usize) -> Result<Vec<f32>> {
         match self {
-            SimBackend::Node(s) => s.read_output(name),
-            SimBackend::Cluster(s) => s.read_output(name),
+            SimBackend::Node(s) => s.read_output_lane(name, lane),
+            SimBackend::Cluster(s) if lane == 0 => s.read_output(name),
+            SimBackend::Cluster(_) => {
+                Err(PumaError::Execution { what: format!("lane {lane} of a one-lane cluster") })
+            }
+        }
+    }
+
+    /// Data lanes allocated: the most requests one run can serve.
+    fn lanes(&self) -> usize {
+        match self {
+            SimBackend::Node(s) => s.lanes(),
+            SimBackend::Cluster(_) => 1,
         }
     }
 
@@ -162,14 +193,21 @@ impl SimBackend {
         }
     }
 
-    /// Forks a fresh worker replica: programs, programmed crossbars, and
-    /// pre-decoded images are `Arc`-shared with the original; only the
-    /// state arenas and accumulators are allocated anew. This replaces
-    /// re-running construction (and crossbar programming) per worker.
-    fn fork_replica(&self) -> SimBackend {
+    /// Forks a fresh worker replica with `lanes` data lanes (see
+    /// [`NodeSim::fork_lanes`]; a cluster has one lane): programs,
+    /// programmed crossbars, and pre-decoded images are `Arc`-shared with
+    /// the original; only the state arenas and accumulators are allocated
+    /// anew. This replaces re-running construction (and crossbar
+    /// programming) per worker.
+    fn fork_lanes(&self, lanes: usize) -> Result<SimBackend> {
         match self {
-            SimBackend::Node(s) => SimBackend::Node(Box::new(s.fork_replica())),
-            SimBackend::Cluster(s) => SimBackend::Cluster(Box::new(s.fork_replica())),
+            SimBackend::Node(s) => Ok(SimBackend::Node(Box::new(s.fork_lanes(lanes)?))),
+            SimBackend::Cluster(s) if lanes == 1 => {
+                Ok(SimBackend::Cluster(Box::new(s.fork_replica())))
+            }
+            SimBackend::Cluster(_) => Err(PumaError::InvalidConfig {
+                what: format!("{lanes} lanes for a sharded model, which runs one"),
+            }),
         }
     }
 
@@ -236,11 +274,11 @@ impl IoPlan {
 /// per-binding chunk, under its planned binding name, to `emit` — the
 /// single copy of the host-side input contract shared by direct
 /// execution, input validation, and pipeline write preparation.
-fn for_each_input_chunk<S: AsRef<str>>(
+fn for_each_input_chunk<'a, S: AsRef<str>>(
     compiled: &CompiledModel,
-    plan: &IoPlan,
-    inputs: &[(S, Vec<f32>)],
-    emit: &mut dyn FnMut(&str, &[f32]) -> Result<()>,
+    plan: &'a IoPlan,
+    inputs: &'a [(S, Vec<f32>)],
+    emit: &mut dyn FnMut(&'a str, &'a [f32]) -> Result<()>,
 ) -> Result<()> {
     for (io, chunks) in compiled.inputs.iter().zip(&plan.inputs) {
         let (_, data) = inputs
@@ -259,61 +297,96 @@ fn for_each_input_chunk<S: AsRef<str>>(
     Ok(())
 }
 
-/// Writes one request's inputs (constants + named inputs, chunked per the
-/// compiler's layout), runs the simulator to completion — only the named
-/// resident's tiles when `resident` is set — and reads back every logical
-/// output.
-fn run_request<S: AsRef<str>>(
+/// Runs one pass: request `l` of `requests` in data lane `l`. Validates
+/// every request first, writes the constants once for all lanes and each
+/// input chunk once per pass, runs the simulator to completion — only the
+/// named resident's tiles when `resident` is set — and reads back every
+/// lane's logical outputs.
+fn run_pass<S: AsRef<str>>(
     sim: &mut SimBackend,
     compiled: &CompiledModel,
     plan: &IoPlan,
-    inputs: &[(S, Vec<f32>)],
+    requests: &[&[(S, Vec<f32>)]],
     resident: Option<&str>,
-) -> Result<HashMap<String, Vec<f32>>> {
+) -> Result<Vec<HashMap<String, Vec<f32>>>> {
+    let mut chunks: Vec<Vec<(&str, &[f32])>> = Vec::with_capacity(requests.len());
+    for inputs in requests {
+        let mut lane = Vec::new();
+        for_each_input_chunk(compiled, plan, inputs, &mut |chunk, data| {
+            lane.push((chunk, data));
+            Ok(())
+        })?;
+        chunks.push(lane);
+    }
     for (binding, values) in &plan.consts {
         sim.write_input_fixed(binding, values)?;
     }
-    for_each_input_chunk(compiled, plan, inputs, &mut |chunk, data| sim.write_input(chunk, data))?;
+    let mut lanes = Vec::with_capacity(requests.len());
+    for (k, &(chunk, _)) in chunks.first().map_or(&[][..], Vec::as_slice).iter().enumerate() {
+        lanes.clear();
+        lanes.extend(chunks.iter().map(|lane| lane[k].1));
+        sim.write_input_lanes(chunk, &lanes)?;
+    }
     match resident {
         Some(model) => sim.run_resident(model)?,
         None => sim.run()?,
     };
-    let mut out = HashMap::with_capacity(compiled.outputs.len());
-    for (io, chunks) in compiled.outputs.iter().zip(&plan.outputs) {
-        let mut data = Vec::with_capacity(io.width);
-        for chunk in chunks {
-            data.extend(sim.read_output(chunk)?);
-        }
-        out.insert(io.name.clone(), data);
-    }
-    Ok(out)
+    (0..requests.len())
+        .map(|lane| {
+            let mut out = HashMap::with_capacity(compiled.outputs.len());
+            for (io, chunks) in compiled.outputs.iter().zip(&plan.outputs) {
+                let mut data = Vec::with_capacity(io.width);
+                for chunk in chunks {
+                    data.extend(sim.read_output_lane(chunk, lane)?);
+                }
+                out.insert(io.name.clone(), data);
+            }
+            Ok(out)
+        })
+        .collect()
 }
 
-/// [`run_request`] on a freshly reset simulator, with the run's
-/// statistics — one served request.
-fn serve_request(
+/// [`run_pass`] on a simulator freshly reset to one live lane per
+/// request: one served request per lane, each with the pass's
+/// statistics, which every lane shares. A pass that fails fails every
+/// lane with the same error: control never depends on lane data, so each
+/// request's solo run fails identically.
+fn serve_pass(
     sim: &mut SimBackend,
     compiled: &CompiledModel,
     plan: &IoPlan,
-    inputs: &[(String, Vec<f32>)],
+    requests: &[&[(String, Vec<f32>)]],
     resident: Option<&str>,
-) -> Result<RequestResult> {
-    sim.reset();
-    let outputs = run_request(sim, compiled, plan, inputs, resident)?;
-    Ok(RequestResult { outputs, stats: sim.stats().clone() })
+) -> Vec<Result<RequestResult>> {
+    let pass = sim
+        .reset_lanes(requests.len())
+        .and_then(|()| run_pass(sim, compiled, plan, requests, resident));
+    match pass {
+        Ok(outputs) => outputs
+            .into_iter()
+            .map(|outputs| Ok(RequestResult { outputs, stats: sim.stats().clone() }))
+            .collect(),
+        Err(e) => requests.iter().map(|_| Err(e.clone())).collect(),
+    }
 }
+
+/// Simulates one pass of [`run_pool`]: the jobs of a range, one per lane,
+/// returning each job's result in order.
+type Pass<'a> = dyn Fn(&mut SimBackend, Range<usize>) -> Vec<Result<RequestResult>> + Sync + 'a;
 
 /// Simulates jobs `0..jobs` across the host-thread pool and returns each
 /// job's result (`None` for a job `gate` skipped) plus the host threads
-/// used. Threads claim jobs in index order from a shared cursor (one
-/// `fetch_add` per job, never a wait) and check a simulator out of
-/// `idle` — building one with `build` on first use — returning it when
-/// the cursor runs out. This is the one execution core of replicated
-/// and multi-tenant serving.
+/// used. Threads claim runs of up to `lanes` consecutive jobs in index
+/// order from a shared cursor (one `fetch_add` per pass, never a wait),
+/// simulate each run as one pass, and check a simulator out of `idle` —
+/// building one with `build` on first use — returning it when the cursor
+/// runs out. This is the one execution core of replicated and
+/// multi-tenant serving.
 ///
-/// With a `gate`, a thread skips a claim the schedule has already shed
-/// and reports every simulated duration back to it (see
-/// [`ScheduleGate`]). Results never depend on the thread count.
+/// With a `gate`, passes are single jobs: a thread skips a claim the
+/// schedule has already shed and reports every simulated duration back
+/// to it (see [`ScheduleGate`]). Results never depend on the thread
+/// count or on which jobs share a pass.
 ///
 /// The spawned thread count is additionally capped at the host's
 /// available parallelism: each worker owns a full simulator replica
@@ -325,10 +398,12 @@ fn run_pool(
     idle: &Mutex<Vec<SimBackend>>,
     host_threads: usize,
     jobs: usize,
+    lanes: usize,
     build: &(dyn Fn() -> Result<SimBackend> + Sync),
-    simulate: &(dyn Fn(&mut SimBackend, usize) -> Result<RequestResult> + Sync),
+    simulate: &Pass<'_>,
     gate: Option<&ScheduleGate<'_>>,
 ) -> (Vec<Option<Result<RequestResult>>>, usize) {
+    debug_assert!(lanes >= 1 && (gate.is_none() || lanes == 1), "gated passes are single jobs");
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = host_threads.min(jobs).min(parallelism).max(1);
     let cursor = AtomicUsize::new(0);
@@ -338,29 +413,36 @@ fn run_pool(
             scope.spawn(|| {
                 let mut sim = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 loop {
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
+                    let j = cursor.fetch_add(lanes, Ordering::Relaxed);
                     if j >= jobs {
                         break;
                     }
                     if gate.is_some_and(|g| g.is_shed(j)) {
                         continue;
                     }
-                    let result = match &mut sim {
-                        Some(s) => simulate(s, j),
-                        None => build().and_then(|mut s| {
-                            let r = simulate(&mut s, j);
-                            sim = Some(s);
-                            r
-                        }),
+                    let pass = j..(j + lanes).min(jobs);
+                    let results = match &mut sim {
+                        Some(s) => simulate(s, pass.clone()),
+                        None => match build() {
+                            Ok(mut s) => {
+                                let r = simulate(&mut s, pass.clone());
+                                sim = Some(s);
+                                r
+                            }
+                            Err(e) => pass.clone().map(|_| Err(e.clone())).collect(),
+                        },
                     };
-                    if let Some(g) = gate {
-                        // A request that faulted in simulation occupies
-                        // its replica for zero cycles: the fault is
-                        // reported per request, not modelled as service.
-                        g.record(j, result.as_ref().map_or(0, |ok| ok.stats.cycles));
+                    for (j, result) in pass.zip(results) {
+                        if let Some(g) = gate {
+                            // A request that faulted in simulation
+                            // occupies its replica for zero cycles: the
+                            // fault is reported per request, not
+                            // modelled as service.
+                            g.record(j, result.as_ref().map_or(0, |ok| ok.stats.cycles));
+                        }
+                        // Each index is claimed once, so the slot is empty.
+                        let _ = slots[j].set(result);
                     }
-                    // Each index is claimed once, so the slot is empty.
-                    let _ = slots[j].set(result);
                 }
                 if let Some(s) = sim {
                     idle.lock().unwrap_or_else(PoisonError::into_inner).push(s);
@@ -441,10 +523,11 @@ impl ModelRunner {
     /// propagates simulator faults (including deadlock detection).
     pub fn run(&mut self, inputs: &[(&str, Vec<f32>)]) -> Result<HashMap<String, Vec<f32>>> {
         if self.ran {
-            self.sim.reset();
+            self.sim.reset_lanes(1)?;
         }
         self.ran = true;
-        run_request(&mut self.sim, &self.compiled, &self.plan, inputs, None)
+        let mut outputs = run_pass(&mut self.sim, &self.compiled, &self.plan, &[inputs], None)?;
+        Ok(outputs.pop().expect("a one-request pass reads one lane"))
     }
 
     /// Statistics of the last run.
@@ -792,6 +875,14 @@ impl BatchOutcome {
 /// service time — and the reported p50/p95/p99 are deterministic for any
 /// worker count, host-thread count, and execution engine.
 ///
+/// A functional single-node model whose image passes the lane
+/// certificate ([`NodeSim::lane_certified`]) is simulated up to four
+/// consecutive requests per replica pass, one per data lane, sharing
+/// control, timing and each crossbar's weight reads. Each request's
+/// outputs and statistics are those of its solo run, so no result depends
+/// on which requests share a pass. The Reference engine runs one request
+/// per pass.
+///
 /// # Pipeline sharding
 ///
 /// For a model compiled with [`puma_compiler::Partitioning::Sharded`],
@@ -875,6 +966,11 @@ pub struct ServeRunner {
     /// it (`Arc`-sharing programs, crossbars, and compiled images), so
     /// growing the pool costs one arena allocation, not a rebuild.
     prototype: SimBackend,
+    /// Whether workers may serve [`LANES`] requests per pass, decided once
+    /// at construction: a functional, single-node model whose image
+    /// passes the lane certificate ([`NodeSim::lane_certified`]). The
+    /// Reference engine, the oracle, still runs one request per pass.
+    lane_capable: bool,
 }
 
 impl ServeRunner {
@@ -906,14 +1002,30 @@ impl ServeRunner {
         mode: SimMode,
         noise: &NoiseModel,
     ) -> Result<Self> {
-        let compiled = compile(model, cfg, options)?;
+        Self::from_compiled(compile(model, cfg, options)?, cfg, mode, noise)
+    }
+
+    /// Serves an already compiled model: the output of
+    /// [`puma_compiler::compile`], or a hand-built [`CompiledModel`]
+    /// whose image and I/O layout agree.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sharding and simulator-construction failures.
+    pub fn from_compiled(
+        compiled: CompiledModel,
+        cfg: &NodeConfig,
+        mode: SimMode,
+        noise: &NoiseModel,
+    ) -> Result<Self> {
         let cfg = fit_config(cfg, &compiled);
         let images = compiled.shard()?;
-        // Validate the exact construction workers will perform (functional
+        // Validate the exact construction workers fork from (functional
         // mode also programs the crossbars), so per-worker builds cannot
-        // fail; the validated instance seeds the worker pool.
-        let first = build_backend(&cfg, &images, mode, noise)?;
-        let prototype = first.fork_replica();
+        // fail.
+        let prototype = build_backend(&cfg, &images, mode, noise)?;
+        let lane_capable = mode == SimMode::Functional
+            && matches!(&prototype, SimBackend::Node(node) if node.lane_certified());
         let plan = IoPlan::new(&compiled, "");
         Ok(ServeRunner {
             compiled,
@@ -928,10 +1040,11 @@ impl ServeRunner {
             queue_depth: None,
             pipeline: false,
             deadline: None,
-            pool: Mutex::new(vec![first]),
+            pool: Mutex::new(Vec::new()),
             pipeline_sim: Mutex::new(None),
             compiled_images: Mutex::new(None),
             prototype,
+            lane_capable,
         })
     }
 
@@ -992,7 +1105,10 @@ impl ServeRunner {
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
-        for sim in self.pool.get_mut().unwrap_or_else(PoisonError::into_inner) {
+        let lanes = self.lanes();
+        let pool = self.pool.get_mut().unwrap_or_else(PoisonError::into_inner);
+        pool.retain(|sim| sim.lanes() == lanes);
+        for sim in pool {
             sim.set_engine(engine);
         }
         if let Some(p) =
@@ -1036,16 +1152,28 @@ impl ServeRunner {
     }
 
     /// Approximate bytes of per-replica mutable state — what one more
-    /// pool worker costs in memory. Programs, programmed crossbars, and
-    /// compiled micro-op images are `Arc`-shared across replicas and
-    /// excluded; this is the number that bounds how many workers fit on
-    /// a serving host.
+    /// pool worker costs in memory, every data lane included. Programs,
+    /// programmed crossbars, and compiled micro-op images are
+    /// `Arc`-shared across replicas and excluded; this is the number that
+    /// bounds how many workers fit on a serving host.
     pub fn replica_bytes(&self) -> usize {
-        self.prototype.state_bytes()
+        self.prototype
+            .fork_lanes(self.lanes())
+            .map_or_else(|_| self.prototype.state_bytes(), |replica| replica.state_bytes())
+    }
+
+    /// Requests a pool worker serves per pass: [`LANES`] for a
+    /// lane-capable model off the Reference engine, else 1.
+    fn lanes(&self) -> usize {
+        if self.lane_capable && self.engine != SimEngine::Reference {
+            LANES
+        } else {
+            1
+        }
     }
 
     fn build_sim(&self) -> Result<SimBackend> {
-        let mut sim = self.prototype.fork_replica();
+        let mut sim = self.prototype.fork_lanes(self.lanes())?;
         if self.engine == SimEngine::Compiled {
             let mut cache = self.compiled_images.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(images) = cache.as_ref() {
@@ -1153,33 +1281,46 @@ impl ServeRunner {
         Ok(outcome)
     }
 
-    /// Replicated-worker serving: simulate every request (host-parallel
-    /// and ungated — replicated serving rarely sheds, so few simulations
-    /// are wasted), then compute the deterministic virtual-time queue
+    /// Replicated-worker serving: simulate every valid request
+    /// (host-parallel and ungated — replicated serving rarely sheds, so
+    /// few simulations are wasted), up to [`LANES`] consecutive requests
+    /// per pass, then compute the deterministic virtual-time queue
     /// schedule. Requests with malformed inputs are rejected at
-    /// submission and excluded from the schedule (matching the pipelined
-    /// path), so they never displace a valid request from the bounded
-    /// queue.
+    /// submission, never simulated and excluded from the schedule
+    /// (matching the pipelined path), so they never displace a valid
+    /// request from the bounded queue.
     fn serve_replicated(
         &self,
         arrivals: &[u64],
         inputs: &[&[(String, Vec<f32>)]],
         order: &[usize],
     ) -> Result<ServeOutcome> {
-        let valid: Vec<bool> = inputs.iter().map(|i| self.validate_inputs(i).is_ok()).collect();
+        let checks: Vec<Result<()>> = inputs.iter().map(|i| self.validate_inputs(i)).collect();
+        let valid: Vec<bool> = checks.iter().map(Result::is_ok).collect();
         let schedule_order: Vec<usize> = order.iter().copied().filter(|&i| valid[i]).collect();
+        let jobs: Vec<usize> = (0..inputs.len()).filter(|&i| valid[i]).collect();
         let (slots, host_threads) = run_pool(
             &self.pool,
             self.host_threads,
-            inputs.len(),
+            jobs.len(),
+            self.lanes(),
             &|| self.build_sim(),
-            &|sim, i| serve_request(sim, &self.compiled, &self.plan, inputs[i], None),
+            &|sim, pass| {
+                let requests: Vec<&[(String, Vec<f32>)]> =
+                    jobs[pass].iter().map(|&i| inputs[i]).collect();
+                serve_pass(sim, &self.compiled, &self.plan, &requests, None)
+            },
             None,
         );
-        let mut exec = slots
+        // Per request: its validation error, or what simulating it gave.
+        let mut simulated = slots.into_iter();
+        let exec = checks
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| claimed(slot, || format!("request {i}")))
+            .map(|(i, check)| match check {
+                Err(e) => Ok(Err(e)),
+                Ok(()) => claimed(simulated.next().flatten(), || format!("request {i}")),
+            })
             .collect::<Result<Vec<_>>>()?;
         // Requests that validated but faulted in simulation occupy their
         // worker for zero cycles: the fault is reported per-request, not
@@ -1197,12 +1338,15 @@ impl ServeRunner {
         let mut shed = 0usize;
         let mut timed_out = 0usize;
         let mut results = Vec::with_capacity(arrivals.len());
-        for (i, slot) in schedule.iter().enumerate() {
-            let disposition = match (valid[i], *slot, exec[i].is_ok()) {
-                (false, _, _) => match std::mem::replace(&mut exec[i], Ok(empty_result())) {
-                    Err(e) => Disposition::Failed(e.into()),
-                    Ok(_) => unreachable!("validation failed but execution succeeded"),
-                },
+        let max_concurrent = max_overlap(&schedule);
+        for (i, (slot, result)) in schedule.into_iter().zip(exec).enumerate() {
+            let disposition = match (valid[i], slot, result) {
+                (false, _, Err(e)) | (true, ScheduleSlot::Served { .. }, Err(e)) => {
+                    Disposition::Failed(e.into())
+                }
+                (false, _, Ok(_)) => Disposition::Failed(RequestError::Sim(PumaError::Execution {
+                    what: format!("internal: request {i} failed validation yet was simulated"),
+                })),
                 (true, ScheduleSlot::Shed, _) => {
                     shed += 1;
                     Disposition::Shed
@@ -1215,19 +1359,12 @@ impl ServeRunner {
                         what: format!("request {i} overran its {d}-cycle serving deadline"),
                     })
                 }
-                (true, ScheduleSlot::Served { .. }, false) => Disposition::Failed(
-                    std::mem::replace(&mut exec[i], Ok(empty_result())).unwrap_err().into(),
-                ),
-                (true, ScheduleSlot::Served { start, finish }, true) => Disposition::Completed {
-                    result: std::mem::replace(&mut exec[i], Ok(empty_result()))
-                        .expect("checked above"),
-                    start,
-                    finish,
-                },
+                (true, ScheduleSlot::Served { start, finish }, Ok(result)) => {
+                    Disposition::Completed { result, start, finish }
+                }
             };
             results.push(ServedRequest { arrival: arrivals[i], disposition });
         }
-        let max_concurrent = max_overlap(&schedule);
         Ok(ServeOutcome {
             results,
             stats: RunStats::new(),
@@ -1255,16 +1392,23 @@ impl ServeRunner {
         // performs when a node starts the request's segment. The model
         // constants are identical for every request, so they are
         // flattened once and passed as the pipeline's common writes.
-        let mut prepared: Vec<Result<RequestWrites>> =
-            inputs.iter().map(|i| self.prepare_writes(i)).collect();
-        let queue: Vec<usize> = order.iter().copied().filter(|&i| prepared[i].is_ok()).collect();
-        let pipeline_requests: Vec<PipelineRequest> = queue
+        let mut dispositions: Vec<Option<Disposition>> = Vec::with_capacity(inputs.len());
+        let mut writes: Vec<Option<RequestWrites>> = Vec::with_capacity(inputs.len());
+        for input in inputs {
+            let (w, d) = match self.prepare_writes(input) {
+                Ok(w) => (Some(w), None),
+                Err(e) => (None, Some(Disposition::Failed(e.into()))),
+            };
+            writes.push(w);
+            dispositions.push(d);
+        }
+        let (queue, pipeline_requests): (Vec<usize>, Vec<PipelineRequest>) = order
             .iter()
-            .map(|&i| PipelineRequest {
-                arrival: arrivals[i],
-                writes: std::mem::take(prepared[i].as_mut().expect("filtered to ok")),
+            .filter_map(|&i| {
+                let writes = writes[i].take()?;
+                Some((i, PipelineRequest { arrival: arrivals[i], writes }))
             })
-            .collect();
+            .unzip();
         let const_writes: RequestWrites = self
             .compiled
             .const_data
@@ -1280,21 +1424,18 @@ impl ServeRunner {
         );
         *self.pipeline_sim.lock().unwrap_or_else(PoisonError::into_inner) = Some(sim);
         let report = report?;
-        let mut dispositions: Vec<Option<Disposition>> =
-            (0..arrivals.len()).map(|_| None).collect();
         let mut shed = 0usize;
         let mut timed_out = 0usize;
-        for (pos, &i) in queue.iter().enumerate() {
-            let r = &report.results[pos];
-            dispositions[i] = Some(if let Some(err) = &r.error {
+        for (i, r) in queue.into_iter().zip(report.results) {
+            dispositions[i] = Some(if let Some(err) = r.error {
                 // The watchdog aborted this request mid-pipeline; the
                 // typed fault (deadline or tile death) is per-request.
                 timed_out += 1;
-                Disposition::Failed(err.clone().into())
+                Disposition::Failed(err.into())
             } else if r.admitted {
                 let outputs = self.assemble_outputs(&r.outputs);
                 Disposition::Completed {
-                    result: RequestResult { outputs, stats: r.stats.clone() },
+                    result: RequestResult { outputs, stats: r.stats },
                     start: r.start,
                     finish: r.finish,
                 }
@@ -1309,9 +1450,9 @@ impl ServeRunner {
             .map(|(i, d)| ServedRequest {
                 arrival: arrivals[i],
                 disposition: d.unwrap_or_else(|| {
-                    Disposition::Failed(
-                        std::mem::replace(&mut prepared[i], Ok(Vec::new())).unwrap_err().into(),
-                    )
+                    Disposition::Failed(RequestError::Sim(PumaError::Execution {
+                        what: format!("internal: the pipeline reported no outcome for request {i}"),
+                    }))
                 }),
             })
             .collect();
@@ -1383,12 +1524,6 @@ impl ServeRunner {
         }
         out
     }
-}
-
-/// A placeholder result used when moving a real one out of the execution
-/// slot vector.
-fn empty_result() -> RequestResult {
-    RequestResult { outputs: HashMap::new(), stats: RunStats::new() }
 }
 
 /// One request's slot in the deterministic virtual-time schedule.
@@ -2435,15 +2570,16 @@ impl TenantServer {
             &self.pool,
             self.host_threads,
             gate.claims.len(),
+            1,
             &|| self.build_fabric_sim(),
-            &|sim, j| {
-                let (s, r) = gate.claims[j];
+            &|sim, pass| {
+                let (s, r) = gate.claims[pass.start];
                 let plan = &self.plans[placed[s]];
-                serve_request(
+                serve_pass(
                     sim,
                     compiled[s],
                     plan,
-                    &streams[s].requests[r].inputs,
+                    &[&streams[s].requests[r].inputs],
                     Some(&streams[s].model),
                 )
             },
