@@ -21,9 +21,9 @@ fn bench_engines(c: &mut Criterion) {
     c.bench_function("sim_nmtl3_timing_reference", |b| {
         b.iter(|| std::hint::black_box(&mut reference).run().unwrap().cycles)
     });
-    let mut run_ahead = TimingSession::new(&compiled, &cfg, SimEngine::RunAhead).unwrap();
-    c.bench_function("sim_nmtl3_timing_run_ahead", |b| {
-        b.iter(|| std::hint::black_box(&mut run_ahead).run().unwrap().cycles)
+    let mut compiled = TimingSession::new(&compiled, &cfg, SimEngine::Compiled).unwrap();
+    c.bench_function("sim_nmtl3_timing_compiled", |b| {
+        b.iter(|| std::hint::black_box(&mut compiled).run().unwrap().cycles)
     });
 }
 

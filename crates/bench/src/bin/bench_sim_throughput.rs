@@ -1,14 +1,14 @@
-//! PUMAsim throughput benchmark: the run-ahead and compiled engines vs.
-//! the reference per-instruction event loop (single thread), and
+//! PUMAsim throughput benchmark: the compiled engine vs. the reference
+//! per-instruction event loop (single thread), and
 //! `BatchRunner` scaling across worker threads — the measured counterpart
 //! to Fig. 11's batching results.
 //!
 //! Workloads cover both ends of the instruction-mix spectrum: unrolled
 //! LSTM graphs (NMTL3/BigLSTM — heavy on attribute-buffer loads/stores
-//! and inter-tile sends, the worst case for run-ahead) and looped CNN /
-//! dense MLP images (long straight-line scalar/branch runs, the best case
-//! — and the regime where the compiled engine's whole-segment O(1)
-//! charging pays off).
+//! and inter-tile sends, the worst case for the run-ahead scheduler) and
+//! looped CNN / dense MLP images (long straight-line scalar/branch runs,
+//! the best case — and the regime where the compiled engine's
+//! whole-segment O(1) charging pays off).
 //!
 //! Emits machine-readable `BENCH_sim_throughput.json` (CI uploads it as
 //! an artifact so the performance trajectory is recorded per commit) and
@@ -37,32 +37,27 @@ use puma_sim::{NodeSim, SimEngine, SimMode};
 use puma_xbar::NoiseModel;
 use std::time::Instant;
 
-const ENGINES: [(&str, SimEngine); 3] = [
-    ("reference", SimEngine::Reference),
-    ("run_ahead", SimEngine::RunAhead),
-    ("compiled", SimEngine::Compiled),
-];
+const ENGINES: [(&str, SimEngine); 2] =
+    [("reference", SimEngine::Reference), ("compiled", SimEngine::Compiled)];
 
-/// The engine-speedup summary written to the JSON header: the gated
-/// minima and the informational peaks. Run-ahead mins range over every
-/// workload; the compiled mins range over the *instruction-bound* rows
-/// only (CNN / MLP — straight-line decode-dominated code, the regime the
-/// pre-decoded segments target; the sync-bound rows spend their time in
-/// the same park/wake machinery on both optimized engines).
+/// The compiled/reference speedup summary written to the JSON header:
+/// two gated minima and the informational peak. `all_min` ranges over
+/// every row — the sync-bound SyncFanout / MLP / NMTL3 rows included, so
+/// it guards the run-ahead scheduler; `instruction_bound_min` ranges
+/// over the *instruction-bound* rows only (straight-line
+/// decode-dominated code, the regime the pre-decoded segments target).
 struct SpeedupSummary {
-    run_ahead_min: f64,
-    run_ahead_peak: f64,
-    compiled_vs_reference_min: f64,
-    compiled_vs_reference_peak: f64,
-    compiled_vs_run_ahead_min: f64,
+    all_min: f64,
+    instruction_bound_min: f64,
+    peak: f64,
 }
 
 /// Instruction-bound rows (decode-dominated straight-line/loop code with
 /// long inter-sync runs — the looped CNN) carry the gated
-/// compiled-engine floors. MLP rows, though compute-dense, issue an MVM
+/// instruction-bound floor. MLP rows, though compute-dense, issue an MVM
 /// every few instructions, so their segments are short and their
-/// compiled gain (~1.9× vs reference) too noise-sensitive to gate; like
-/// the sync-bound rows they stay informational.
+/// compiled gain (~2× vs reference) too noise-sensitive for that floor;
+/// like the sync-bound rows they are gated by the all-rows floor only.
 fn instruction_bound(workload: &str) -> bool {
     workload.starts_with("CNN")
 }
@@ -74,7 +69,7 @@ struct EngineRow {
     instructions: u64,
     cycles: u64,
     /// Event-queue pops per run — the scheduler-overhead residue the
-    /// run-ahead and compiled engines exist to avoid. Deterministic
+    /// compiled engine exists to avoid. Deterministic
     /// (simulated, not wall clock), so `compare_bench` gates it.
     queue_events: u64,
     /// Best (minimum) wall time of a single simulated inference.
@@ -672,9 +667,9 @@ fn bench_graph_workload(name: &str, cfg: &NodeConfig, runs: usize) -> Vec<Engine
 /// Engine comparison on a pure synchronization-stress image: 12 tiles
 /// each running a double-buffered producer → 2-consumer attribute-buffer
 /// fan-out, with no compute padding — the NMTL3-class regime (many tiles
-/// concurrently ping-ponging over the Fig. 6 protocol) that the run-ahead
-/// scheduler's per-tile event horizons and inline wake continuations
-/// target. This is the row that keeps the gated engine-speedup floor
+/// concurrently ping-ponging over the Fig. 6 protocol) that the compiled
+/// engine's per-tile event horizons and inline wake continuations
+/// target. This is the row that keeps the gated all-rows speedup floor
 /// honest on sync-bound code.
 fn bench_sync_workload(runs: usize) -> Vec<EngineRow> {
     let (tiles, consumers, rounds, width) = (12usize, 2usize, 150usize, 8usize);
@@ -705,7 +700,7 @@ fn bench_sync_workload(runs: usize) -> Vec<EngineRow> {
 
 /// A LeNet-class convolution spec small enough for the default node
 /// configuration: its generated code is loop-heavy (scalar cursors,
-/// branches, indexed addressing), the mix run-ahead is built for.
+/// branches, indexed addressing), the mix the compiled engine is built for.
 fn cnn_spec() -> WorkloadSpec {
     WorkloadSpec {
         name: "CNN-24x24-k5".to_string(),
@@ -1041,22 +1036,18 @@ fn write_json(
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"sim_throughput\",\n  \"quick\": {},\n  \
-         \"run_ahead_speedup_vs_reference_peak\": {:.3},\n  \
-         \"run_ahead_speedup_vs_reference_min\": {:.3},\n  \
          \"compiled_speedup_vs_reference_peak\": {:.3},\n  \
+         \"compiled_speedup_vs_reference_all_rows_min\": {:.3},\n  \
          \"compiled_speedup_vs_reference_min\": {:.3},\n  \
-         \"compiled_speedup_vs_run_ahead_min\": {:.3},\n  \
          \"single_thread\": [\n{}\n  ],\n  \"batch\": [\n{}\n  ],\n  \
          \"sharded\": [\n{}\n  ],\n  \"serving\": [\n{}\n  ],\n  \
          \"multi_tenant\": [\n{}\n  ],\n  \"fault_tolerance\": [\n{}\n  ],\n  \
          \"noise_frontier\": [\n{}\n  ],\n  \
          \"replica\": [\n{}\n  ]\n}}\n",
         quick,
-        speedups.run_ahead_peak,
-        speedups.run_ahead_min,
-        speedups.compiled_vs_reference_peak,
-        speedups.compiled_vs_reference_min,
-        speedups.compiled_vs_run_ahead_min,
+        speedups.peak,
+        speedups.all_min,
+        speedups.instruction_bound_min,
         singles.join(",\n"),
         batches.join(",\n"),
         sharded.join(",\n"),
@@ -1099,27 +1090,17 @@ fn main() {
         engine_rows.extend(bench_graph_workload(name, &cfg, runs));
     }
     let mut table = Vec::new();
-    let mut speedups = SpeedupSummary {
-        run_ahead_min: f64::INFINITY,
-        run_ahead_peak: 0.0,
-        compiled_vs_reference_min: f64::INFINITY,
-        compiled_vs_reference_peak: 0.0,
-        compiled_vs_run_ahead_min: f64::INFINITY,
-    };
-    for trio in engine_rows.chunks(ENGINES.len()) {
-        let (reference, run_ahead, compiled) = (&trio[0], &trio[1], &trio[2]);
-        let ra = run_ahead.instr_per_sec() / reference.instr_per_sec();
+    let mut speedups =
+        SpeedupSummary { all_min: f64::INFINITY, instruction_bound_min: f64::INFINITY, peak: 0.0 };
+    for pair in engine_rows.chunks(ENGINES.len()) {
+        let (reference, compiled) = (&pair[0], &pair[1]);
         let cr = compiled.instr_per_sec() / reference.instr_per_sec();
-        speedups.run_ahead_min = speedups.run_ahead_min.min(ra);
-        speedups.run_ahead_peak = speedups.run_ahead_peak.max(ra);
-        speedups.compiled_vs_reference_peak = speedups.compiled_vs_reference_peak.max(cr);
+        speedups.all_min = speedups.all_min.min(cr);
+        speedups.peak = speedups.peak.max(cr);
         if instruction_bound(&reference.workload) {
-            speedups.compiled_vs_reference_min = speedups.compiled_vs_reference_min.min(cr);
-            speedups.compiled_vs_run_ahead_min = speedups
-                .compiled_vs_run_ahead_min
-                .min(compiled.instr_per_sec() / run_ahead.instr_per_sec());
+            speedups.instruction_bound_min = speedups.instruction_bound_min.min(cr);
         }
-        for r in trio {
+        for r in pair {
             table.push(vec![
                 r.workload.clone(),
                 r.engine.to_string(),
@@ -1327,15 +1308,10 @@ fn main() {
     write_serving_json("BENCH_serving.json", quick, &serving_rows);
     write_fault_tolerance_json("BENCH_fault_tolerance.json", quick, &fault_rows);
     println!(
-        "\n  Run-ahead vs reference event loop: {} (loop-heavy CNN) to {} (LSTM send/recv-bound).",
-        fmt_ratio(speedups.run_ahead_peak),
-        fmt_ratio(speedups.run_ahead_min)
-    );
-    println!(
-        "  Compiled segments vs reference: up to {} (instruction-bound min {}, \
-         {} vs run-ahead).",
-        fmt_ratio(speedups.compiled_vs_reference_peak),
-        fmt_ratio(speedups.compiled_vs_reference_min),
-        fmt_ratio(speedups.compiled_vs_run_ahead_min)
+        "\n  Compiled engine vs reference event loop: up to {} (min {} over all rows, \
+         {} over the instruction-bound rows).",
+        fmt_ratio(speedups.peak),
+        fmt_ratio(speedups.all_min),
+        fmt_ratio(speedups.instruction_bound_min)
     );
 }

@@ -132,7 +132,7 @@ pub fn run_timing_with_engine(
 /// replayed per [`TimingSession::run`] call after a state reset — so
 /// throughput measurements time simulation, not construction. This is the
 /// measurement core of the `bench_sim_throughput` binary, which compares
-/// the run-ahead engine against the reference per-instruction event loop.
+/// the compiled engine against the reference per-instruction event loop.
 #[derive(Debug)]
 pub struct TimingSession {
     sim: NodeSim,

@@ -115,7 +115,7 @@ impl Default for MvmuConfig {
 /// Analog non-ideality knobs for the functional MVM path.
 ///
 /// The default (all-zero) config is *ideal*: functional MVMs keep the
-/// exact integer kernel, so the three-engine differential suites stay
+/// exact integer kernel, so the two-engine differential suites stay
 /// pinned. Any nonzero knob routes them through the `f64` analog path of
 /// `puma_xbar` (an [`MvmuConfig::adc_bits_override`] quantizes the
 /// outputs of either path), which is deterministic by construction:
@@ -231,7 +231,7 @@ pub struct TileDeath {
 ///
 /// The default (empty) plan is *inert*: the simulator takes the exact
 /// code path untouched, bit-identical to a plan-absent config, so the
-/// three-engine differential suites stay pinned. Every injected fault
+/// two-engine differential suites stay pinned. Every injected fault
 /// is a counter-based hash of `(seed, site, cell/packet, time)` — the
 /// same RNG contract as [`NonIdealityConfig`] — so a fixed
 /// `(FaultPlan, seed)` replays bit-exactly across runs, engines,

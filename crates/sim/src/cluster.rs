@@ -10,15 +10,15 @@
 //! the globally earliest work first is exact: nothing a later node does
 //! can reach back before it.
 //!
-//! The run-ahead engine keeps working inside a cluster. Before stepping a
-//! node the scheduler hands it an *external horizon* — the earliest global
-//! cycle at which any inter-node packet could still arrive (in-flight
-//! arrivals, plus every other node's next event time + link latency). The
-//! node may execute synchronization instructions off-queue only strictly
-//! below that horizon; at or past it, it re-enters its event queue so the
-//! delivery interleaves correctly.
+//! The compiled engine's run-ahead scheduler keeps working inside a
+//! cluster. Before stepping a node the scheduler hands it an *external
+//! horizon* — the earliest global cycle at which any inter-node packet
+//! could still arrive (in-flight arrivals, plus every other node's next
+//! event time + link latency). The node may execute synchronization
+//! instructions off-queue only strictly below that horizon; at or past
+//! it, it re-enters its event queue so the delivery interleaves
+//! correctly.
 
-use crate::compiled::CompiledImage;
 use crate::fifo::Packet;
 use crate::machine::{NodeSim, OutboundPacket, ResidentModel, SimEngine, SimMode};
 use crate::stats::RunStats;
@@ -30,7 +30,6 @@ use puma_isa::MachineImage;
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// An inter-node packet in flight on the interconnect.
 #[derive(Debug)]
@@ -152,25 +151,6 @@ impl ClusterSim {
         }
     }
 
-    /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order — `Some` only once every node holds one (i.e. after
-    /// `set_engine(Compiled)` or adoption). The images are read-only, so
-    /// worker replicas simulating the same sharded model share them
-    /// instead of recompiling per replica.
-    pub fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
-        self.nodes.iter().map(NodeSim::compiled_image).collect()
-    }
-
-    /// Adopts pre-decoded images compiled by a replica of the same
-    /// sharded model, one per node in node order (see
-    /// [`NodeSim::adopt_compiled_image`]).
-    pub fn adopt_compiled_images(&mut self, images: &[Arc<CompiledImage>]) {
-        debug_assert_eq!(images.len(), self.nodes.len(), "one compiled image per node");
-        for (node, image) in self.nodes.iter_mut().zip(images) {
-            node.adopt_compiled_image(Arc::clone(image));
-        }
-    }
-
     /// Clones the cluster into a fresh worker replica: every node is
     /// [`NodeSim::fork_replica`]-forked (programs, programmed
     /// crossbars, and compiled images `Arc`-shared; state arenas
@@ -184,6 +164,11 @@ impl ClusterSim {
             flight_seq: 0,
             stats: RunStats::new(),
         }
+    }
+
+    /// The nodes and their interconnect, for [`crate::PipelineSim::from_cluster`].
+    pub(crate) fn into_nodes(self) -> (Vec<NodeSim>, InterconnectConfig) {
+        (self.nodes, self.interconnect)
     }
 
     /// Approximate bytes of per-replica mutable state, summed over
@@ -395,7 +380,7 @@ impl ClusterSim {
                     )?;
                 }
                 (_, Some((_, i))) => {
-                    // Conservative lookahead for run-ahead execution: no
+                    // Conservative lookahead for the compiled engine: no
                     // packet can arrive before any current in-flight
                     // arrival, nor before another node's next event plus
                     // the link latency (transfer time is at least
@@ -483,6 +468,7 @@ mod tests {
     use puma_core::ids::{CoreId, TileId};
     use puma_isa::asm::assemble;
     use puma_isa::{IoBinding, Program};
+    use std::sync::Arc;
 
     /// A small two-core, two-tile-capable configuration.
     fn tiny_config() -> NodeConfig {
@@ -532,7 +518,7 @@ mod tests {
 
     #[test]
     fn internode_send_delivers_and_is_charged() {
-        for engine in [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled] {
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
             let mut cluster = ClusterSim::new(
                 tiny_config(),
                 &two_node_images(),
@@ -573,36 +559,27 @@ mod tests {
             cluster.stats().clone()
         };
         let reference = run(SimEngine::Reference);
-        assert_eq!(reference, run(SimEngine::RunAhead));
         assert_eq!(reference, run(SimEngine::Compiled));
     }
 
     #[test]
-    fn adopted_compiled_images_replay_identically() {
-        // A second replica of the same sharded model adopts the first
-        // replica's compiled images instead of recompiling, and the runs
-        // stay bit-identical.
-        let build = || {
-            ClusterSim::new(
-                tiny_config(),
-                &two_node_images(),
-                SimMode::Functional,
-                &NoiseModel::noiseless(),
-            )
-            .unwrap()
-        };
-        let mut first = build();
-        first.set_engine(SimEngine::Compiled);
-        let images = first.compiled_images().expect("set_engine compiled every node");
-        first.run().unwrap();
-
-        let mut second = build();
-        second.adopt_compiled_images(&images);
-        second.set_engine(SimEngine::Compiled);
-        let adopted = second.compiled_images().expect("adopted images are retained");
-        for (a, b) in images.iter().zip(&adopted) {
-            assert!(Arc::ptr_eq(a, b), "adoption must reuse the images, not recompile");
+    fn cluster_forks_share_each_nodes_compiled_build() {
+        // A replica forked from a cluster points every node at the
+        // original node's micro-op build instead of recompiling, and its
+        // runs stay bit-identical.
+        let mut first = ClusterSim::new(
+            tiny_config(),
+            &two_node_images(),
+            SimMode::Functional,
+            &NoiseModel::noiseless(),
+        )
+        .unwrap();
+        let mut second = first.fork_replica();
+        for (a, b) in first.nodes().iter().zip(second.nodes()) {
+            let (a, b) = (a.compiled.as_ref().unwrap(), b.compiled.as_ref().unwrap());
+            assert!(Arc::ptr_eq(a, b), "a fork must share the build, not recompile");
         }
+        first.run().unwrap();
         second.run().unwrap();
         assert_eq!(first.stats(), second.stats());
     }
@@ -647,7 +624,7 @@ mod tests {
         let mut n1 = MachineImage::new(1, 2, 2);
         n1.tiles[0].program = asm_program("recv @8 f3 1 4\nhalt\n");
         let images = vec![MachineImage::new(1, 2, 2), n1];
-        for engine in [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled] {
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
             let mut cluster = ClusterSim::new(
                 tiny_config(),
                 &images,

@@ -4,9 +4,9 @@
 //! `fetch` → 13-arm decode → operand resolution → an area/power-model
 //! walk per executed instruction, per request, forever is pure
 //! interpreter tax. This module compiles each core/tile-control program
-//! **once** (at [`NodeSim::set_engine`] time, or adopted pre-built via
-//! [`NodeSim::adopt_compiled_image`]) into a pc-indexed array of
-//! `MicroOp`s with every static decision hoisted out of the hot loop:
+//! **once** (in [`NodeSim::new`]; every fork shares the build) into a
+//! pc-indexed array of `MicroOp`s with every static decision hoisted out
+//! of the hot loop:
 //!
 //! - **Decode** happens here, never at execution time: each pc maps to a
 //!   micro-op whose variant already encodes the dispatch.
@@ -34,13 +34,11 @@
 //! run-ahead scheduler already knows: attribute-buffer load/store, FIFO
 //! send/receive, control flow, and anything register-visible. The
 //! scheduler itself (per-tile event horizons, continuations, wakes) is
-//! shared verbatim with [`SimEngine::RunAhead`] — see the segment-safety
-//! invariant in the [`crate::machine`] module docs.
+//! described in the [`crate::machine`] module docs, next to the
+//! segment-safety invariant.
 //!
 //! [`SimEngine::Compiled`]: crate::SimEngine::Compiled
-//! [`SimEngine::RunAhead`]: crate::SimEngine::RunAhead
-//! [`NodeSim::set_engine`]: crate::NodeSim::set_engine
-//! [`NodeSim::adopt_compiled_image`]: crate::NodeSim::adopt_compiled_image
+//! [`NodeSim::new`]: crate::NodeSim::new
 //! [`RunStats`]: crate::RunStats
 
 use crate::machine::SimMode;
@@ -161,48 +159,20 @@ pub(crate) struct CompiledProgram {
 
 /// A machine image compiled to micro-op segments: one
 /// `CompiledProgram` per core and per tile control unit. Read-only
-/// after construction and deliberately free of run state, so worker
-/// replicas simulating the same image share one build behind an
-/// [`std::sync::Arc`] (see [`NodeSim::adopt_compiled_image`]). Tiles
-/// are individually [`std::sync::Arc`]'d so a multi-tenant fabric image
-/// composes from the residents' *per-model* builds without recompiling
-/// or copying a single micro-op (see [`CompiledImage::compose`]).
-///
-/// [`NodeSim::adopt_compiled_image`]: crate::NodeSim::adopt_compiled_image
+/// after construction and deliberately free of run state, so every fork
+/// of a simulator shares one build behind an [`std::sync::Arc`].
 #[derive(Debug)]
-pub struct CompiledImage {
-    tiles: Vec<std::sync::Arc<CompiledTile>>,
-    mode: SimMode,
+pub(crate) struct CompiledImage {
+    tiles: Vec<CompiledTile>,
 }
 
 #[derive(Debug)]
-pub(crate) struct CompiledTile {
+struct CompiledTile {
     cores: Vec<CompiledProgram>,
     ctl: CompiledProgram,
 }
 
 impl CompiledImage {
-    /// Pre-decodes every program of a machine image without
-    /// instantiating a simulator — the per-model build a multi-tenant
-    /// fabric composes via [`CompiledImage::compose`]. Produces exactly
-    /// the image a [`NodeSim`](crate::NodeSim) over `image` would build
-    /// lazily on [`set_engine`](crate::NodeSim::set_engine).
-    ///
-    /// Note: `Interp` micro-ops embed the original instruction (`send`
-    /// targets included), so compile the image *at the tile base it
-    /// will occupy* — relocate first, compile second.
-    pub fn for_image(cfg: &NodeConfig, mode: SimMode, image: &puma_isa::MachineImage) -> Self {
-        let timing = TimingModel::new(*cfg);
-        CompiledImage::build(
-            cfg,
-            &timing,
-            mode,
-            image.tiles.iter().map(|tile| {
-                (tile.cores.iter().map(|c| &c.program).collect::<Vec<_>>(), &tile.program)
-            }),
-        )
-    }
-
     /// Compiles every program of a loaded image. `tiles` yields, per
     /// tile, the core programs in core order plus the tile-control
     /// program — the iteration order [`NodeSim`](crate::NodeSim) owns.
@@ -223,58 +193,12 @@ impl CompiledImage {
         };
         CompiledImage {
             tiles: tiles
-                .map(|(cores, ctl)| {
-                    std::sync::Arc::new(CompiledTile {
-                        cores: cores.iter().map(|p| builder.program(p, false)).collect(),
-                        ctl: builder.program(ctl, true),
-                    })
+                .map(|(cores, ctl)| CompiledTile {
+                    cores: cores.iter().map(|p| builder.program(p, false)).collect(),
+                    ctl: builder.program(ctl, true),
                 })
                 .collect(),
-            mode,
         }
-    }
-
-    /// Composes a fabric image from per-model compiled images: resident
-    /// `i` contributes its tiles at `[base_i, base_i + tiles_i)`, gaps
-    /// become empty tiles, and every contributed tile is shared by
-    /// [`std::sync::Arc`] — one per-model build serves the model solo
-    /// *and* on every fabric (and every replica) it resides on.
-    ///
-    /// Residency composition mirrors `compose_fabric` on the machine
-    /// image: callers pass the same disjoint, in-range bases. Overlaps
-    /// are a caller bug (debug-asserted); the last writer wins in
-    /// release builds.
-    pub fn compose(
-        mode: SimMode,
-        total_tiles: usize,
-        parts: &[(usize, std::sync::Arc<CompiledImage>)],
-    ) -> Self {
-        let empty = std::sync::Arc::new(CompiledTile {
-            cores: Vec::new(),
-            ctl: CompiledProgram { ops: Vec::new(), costs: Vec::new(), seg_check: Vec::new() },
-        });
-        let mut tiles = vec![empty; total_tiles];
-        let mut covered = vec![false; total_tiles];
-        for (base, image) in parts {
-            debug_assert_eq!(image.mode, mode, "resident compiled for a different mode");
-            for (i, tile) in image.tiles.iter().enumerate() {
-                debug_assert!(!covered[base + i], "resident tiles overlap at {}", base + i);
-                covered[base + i] = true;
-                tiles[base + i] = std::sync::Arc::clone(tile);
-            }
-        }
-        CompiledImage { tiles, mode }
-    }
-
-    /// The simulation mode this image was compiled for (costs and
-    /// fast-op eligibility differ between modes).
-    pub(crate) fn mode(&self) -> SimMode {
-        self.mode
-    }
-
-    /// Number of tiles covered.
-    pub fn tile_count(&self) -> usize {
-        self.tiles.len()
     }
 
     /// The compiled program of one agent (`core == None` for the tile

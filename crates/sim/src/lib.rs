@@ -69,7 +69,6 @@ pub mod regfile;
 pub mod stats;
 
 pub use cluster::ClusterSim;
-pub use compiled::CompiledImage;
 pub use machine::{NodeSim, OutboundPacket, ResidentModel, SimEngine, SimMode};
 pub use pipeline::{PipelineReport, PipelineRequest, PipelineResult, PipelineSim, StageStats};
 pub use stats::{EnergyComponent, EnergyStats, RunStats};

@@ -18,12 +18,12 @@
 //!   control-flow instructions still execute so loops behave). This is
 //!   what makes node-scale models tractable to simulate.
 //!
-//! Three execution engines with bit-identical semantics (see
-//! [`SimEngine`]): the reference per-instruction event loop; the default
-//! run-ahead engine, which executes straight-line runs of core-local
-//! instructions inside one event and re-enters the queue only at
-//! synchronization points; and the compiled engine, which runs the same
-//! scheduler over pre-decoded micro-op segments.
+//! Two execution engines with bit-identical semantics (see
+//! [`SimEngine`]): the reference per-instruction event loop, the oracle;
+//! and the default compiled engine, which runs pre-decoded micro-op
+//! segments under a run-ahead scheduler — straight-line runs of
+//! core-local instructions execute inside one event, and the queue is
+//! re-entered only at synchronization points.
 //!
 //! # Lanes
 //!
@@ -62,13 +62,15 @@
 //! `Copy` or `Mvm`. Packet faults, whose decisions hash the payload,
 //! apply only to inter-node sends, which a standalone node never makes.
 //!
-//! # Run-ahead safety: the per-tile event-horizon invariant
+//! # The compiled engine's scheduler: the per-tile event-horizon invariant
 //!
-//! The run-ahead engine may execute a *synchronization* instruction
+//! [`SimEngine::Compiled`] runs ahead of the event queue: after an agent
+//! event pops, the agent keeps executing — through core-local
+//! instructions, and through a *synchronization* instruction
 //! (attribute-buffer load/store, FIFO send/receive) for an agent of tile
-//! `T` at local time `t` **outside** the event queue only when nothing
-//! still queued could change tile `T`'s observable state at or before
-//! `t`. Three facts make that check cheap and exact:
+//! `T` at local time `t` — outside the queue, but only when nothing still
+//! queued could change tile `T`'s observable state at or before `t`.
+//! Three facts make that check cheap and exact:
 //!
 //! 1. **Every queued event targets exactly one tile** (an agent's tile,
 //!    or a packet delivery's destination tile), and an event on tile `U`
@@ -79,23 +81,24 @@
 //!    interference iff `tile_next[T] > t`.
 //! 2. **Cross-tile interference travels only by NoC packet**, and any
 //!    packet delivery scheduled by an event executing at time `s` lands
-//!    at `s + d` with `d ≥ min_cross_delay` (one hop + one flit). So
-//!    pending work on *other* tiles is harmless iff the globally earliest
-//!    queued event time `M` satisfies `M + min_cross_delay > t` (events
-//!    on `T` itself already passed check 1, which is stricter).
+//!    at `s + d` with `d` at least the cheapest static send into `T`
+//!    (`min_direct`, `min_indirect`, the per-sender `senders_to` slack).
+//!    So pending work on *other* tiles is harmless iff it cannot land a
+//!    packet on `T` by `t`.
 //! 3. **Inter-node packets** bypass the NoC; the external scheduler
 //!    ([`crate::ClusterSim`], [`crate::PipelineSim`]) publishes the
 //!    earliest global cycle at which one could still arrive via
-//!    [`NodeSim::set_external_horizon`], and run-ahead additionally
+//!    [`NodeSim::set_external_horizon`], and the scheduler additionally
 //!    requires `t < horizon`.
 //!
 //! Together: every event that will ever target tile `T` carries a time
-//! `≥ T`'s recorded horizon `min(tile_next[T], M + min_cross_delay,
-//! horizon)`, so executing tile-local synchronization strictly below that
-//! horizon is indistinguishable from the reference event loop. Any new
-//! stepping-API feature (a new event kind, a new cross-tile effect, a
-//! zero-latency message path) must preserve this invariant or widen the
-//! checks in `NodeSim::tile_clear_until`.
+//! at or past `T`'s horizon, so executing tile-local synchronization
+//! strictly below it is indistinguishable from the reference event loop.
+//! A blocking instruction that fails the check is deferred as a
+//! *continuation*, resumed inline once its horizon clears or re-queued
+//! otherwise. Any new stepping-API feature (a new event kind, a new
+//! cross-tile effect, a zero-latency message path) must preserve this
+//! invariant or widen the checks in `NodeSim::tile_clear_until`.
 //!
 //! # Word-range horizons: the conflict-group refinement
 //!
@@ -129,25 +132,24 @@
 //!
 //! # Compiled segments: the segment-boundary safety invariant
 //!
-//! The [`SimEngine::Compiled`] engine shares this scheduler verbatim
-//! (horizons, continuations, condition-indexed wakes) and replaces only
-//! the fetch/decode/cost path with pre-decoded micro-ops (see
-//! [`crate::compiled`]). Its bulk-charged *segments* must uphold two
-//! boundary rules, checked against the same invariants:
+//! The compiled engine replaces the per-instruction fetch/decode/cost
+//! path with pre-decoded micro-ops (see [`crate::compiled`]). Its
+//! bulk-charged *segments* must uphold two boundary rules, checked
+//! against the same invariants:
 //!
 //! 1. **A segment never crosses a synchronization point.** Only
 //!    pure-charge ops — no register, memory, FIFO, or control-flow
 //!    effect — are bulk-charged; every instruction that can observe or
 //!    mutate shared tile state executes through the interpreter and, when
 //!    it [`may block`](Instruction::may_block), re-checks
-//!    `NodeSim::tile_clear_until` exactly as run-ahead does. A segment
-//!    is therefore invisible to every other agent, and charging it in one
-//!    step is indistinguishable from per-instruction execution.
+//!    `NodeSim::tile_clear_until`. A segment is therefore invisible to
+//!    every other agent, and charging it in one step is
+//!    indistinguishable from per-instruction execution.
 //! 2. **A segment never crosses the cycle cap.** Bulk charging is gated
 //!    on `t + seg_check ≤ max_cycles` (`seg_check` being the start-time
 //!    offset of the segment's last op); past that, execution degrades to
 //!    per-op stepping with the per-instruction cap check, so a runaway
-//!    program faults at the same deterministic instruction on all three
+//!    program faults at the same deterministic instruction on both
 //!    engines.
 
 use crate::compiled::{CompiledImage, MicroOp, OpCost, NO_CHARGE};
@@ -216,24 +218,19 @@ impl ResidentModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimEngine {
     /// The original per-instruction event loop: every executed instruction
-    /// is one heap round-trip. Kept as the differential baseline and for
+    /// is one heap round-trip. Kept as the differential oracle and for
     /// event-level debugging.
     Reference,
-    /// Run-ahead execution (default): an agent event executes a whole
-    /// straight-line run of core-local instructions back-to-back,
-    /// accumulating time locally, and re-enters the queue only at
-    /// synchronization points (attribute-buffer loads/stores, FIFO
-    /// send/receive, MVM completion, halt).
-    #[default]
-    RunAhead,
-    /// Run-ahead over pre-decoded micro-op segments: the same scheduler
-    /// as [`SimEngine::RunAhead`], but each program is compiled once (at
-    /// [`NodeSim::set_engine`], or shared pre-built via
-    /// [`NodeSim::adopt_compiled_image`]) into dense micro-ops with
+    /// Compiled run-ahead execution (default): an agent event executes a
+    /// whole straight-line run of instructions back-to-back, accumulating
+    /// time locally, and re-enters the queue only at synchronization
+    /// points (module docs, event-horizon invariant). Each program is
+    /// compiled once, at [`NodeSim::new`], into dense micro-ops with
     /// decode, operand resolution, and per-op timing/energy hoisted out
     /// of the hot loop, and maximal pure-charge runs accounted as whole
     /// segments (see [`crate::compiled`] and the module docs'
-    /// segment-boundary invariant).
+    /// segment-boundary invariant). Forks share the build.
+    #[default]
     Compiled,
 }
 
@@ -301,7 +298,7 @@ enum Step {
 }
 
 /// Why a blocked agent is parked: the precise state transition that can
-/// make its instruction succeed. The run-ahead engine wakes an agent only
+/// make its instruction succeed. The compiled engine wakes an agent only
 /// when a matching transition happens (spurious retries are pure event
 /// overhead — they dominated the seed's event count); the reference
 /// engine preserves the seed behaviour of retrying every parked agent on
@@ -362,7 +359,7 @@ impl WaitCond {
 
 /// A state transition on a tile that may unblock parked agents. Every
 /// generation-bumping operation records one of these; they drive both the
-/// reference engine's wake-all and the run-ahead engine's targeted wakes.
+/// reference engine's wake-all and the compiled engine's targeted wakes.
 #[derive(Debug, Clone, Copy)]
 enum TileChange {
     /// Words `[start, start + len)` became valid (a write landed).
@@ -528,7 +525,7 @@ pub struct NodeSim {
     stats: RunStats,
     /// Energy accumulators, one per agent (per tile: cores, then the tile
     /// control unit), merged into `stats` by [`NodeSim::finalize_stats`].
-    /// The run-ahead engine uses the flat arrays; the reference engine
+    /// The compiled engine uses the flat arrays; the reference engine
     /// uses seed-style [`EnergyStats`] maps (`agent_energy_maps`) with the
     /// identical per-agent add sequence, so the merged totals are
     /// bit-identical while the reference keeps the seed's per-instruction
@@ -566,7 +563,7 @@ pub struct NodeSim {
     /// Per-tile next-event index: for each tile, the (unordered)
     /// `(time, conflict group)` pairs of the queued events targeting it,
     /// maintained incrementally on every push and pop — external
-    /// deliveries included — while the run-ahead engine is active. Its
+    /// deliveries included — while the compiled engine is active. Its
     /// time-minimum is the tile's direct event horizon (see the module
     /// docs); a flat list beats a search tree here because a tile rarely
     /// has more than its agent count in flight.
@@ -619,17 +616,17 @@ pub struct NodeSim {
     interconnect: InterconnectConfig,
     /// Inter-node packets awaiting pickup by the cluster scheduler.
     outbox: Vec<OutboundPacket>,
-    /// Run-ahead external horizon: the earliest global cycle at which an
-    /// inter-node packet could still arrive. The run-ahead engine may not
+    /// External horizon: the earliest global cycle at which an
+    /// inter-node packet could still arrive. The compiled engine may not
     /// execute a blocking instruction at or past this time outside the
     /// event queue (it could miss the delivery). `u64::MAX` standalone.
     horizon: u64,
     /// The pre-decoded micro-op image for [`SimEngine::Compiled`]: built
-    /// lazily on [`NodeSim::set_engine`] or adopted pre-built from a
-    /// sibling replica ([`NodeSim::adopt_compiled_image`]). Read-only and
-    /// preserved across [`NodeSim::reset`] — programs are immutable after
-    /// construction, so one build serves every request.
-    compiled: Option<Arc<CompiledImage>>,
+    /// once in [`NodeSim::new`] and `Arc`-shared by every fork. Read-only
+    /// and preserved across [`NodeSim::reset`] — programs are immutable
+    /// after construction, so one build serves every request. `None` only
+    /// while `NodeSim::run_compiled` borrows it.
+    pub(crate) compiled: Option<Arc<CompiledImage>>,
     /// Resident-model registry (sorted by base tile; empty for
     /// single-tenant machines). Machine configuration like the compiled
     /// image: survives [`NodeSim::reset`].
@@ -943,6 +940,14 @@ impl NodeSim {
         let groups = conflict_groups(&tiles, cfg.tile.receive_fifos, 0);
         let group_min: Vec<Vec<u64>> =
             groups.iter().map(|g| vec![u64::MAX; g.count as usize + 1]).collect();
+        let compiled = CompiledImage::build(
+            &cfg,
+            &timing,
+            mode,
+            tiles.iter().map(|tile| {
+                (tile.cores.iter().map(|c| &*c.program).collect::<Vec<_>>(), &*tile.tile_program)
+            }),
+        );
         Ok(NodeSim {
             fd_energy_nj: timing.fetch_decode_energy_nj(),
             senders_to,
@@ -983,7 +988,7 @@ impl NodeSim {
             interconnect: InterconnectConfig::default(),
             outbox: Vec::new(),
             horizon: u64::MAX,
-            compiled: None,
+            compiled: Some(Arc::new(compiled)),
             residents: Vec::new(),
             run_base: 0,
             mvm_perturbation: Perturbation {
@@ -1189,9 +1194,9 @@ impl NodeSim {
     }
 
     /// Event-queue pops processed since the last [`NodeSim::reset`].
-    /// Queue events are the scheduler overhead the run-ahead and
-    /// compiled engines exist to avoid; benchmarks report this per
-    /// executed instruction.
+    /// Queue events are the scheduler overhead the compiled engine
+    /// exists to avoid; benchmarks report this per executed
+    /// instruction.
     pub fn queue_events(&self) -> u64 {
         self.queue_events
     }
@@ -1257,20 +1262,11 @@ impl NodeSim {
         self.max_cycles = max_cycles;
     }
 
-    /// Selects the execution engine (default [`SimEngine::RunAhead`]).
-    ///
-    /// Selecting [`SimEngine::Compiled`] compiles every program into
-    /// micro-op segments on first selection (a one-time cost, amortized
-    /// over every subsequent run); use
-    /// [`NodeSim::adopt_compiled_image`] first to share a sibling
-    /// replica's build instead.
+    /// Selects the execution engine (default [`SimEngine::Compiled`]).
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
-        if engine == SimEngine::Compiled && self.compiled.is_none() {
-            self.compiled = Some(Arc::new(self.build_compiled()));
-        }
-        // The per-tile horizon index is maintained only while a
-        // run-ahead-scheduled engine is active (the reference engine must
+        // The per-tile horizon index is maintained only while the
+        // compiled engine is active (the reference engine must
         // keep seed-faithful per-event cost). Rebuild it here so
         // switching engines with events already queued stays correct.
         for index in &mut self.tile_next {
@@ -1298,39 +1294,6 @@ impl NodeSim {
                 }
             }
         }
-    }
-
-    /// Compiles this node's programs into a [`CompiledImage`].
-    fn build_compiled(&self) -> CompiledImage {
-        CompiledImage::build(
-            &self.cfg,
-            &self.timing,
-            self.mode,
-            self.tiles.iter().map(|tile| {
-                (tile.cores.iter().map(|c| &*c.program).collect::<Vec<_>>(), &*tile.tile_program)
-            }),
-        )
-    }
-
-    /// The pre-decoded image backing [`SimEngine::Compiled`], if one has
-    /// been built or adopted. Share it with worker replicas simulating
-    /// the same image via [`NodeSim::adopt_compiled_image`] — the build
-    /// is read-only, so replicas pay it once instead of once each.
-    pub fn compiled_image(&self) -> Option<Arc<CompiledImage>> {
-        self.compiled.clone()
-    }
-
-    /// Adopts a pre-built compiled image instead of building one on
-    /// [`NodeSim::set_engine`]. The image must come from a simulator
-    /// built with the same configuration, machine image, and
-    /// [`SimMode`] (replicas of one serving pool satisfy this by
-    /// construction).
-    pub fn adopt_compiled_image(&mut self, image: Arc<CompiledImage>) {
-        debug_assert!(
-            image.mode() == self.mode,
-            "adopted compiled image was built for a different SimMode"
-        );
-        self.compiled = Some(image);
     }
 
     /// The active execution engine.
@@ -1556,7 +1519,7 @@ impl NodeSim {
         let slot = self.agent_slot(agent);
         match self.engine {
             SimEngine::Reference => self.agent_energy_maps[slot].add(component, nj, cycles),
-            SimEngine::RunAhead | SimEngine::Compiled => {
+            SimEngine::Compiled => {
                 let acc = &mut self.agent_energy[slot];
                 acc.nj[component.index()] += nj;
                 acc.busy[component.index()] += cycles;
@@ -1712,7 +1675,7 @@ impl NodeSim {
     /// of `tiles` at global cycle `at`.
     fn prime_tiles(&mut self, at: u64, tiles: std::ops::Range<usize>) -> Result<()> {
         self.queue.clear();
-        // The run-ahead scheduler state mirrors the queue (per-tile
+        // The compiled engine's scheduler state mirrors the queue (per-tile
         // next-event index) or must be empty between steps
         // (continuations); both may hold leftovers from an aborted run.
         for index in &mut self.tile_next {
@@ -1775,7 +1738,7 @@ impl NodeSim {
     }
 
     /// Files an event into the queue, keeping the per-tile next-event
-    /// index in sync (run-ahead-scheduled engines only; the reference
+    /// index in sync (compiled engine only; the reference
     /// engine never reads it). The single enqueue path for agents,
     /// wakes, and deliveries.
     fn enqueue(&mut self, time: u64, priority: u64, kind: EventKind) {
@@ -1892,8 +1855,8 @@ impl NodeSim {
                 // Instruction dispatches on a dead tile are suppressed:
                 // the agent halts where it stood. Every engine applies
                 // this check at instruction-start timestamps (here for
-                // the reference engine; at the run-ahead/compiled loop
-                // tops otherwise), so death is engine-invariant.
+                // the reference engine; at the compiled loop top
+                // otherwise), so death is engine-invariant.
                 self.set_halted(agent);
                 self.death_fired = true;
                 self.stats.dead_tile_halts += 1;
@@ -1911,9 +1874,6 @@ impl NodeSim {
                         self.set_halted(agent);
                     }
                 },
-                SimEngine::RunAhead => {
-                    self.run_ahead(agent, now)?;
-                }
                 SimEngine::Compiled => {
                     self.run_compiled(agent, now)?;
                 }
@@ -1957,13 +1917,10 @@ impl NodeSim {
             // remaining ones (all later-keyed) are not owed execution
             // before its first instruction; its *subsequent*
             // synchronization instructions re-check the horizon — which
-            // counts pending continuations — inside `run_ahead`.
+            // counts pending continuations — inside `run_compiled`.
             let group = self.groups[agent.tile as usize].agent_group(agent);
             if self.tile_clear_for_resume(agent.tile, group, t0) {
-                match self.engine {
-                    SimEngine::Compiled => self.run_compiled(agent, t0)?,
-                    _ => self.run_ahead(agent, t0)?,
-                }
+                self.run_compiled(agent, t0)?;
             } else {
                 self.enqueue(t0, prio, EventKind::AgentReady(agent));
             }
@@ -2128,7 +2085,7 @@ impl NodeSim {
         self.group_min = self.groups.iter().map(|g| vec![u64::MAX; g.count as usize + 1]).collect();
     }
 
-    /// Sets the run-ahead external horizon (see the `horizon` field).
+    /// Sets the external horizon (see the `horizon` field).
     pub fn set_external_horizon(&mut self, horizon: u64) {
         self.horizon = horizon;
     }
@@ -2172,75 +2129,6 @@ impl NodeSim {
         Ok(())
     }
 
-    /// Executes a whole straight-line run of instructions for one agent,
-    /// accumulating time locally, and re-enters the event queue only at
-    /// synchronization points: an upcoming attribute-buffer load/store or
-    /// FIFO send/receive (which must observe global tile state at its own
-    /// timestamp, after every earlier event has run), and MVM completion.
-    /// Core-local instructions (vector/scalar ALU, set, copy, jump,
-    /// branch, halt) touch no state another agent can observe, so
-    /// executing them back-to-back inside one event is indistinguishable
-    /// from the reference per-instruction loop — minus its heap traffic.
-    fn run_ahead(&mut self, agent: AgentId, now: u64) -> Result<()> {
-        let tile = agent.tile;
-        let group = self.groups[tile as usize].agent_group(agent);
-        let mut t = now;
-        let mut first = true;
-        loop {
-            // The reference engine checks the cap when each instruction's
-            // event pops; locally executed instructions get the same check
-            // at the same timestamps, so runaway straight-line loops fail
-            // deterministically instead of spinning forever off-queue.
-            if t > self.max_cycles {
-                return Err(self.cycle_cap_error());
-            }
-            if self.tile_dead(tile, t) {
-                // Same dead-tile halt the reference engine applies at
-                // dispatch, at the same instruction-start timestamp.
-                self.set_halted(agent);
-                self.death_fired = true;
-                self.stats.dead_tile_halts += 1;
-                return Ok(());
-            }
-            let (instr, pc) = self.fetch(agent)?;
-            if !first && instr.may_block() && !self.tile_clear_until(tile, group, t) {
-                // Blocking point whose tile could still change at or
-                // before its timestamp: stop the segment and execute it
-                // after every earlier event (another agent's store, a
-                // packet delivery) has updated the tile state. The
-                // re-entry is deferred as a continuation: if the tile
-                // horizon clears once the earlier continuations have run,
-                // it resumes inline; otherwise it re-enters the queue.
-                // When the tile horizon is clear the lookahead is safe —
-                // see the module docs for the invariant.
-                let order = self.next_seq();
-                self.continuations.push((agent, t, agent_priority(tile, agent.core), order));
-                self.cont_min = self.cont_min.min(t);
-                return Ok(());
-            }
-            self.last_time = self.last_time.max(t);
-            match self.execute_instr(agent, instr, pc, t)? {
-                Step::Advance { next_pc, latency } => {
-                    // All non-blocking instructions — the long-latency MVM
-                    // included — are core-local, so the run continues
-                    // without consulting the queue; only the next
-                    // synchronization instruction re-checks the horizon.
-                    self.set_pc(agent, next_pc);
-                    t += latency;
-                }
-                Step::Blocked(cond) => {
-                    self.tiles[tile as usize].parked.park(agent, t, cond);
-                    return Ok(());
-                }
-                Step::Halted => {
-                    self.set_halted(agent);
-                    return Ok(());
-                }
-            }
-            first = false;
-        }
-    }
-
     /// The current program counter of one agent.
     fn agent_pc(&self, agent: AgentId) -> u32 {
         let tile = &self.tiles[agent.tile as usize];
@@ -2269,18 +2157,23 @@ impl NodeSim {
         self.instr_counts[cost.cat as usize] += 1;
     }
 
-    /// [`NodeSim::run_ahead`] over the pre-decoded micro-op program: the
-    /// identical scheduler loop (per-instruction cap check, blocking-op
-    /// horizon check, continuation deferral, park/halt handling), with
-    /// fetch/decode replaced by a pc-indexed micro-op array, per-op
-    /// timing/energy read from precomputed [`OpCost`]s, and maximal
-    /// pure-charge runs accounted as whole segments under the
-    /// segment-boundary invariant (module docs).
+    /// Executes a whole straight-line run of one agent's pre-decoded
+    /// micro-ops, accumulating time locally, and re-enters the event
+    /// queue only at synchronization points: an upcoming attribute-buffer
+    /// load/store or FIFO send/receive whose tile horizon has not cleared
+    /// (it must observe global tile state at its own timestamp, after
+    /// every earlier event has run) is deferred as a continuation.
+    /// Core-local instructions touch no state another agent can observe,
+    /// so executing them back-to-back inside one event is
+    /// indistinguishable from the reference per-instruction loop — minus
+    /// its heap traffic. Per-op timing/energy come from precomputed
+    /// [`OpCost`]s, and maximal pure-charge runs are accounted as whole
+    /// segments under the segment-boundary invariant (module docs).
     fn run_compiled(&mut self, agent: AgentId, now: u64) -> Result<()> {
         // Borrow the image for the call without touching its reference
-        // count, which every replica that adopted the image shares: take
-        // it out of `self` and put it back on every exit.
-        let image = self.compiled.take().expect("Compiled engine always holds a compiled image");
+        // count, which every fork of this simulator shares: take it out
+        // of `self` and put it back on every exit.
+        let image = self.compiled.take().expect("the compiled image is built at construction");
         let result = self.run_compiled_on(&image, agent, now);
         self.compiled = Some(image);
         result
@@ -2427,8 +2320,8 @@ impl NodeSim {
                 MicroOp::Interp { instr, may_block } => {
                     if !first && may_block && !self.tile_clear_until(tile, group, t) {
                         // Synchronization point whose tile could still
-                        // change at or before `t`: defer exactly as
-                        // `run_ahead` does.
+                        // change at or before `t`: defer it as a
+                        // continuation.
                         let order = self.next_seq();
                         self.continuations.push((
                             agent,
@@ -2562,7 +2455,7 @@ impl NodeSim {
 
     /// Applies the transitions recorded by the current instruction or
     /// delivery: the reference engine retries every parked agent on any
-    /// change (seed behaviour); the run-ahead engine wakes only agents
+    /// change (seed behaviour); the compiled engine wakes only agents
     /// whose wait condition matches one of the transitions — a keyed
     /// [`ParkedSet`] lookup, not a scan.
     ///
@@ -2588,7 +2481,7 @@ impl NodeSim {
                 self.changes.clear();
                 self.tiles[tile].parked.drain_all(&mut woken);
             }
-            SimEngine::RunAhead | SimEngine::Compiled => {
+            SimEngine::Compiled => {
                 let changes = std::mem::take(&mut self.changes);
                 for &change in &changes {
                     self.tiles[tile].parked.take_matching(change, &mut woken);
@@ -2604,7 +2497,7 @@ impl NodeSim {
                     self.enqueue(now, PRIO_WAKE, EventKind::AgentReady(agent));
                 }
             }
-            SimEngine::RunAhead | SimEngine::Compiled => {
+            SimEngine::Compiled => {
                 for (agent, since) in woken.drain(..) {
                     self.stats.blocked_cycles += now.saturating_sub(since);
                     let order = self.next_seq();
@@ -2748,7 +2641,7 @@ impl NodeSim {
                     let fd = self.timing.fetch_decode_energy_nj();
                     self.charge(agent, EnergyComponent::FetchDecode, fd, 1);
                 }
-                SimEngine::RunAhead | SimEngine::Compiled => {
+                SimEngine::Compiled => {
                     self.instr_counts[instr.category().index()] += 1;
                     self.charge(agent, EnergyComponent::FetchDecode, fd_energy, 1);
                 }
@@ -2955,9 +2848,9 @@ impl NodeSim {
     }
 
     /// Executes one core instruction. `now` is the instruction's
-    /// simulated timestamp — identical across all three engines (the
-    /// reference engine re-queues at `now + latency`; run-ahead and
-    /// compiled advance a local clock by the same per-instruction
+    /// simulated timestamp — identical on both engines (the reference
+    /// engine re-queues at `now + latency`; the compiled engine
+    /// advances a local clock by the same per-instruction
     /// latencies) — consumed only by the non-ideality path as the MVM
     /// time index.
     fn step_core(&mut self, agent: AgentId, instr: Instruction, pc: u32, now: u64) -> Result<Step> {
@@ -3247,7 +3140,7 @@ impl NodeSim {
 /// by its minimum transit time. Sends execute only on tile control units
 /// and their width/target operands are immediate, so this is a complete
 /// enumeration of every possible future packet delivery — the exactness
-/// basis of the run-ahead cross-tile slack (module docs). Returns
+/// basis of the scheduler's cross-tile slack (module docs). Returns
 /// `(senders_to, min_direct, min_indirect)`: per-target incoming edges
 /// (self-edges excluded), the per-target cheapest direct edge, and the
 /// per-target two-hop cost floor.
@@ -3784,8 +3677,7 @@ halt
         assert!(NodeSim::new(cfg, &img, SimMode::Timing, &NoiseModel::noiseless()).is_err());
     }
 
-    const ALL_ENGINES: [SimEngine; 3] =
-        [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled];
+    const ALL_ENGINES: [SimEngine; 2] = [SimEngine::Reference, SimEngine::Compiled];
 
     /// Runs one image under every engine, asserts the stats are
     /// bit-identical, and returns them.
@@ -3797,9 +3689,7 @@ halt
             sim.stats().clone()
         };
         let reference = run(SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            assert_eq!(reference, run(engine), "{engine:?} diverged from Reference");
-        }
+        assert_eq!(reference, run(SimEngine::Compiled), "Compiled diverged from Reference");
         reference
     }
 
@@ -4016,30 +3906,29 @@ halt
     }
 
     #[test]
-    fn compiled_runs_leave_an_adopted_image_refcount_alone() {
+    fn forks_share_the_compiled_build_and_runs_leave_its_refcount_alone() {
         let cfg = tiny_config(1);
         let finite = image_with_core_program(&cfg, "set r0 7\nset r1 5\niadd r2 r0 r1\nhalt\n");
         let runaway = image_with_core_program(&cfg, "jmp 0\nhalt\n");
         for (img, capped) in [(&finite, false), (&runaway, true)] {
-            let mut owner =
-                NodeSim::new(cfg, img, SimMode::Timing, &NoiseModel::noiseless()).unwrap();
-            owner.set_engine(SimEngine::Compiled);
-            let image = owner.compiled_image().unwrap();
-            let mut sim =
-                NodeSim::new(cfg, img, SimMode::Timing, &NoiseModel::noiseless()).unwrap();
-            sim.adopt_compiled_image(Arc::clone(&image));
-            sim.set_engine(SimEngine::Compiled);
-            sim.set_max_cycles(10_000);
+            let owner =
+                NodeSim::new(cfg, img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
+            let image = Arc::clone(owner.compiled.as_ref().unwrap());
+            let mut forks = vec![owner.fork_replica(), owner.fork_lanes(4).unwrap()];
             let count = Arc::strong_count(&image);
-            let mut runs = Vec::new();
-            for _ in 0..2 {
-                sim.reset();
-                runs.push(sim.run().map(|stats| stats.cycles).map_err(|e| e.to_string()));
-                assert_eq!(Arc::strong_count(&image), count, "capped: {capped}");
-                assert!(Arc::ptr_eq(&sim.compiled_image().unwrap(), &image));
+            for sim in &mut forks {
+                assert!(Arc::ptr_eq(sim.compiled.as_ref().unwrap(), &image), "fork rebuilt");
+                sim.set_max_cycles(10_000);
+                let mut runs = Vec::new();
+                for _ in 0..2 {
+                    sim.reset();
+                    runs.push(sim.run().map(|stats| stats.cycles).map_err(|e| e.to_string()));
+                    assert_eq!(Arc::strong_count(&image), count, "capped: {capped}");
+                    assert!(Arc::ptr_eq(sim.compiled.as_ref().unwrap(), &image));
+                }
+                assert_eq!(runs[0].is_err(), capped, "{runs:?}");
+                assert_eq!(runs[0], runs[1], "the next run reuses the image");
             }
-            assert_eq!(runs[0].is_err(), capped, "{runs:?}");
-            assert_eq!(runs[0], runs[1], "the next run reuses the image");
         }
     }
 
@@ -4210,7 +4099,7 @@ halt
         // bulk-charge the segment only while it fits under the cap, then
         // must degrade to per-instruction stepping so the fault lands on
         // the identical instruction — observable as bit-identical stats
-        // at the fault across all three engines.
+        // at the fault on both engines.
         let img = image_with_core_program(
             &cfg,
             "set r0 1\nset r1 2\nmvm 1 0 0\nset r2 3\nset r3 4\njmp 0\nhalt\n",
@@ -4229,8 +4118,6 @@ halt
             sim.stats().clone()
         };
         let reference = run(SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            assert_eq!(reference, run(engine), "{engine:?} diverged at the cycle cap");
-        }
+        assert_eq!(reference, run(SimEngine::Compiled), "Compiled diverged at the cycle cap");
     }
 }

@@ -25,7 +25,7 @@
 //!   request's segments, and outputs stay bit-identical to sequential
 //!   execution.
 //! - The scheduler always advances the globally earliest work and hands
-//!   run-ahead nodes a conservative external horizon (in-flight packets,
+//!   each node a conservative external horizon (in-flight packets,
 //!   other resident nodes' next events, scheduled segment starts, and
 //!   pending arrivals, each plus the link latency), exactly generalizing
 //!   the [`crate::ClusterSim`] lookahead rule.
@@ -35,7 +35,7 @@
 //! stage* (node 0), and are **shed** — rejected without executing — when
 //! the queue is full at their arrival.
 
-use crate::compiled::CompiledImage;
+use crate::cluster::ClusterSim;
 use crate::fifo::Packet;
 use crate::machine::{NodeSim, SimEngine, SimMode};
 use crate::stats::RunStats;
@@ -46,7 +46,6 @@ use puma_isa::MachineImage;
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// One request submitted to [`PipelineSim::serve`].
 #[derive(Debug, Clone)]
@@ -175,12 +174,11 @@ pub struct PipelineSim {
 
 impl PipelineSim {
     /// Builds one simulator per image over the default interconnect
-    /// (mirrors [`crate::ClusterSim::new`]).
+    /// (see [`ClusterSim::new`]).
     ///
     /// # Errors
     ///
-    /// Propagates per-node construction failures; rejects an empty image
-    /// list and clusters larger than the 256-node `send` addressing range.
+    /// See [`ClusterSim::new`].
     pub fn new(
         cfg: NodeConfig,
         images: &[MachineImage],
@@ -194,7 +192,7 @@ impl PipelineSim {
     ///
     /// # Errors
     ///
-    /// See [`PipelineSim::new`].
+    /// See [`ClusterSim::new`].
     pub fn with_interconnect(
         cfg: NodeConfig,
         images: &[MachineImage],
@@ -202,22 +200,16 @@ impl PipelineSim {
         noise: &NoiseModel,
         interconnect: InterconnectConfig,
     ) -> Result<Self> {
-        if images.is_empty() {
-            return Err(PumaError::InvalidConfig {
-                what: "a pipeline needs at least one node image".to_string(),
-            });
-        }
-        if images.len() > u8::MAX as usize + 1 {
-            return Err(PumaError::InvalidConfig {
-                what: format!("{} nodes exceed the 256-node send addressing range", images.len()),
-            });
-        }
-        let mut nodes = Vec::with_capacity(images.len());
-        for (i, image) in images.iter().enumerate() {
-            let mut sim = NodeSim::new(cfg, image, mode, noise)?;
-            sim.join_cluster(i as u16, images.len() as u16, interconnect);
-            nodes.push(sim);
-        }
+        ClusterSim::with_interconnect(cfg, images, mode, noise, interconnect)
+            .map(Self::from_cluster)
+    }
+
+    /// Serves a cluster's nodes as pipeline stages. The nodes keep
+    /// everything they share with the cluster's other forks — programs,
+    /// programmed crossbars and the compiled micro-op build — so a
+    /// pipeline over [`ClusterSim::fork_replica`] costs no rebuild.
+    pub fn from_cluster(cluster: ClusterSim) -> PipelineSim {
+        let (nodes, interconnect) = cluster.into_nodes();
         let mut input_owner = HashMap::new();
         let mut output_names = Vec::with_capacity(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
@@ -226,7 +218,7 @@ impl PipelineSim {
             }
             output_names.push(node.output_names().iter().map(|s| s.to_string()).collect());
         }
-        Ok(PipelineSim { nodes, interconnect, input_owner, output_names })
+        PipelineSim { nodes, interconnect, input_owner, output_names }
     }
 
     /// Number of pipeline stages (nodes).
@@ -238,22 +230,6 @@ impl PipelineSim {
     pub fn set_engine(&mut self, engine: SimEngine) {
         for node in &mut self.nodes {
             node.set_engine(engine);
-        }
-    }
-
-    /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order (see [`crate::ClusterSim::compiled_images`]).
-    pub fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
-        self.nodes.iter().map(NodeSim::compiled_image).collect()
-    }
-
-    /// Adopts pre-decoded images compiled by a replica of the same
-    /// sharded model, one per node in node order (see
-    /// [`NodeSim::adopt_compiled_image`]).
-    pub fn adopt_compiled_images(&mut self, images: &[Arc<CompiledImage>]) {
-        debug_assert_eq!(images.len(), self.nodes.len(), "one compiled image per node");
-        for (node, image) in self.nodes.iter_mut().zip(images) {
-            node.adopt_compiled_image(Arc::clone(image));
         }
     }
 
@@ -433,7 +409,7 @@ impl PipelineSim {
                     let t = requests[r].arrival;
                     let waiting = state.admitted.len() - state.entry_started;
                     // The entry worker counts as idle only once its last
-                    // segment's span has elapsed (`free_at`): run-ahead may
+                    // segment's span has elapsed (`free_at`): the scheduler may
                     // *process* a retirement early, but the stage is still
                     // busy until its simulated completion time — admission
                     // must not depend on the engine's processing order.
@@ -466,7 +442,7 @@ impl PipelineSim {
                     }
                 }
                 Action::Step(j) => {
-                    // Conservative run-ahead horizon: the earliest cycle
+                    // Conservative external horizon: the earliest cycle
                     // any external packet could still reach this node —
                     // through an in-flight packet, a send from another
                     // resident node's next event, a segment that is
@@ -860,7 +836,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_keep_their_own_data() {
-        for engine in [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled] {
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
             let mut sim = pipeline(&two_stage_images(), engine);
             let requests: Vec<PipelineRequest> =
                 (0..5).map(|i| request(0, 0.25 * (i + 1) as f32)).collect();
@@ -897,13 +873,12 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let reference = run(SimEngine::Reference);
-        assert_eq!(reference, run(SimEngine::RunAhead));
         assert_eq!(reference, run(SimEngine::Compiled));
     }
 
     #[test]
     fn serve_replays_identically() {
-        let mut sim = pipeline(&two_stage_images(), SimEngine::RunAhead);
+        let mut sim = pipeline(&two_stage_images(), SimEngine::Compiled);
         let requests: Vec<PipelineRequest> =
             (0..3).map(|i| request(50 * i, 0.2 * (i + 1) as f32)).collect();
         let a = sim.serve(&[], &requests, None).unwrap();
@@ -914,6 +889,33 @@ mod tests {
             assert_eq!(ra.stats, rb.stats);
         }
         assert_eq!(a.stages, b.stages);
+    }
+
+    #[test]
+    fn pipelines_from_a_cluster_share_its_compiled_builds() {
+        let cluster = ClusterSim::new(
+            tiny_config(),
+            &two_stage_images(),
+            SimMode::Functional,
+            &NoiseModel::noiseless(),
+        )
+        .unwrap();
+        let mut sim = PipelineSim::from_cluster(cluster.fork_replica());
+        for (a, b) in cluster.nodes().iter().zip(&sim.nodes) {
+            let (a, b) = (a.compiled.as_ref().unwrap(), b.compiled.as_ref().unwrap());
+            assert!(std::sync::Arc::ptr_eq(a, b), "the pipeline must share the build");
+        }
+        let requests: Vec<PipelineRequest> =
+            (0..3).map(|i| request(50 * i, 0.2 * (i + 1) as f32)).collect();
+        let ours = sim.serve(&[], &requests, None).unwrap();
+        let theirs =
+            pipeline(&two_stage_images(), SimEngine::Compiled).serve(&[], &requests, None).unwrap();
+        for (a, b) in ours.results.iter().zip(&theirs.results) {
+            assert_eq!(
+                (&a.outputs, a.start, a.finish, &a.stats),
+                (&b.outputs, b.start, b.finish, &b.stats)
+            );
+        }
     }
 
     #[test]

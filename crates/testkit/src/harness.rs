@@ -12,10 +12,10 @@ use puma_sim::{ClusterSim, NodeSim, RunStats, SimEngine, SimMode};
 use puma_xbar::NoiseModel;
 use std::collections::HashMap;
 
-/// The suite-wide default execution engine: `PUMA_ENGINE=reference`,
-/// `PUMA_ENGINE=runahead`, or `PUMA_ENGINE=compiled` overrides
-/// [`SimEngine::default`], so CI can run the whole differential surface
-/// under any engine (the three-engine matrix) without code changes.
+/// The suite-wide default execution engine: `PUMA_ENGINE=reference` or
+/// `PUMA_ENGINE=compiled` overrides [`SimEngine::default`], so CI can run
+/// the whole differential surface under either engine (the two-engine
+/// matrix) without code changes.
 ///
 /// # Panics
 ///
@@ -23,14 +23,16 @@ use std::collections::HashMap;
 /// matrix must fail loudly, not silently collapse the legs onto the
 /// default engine.
 pub fn default_engine() -> SimEngine {
-    match std::env::var("PUMA_ENGINE").as_deref() {
-        Err(_) => SimEngine::default(),
-        Ok("reference") => SimEngine::Reference,
-        Ok("runahead" | "run_ahead" | "run-ahead") => SimEngine::RunAhead,
-        Ok("compiled") => SimEngine::Compiled,
-        Ok(other) => {
-            panic!("unrecognized PUMA_ENGINE {other:?} (use reference|runahead|compiled)")
-        }
+    engine_named(std::env::var("PUMA_ENGINE").ok().as_deref())
+}
+
+/// [`default_engine`]'s parse of a `PUMA_ENGINE` value (`None` = unset).
+fn engine_named(name: Option<&str>) -> SimEngine {
+    match name {
+        None => SimEngine::default(),
+        Some("reference") => SimEngine::Reference,
+        Some("compiled") => SimEngine::Compiled,
+        Some(other) => panic!("unrecognized PUMA_ENGINE {other:?} (use reference|compiled)"),
     }
 }
 
@@ -114,7 +116,7 @@ pub fn run_functional_with_options(
 /// Compiles `model` and runs one inference on a chosen [`SimMode`] and
 /// [`SimEngine`], returning the outputs **and** the run statistics — the
 /// entry point of the engine-differential suites, which pin `RunStats`
-/// equality between [`SimEngine::Reference`] and [`SimEngine::RunAhead`].
+/// equality between [`SimEngine::Reference`] and [`SimEngine::Compiled`].
 ///
 /// # Errors
 ///
@@ -360,5 +362,18 @@ mod tests {
         let err = compare_outputs(&got, &want, 0.05).unwrap_err();
         assert!(err.contains("z"), "{err}");
         assert!(compare_outputs(&got, &got.clone(), 0.0).is_ok());
+    }
+
+    #[test]
+    fn engine_names_are_reference_and_compiled() {
+        assert_eq!(engine_named(None), SimEngine::Compiled);
+        assert_eq!(engine_named(Some("reference")), SimEngine::Reference);
+        assert_eq!(engine_named(Some("compiled")), SimEngine::Compiled);
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized PUMA_ENGINE \"runahead\" (use reference|compiled)")]
+    fn retired_engine_name_panics() {
+        engine_named(Some("runahead"));
     }
 }

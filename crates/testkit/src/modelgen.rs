@@ -111,7 +111,9 @@ pub fn any_case() -> impl Strategy<Value = ModelCase> {
 ///
 /// These are *specs*, not graphs: CNNs compile through the control-flow
 /// code generator rather than the dataflow graph compiler, and their
-/// differential reference is `CompiledCnn::reference`.
+/// differential reference is `CompiledCnn::reference`. Every spec builds
+/// on the default node configuration: the dense head's input fits one
+/// core's crossbars.
 pub fn cnn_spec() -> impl Strategy<Value = WorkloadSpec> {
     (
         prop::sample::select(vec![7usize, 8, 10, 12]),
@@ -146,6 +148,11 @@ pub fn cnn_spec() -> impl Strategy<Value = WorkloadSpec> {
                 layers,
                 seq_len: 1,
             }
+        })
+        .prop_filter("the dense head fits one default core's crossbars", |spec| {
+            let core = puma_core::config::NodeConfig::default().tile.core;
+            matches!(spec.layers.last(), Some(LayerSpec::Fc { input, .. })
+                if input.div_ceil(core.mvmu.dim) <= core.mvmus_per_core)
         })
 }
 
@@ -368,7 +375,7 @@ pub fn lattice_images(
 /// running producer/consumer handoffs over the attribute buffer, with no
 /// cross-tile traffic to couple them. (Contrast with [`lattice_images`],
 /// a *serial* token wave where at most a few stages are ever runnable —
-/// the run-ahead engine's structural worst case.) Outputs
+/// the run-ahead scheduler's structural worst case.) Outputs
 /// `t<tile>acc<consumer>` hold each consumer's accumulated sum.
 ///
 /// # Panics
@@ -618,6 +625,8 @@ mod tests {
             assert_eq!(spec.class, WorkloadClass::Cnn);
             assert!(spec.layers.len() >= 2);
             assert!(spec.params() > 0);
+            let cfg = puma_core::config::NodeConfig::default();
+            assert!(puma_nn::cnn::build_cnn(&spec, &cfg, true, 0).is_ok(), "{}", spec.name);
         }
     }
 }

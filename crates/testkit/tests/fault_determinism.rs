@@ -12,8 +12,8 @@
 //! counts. Fault realizations are *injected* nondeterminism, never
 //! *host* nondeterminism.
 //!
-//! The suite honours `PUMA_ENGINE`, so CI's three-engine matrix pins
-//! both halves under the reference, run-ahead, and compiled engines.
+//! The suite honours `PUMA_ENGINE`, so CI's two-engine matrix pins
+//! both halves under the reference and compiled engines.
 
 use puma::runtime::{Disposition, ServeRunner};
 use puma_compiler::{CompilerOptions, Partitioning};
@@ -26,7 +26,7 @@ use puma_testkit::harness::{
 use puma_testkit::modelgen;
 use puma_xbar::NoiseModel;
 
-const ENGINES: [SimEngine; 3] = [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled];
+const ENGINES: [SimEngine; 2] = [SimEngine::Reference, SimEngine::Compiled];
 
 /// An empty plan that is *not* the default value: nonzero seed and a
 /// custom delay constant, but no active fault. Must be indistinguishable
@@ -40,7 +40,7 @@ fn with_faults(cfg: &NodeConfig, faults: FaultPlan) -> NodeConfig {
 }
 
 /// Standalone node: an empty fault plan is bit-identical to a
-/// plan-absent config — outputs *and* `RunStats` — on all three engines.
+/// plan-absent config — outputs *and* `RunStats` — on both engines.
 #[test]
 fn empty_plan_matches_plan_absent_on_every_engine() {
     let case = &modelgen::simulable_zoo_cases(7)[0];
@@ -149,7 +149,7 @@ fn empty_plan_matches_plan_absent_on_pipeline_serving() {
 }
 
 /// Crossbar cell faults (stuck cells + dead columns) replay bit-exactly
-/// across the three engines: outputs *and* `RunStats` (including the
+/// across both engines: outputs *and* `RunStats` (including the
 /// fault counters) agree, and a different seed yields an independent
 /// realization.
 #[test]

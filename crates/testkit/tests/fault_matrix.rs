@@ -97,7 +97,7 @@ fn dead_columns_degrade_outputs_without_aborting() {
 
 /// Hard tile death mid-run: the run aborts with the typed
 /// [`PumaError::FaultedTile`] naming the dead tile and death cycle —
-/// identically on all three engines (the death is keyed to
+/// identically on both engines (the death is keyed to
 /// engine-invariant instruction-start timestamps).
 #[test]
 fn tile_death_surfaces_as_typed_fault_on_every_engine() {
@@ -111,11 +111,7 @@ fn tile_death_surfaces_as_typed_fault_on_every_engine() {
     assert!(compiled.stats.tiles_used >= 2, "the death diagnosis needs a blocked co-tile");
     let dead = TileDeath { node: 0, tile: 0, at_cycle: 100 };
     let faulty = with_faults(&cfg, FaultPlan { tile_death: Some(dead), ..FaultPlan::none() });
-    for engine in [
-        puma_sim::SimEngine::Reference,
-        puma_sim::SimEngine::RunAhead,
-        puma_sim::SimEngine::Compiled,
-    ] {
+    for engine in [puma_sim::SimEngine::Reference, puma_sim::SimEngine::Compiled] {
         let err = run_with_engine(
             &case.model,
             &faulty,

@@ -30,7 +30,7 @@ use puma_xbar::NoiseModel;
 use std::collections::HashMap;
 
 /// The engines that serve in lanes (the Reference engine never does).
-const LANE_ENGINES: [SimEngine; 2] = [SimEngine::RunAhead, SimEngine::Compiled];
+const LANE_ENGINES: [SimEngine; 1] = [SimEngine::Compiled];
 
 /// One request run alone on a fresh simulator.
 type Solo = Result<(HashMap<String, Vec<f32>>, RunStats)>;

@@ -5,8 +5,8 @@
 //! so they contribute zero events, cycles, and energy — any divergence
 //! is a tenancy-isolation bug, not noise.
 //!
-//! The suite honours `PUMA_ENGINE`, so CI's three-engine matrix pins the
-//! invariant under the reference, run-ahead, and compiled engines.
+//! The suite honours `PUMA_ENGINE`, so CI's two-engine matrix pins the
+//! invariant under the reference and compiled engines.
 
 use std::collections::HashMap;
 

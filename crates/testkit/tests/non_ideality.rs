@@ -4,7 +4,7 @@
 //!
 //! 1. **Disabled ≡ absent**: an ideal [`NonIdealityConfig`] (all knobs
 //!    zero, any seed) is bit-identical — outputs *and* [`RunStats`] — to
-//!    the config-absent default, under all three engines. The simulator
+//!    the config-absent default, under both engines. The simulator
 //!    routes ideal configs through the untouched exact MVM path, so this
 //!    pins that the layer cannot perturb the existing differential
 //!    suites.
@@ -12,7 +12,7 @@
 //!    across runs and across engines. Perturbations are counter-based
 //!    hashes of `(seed, site, cell, time index)`, and the per-MVM time
 //!    index is engine-identical, so the noisy path inherits the
-//!    three-engine bit-identity of the ideal one.
+//!    two-engine bit-identity of the ideal one.
 
 use proptest::prelude::*;
 use puma_core::config::{MvmuConfig, NonIdealityConfig};
@@ -20,7 +20,7 @@ use puma_sim::{SimEngine, SimMode};
 use puma_testkit::harness::{run_with_engine, small_node_config};
 use puma_testkit::modelgen;
 
-const ENGINES: [SimEngine; 3] = [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled];
+const ENGINES: [SimEngine; 2] = [SimEngine::Reference, SimEngine::Compiled];
 
 /// A representative degraded config: every knob active plus a narrowed
 /// ADC, magnitudes small enough that the zoo models still execute.
@@ -71,8 +71,8 @@ fn ideal_config_is_bit_identical_to_absent_on_every_engine() {
     }
 }
 
-/// A degraded config produces bit-identical outputs and stats across all
-/// three engines, replays bit-exactly, and attributes every MVM.
+/// A degraded config produces bit-identical outputs and stats across
+/// both engines, replays bit-exactly, and attributes every MVM.
 #[test]
 fn degraded_config_is_engine_invariant_and_replays() {
     let options = puma_compiler::CompilerOptions::default();
@@ -127,7 +127,7 @@ fn reseeding_changes_outputs_but_not_timing() {
         &options,
         &case.inputs,
         SimMode::Functional,
-        SimEngine::RunAhead,
+        SimEngine::Compiled,
     )
     .expect("seed-1 run");
     cfg.non_ideality.seed = 2;
@@ -137,7 +137,7 @@ fn reseeding_changes_outputs_but_not_timing() {
         &options,
         &case.inputs,
         SimMode::Functional,
-        SimEngine::RunAhead,
+        SimEngine::Compiled,
     )
     .expect("seed-2 run");
     assert_ne!(out_a, out_b, "independent seeds must realize different noise");
@@ -190,7 +190,6 @@ proptest! {
             noisy_runs.push(run(&noisy));
             prop_assert_eq!(&noisy_runs[0], &run(&noisy), "{:?}: degraded replay", engine);
         }
-        prop_assert_eq!(&noisy_runs[0], &noisy_runs[1], "run-ahead degraded leg diverged");
-        prop_assert_eq!(&noisy_runs[0], &noisy_runs[2], "compiled degraded leg diverged");
+        prop_assert_eq!(&noisy_runs[0], &noisy_runs[1], "compiled degraded leg diverged");
     }
 }

@@ -3,8 +3,8 @@
 //! tile's agents are **disjoint** — this suite pins both sides of that
 //! contract. Fuzzed disjoint-range producer/consumer pair images (each
 //! pair its own conflict group) must stay **bit-identical** — outputs
-//! *and* [`RunStats`] — across [`SimEngine::Reference`],
-//! [`SimEngine::RunAhead`], and [`SimEngine::Compiled`], and the
+//! *and* [`RunStats`] — across [`SimEngine::Reference`] and
+//! [`SimEngine::Compiled`], and the
 //! partially-overlapping ping-pong adversary (one conflict group, where
 //! admitting run-ahead would reorder a store past an unconsumed word)
 //! must too. Each shape also runs under [`ClusterSim`] and
@@ -46,17 +46,16 @@ fn run_node(
     (outputs, sim.stats().clone())
 }
 
-/// Asserts all three engines agree bit-for-bit on a single-node image, in
+/// Asserts both engines agree bit-for-bit on a single-node image, in
 /// both simulation modes, and returns the functional outputs.
 fn assert_node_engines_agree(image: &puma_isa::MachineImage) -> HashMap<String, Vec<Fixed>> {
     let mut functional_out = HashMap::new();
     for mode in [SimMode::Functional, SimMode::Timing] {
         let (ref_out, ref_stats) = run_node(image, mode, SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            let (out, stats) = run_node(image, mode, engine);
-            assert_eq!(ref_out, out, "{mode:?} {engine:?}: outputs diverged");
-            assert_eq!(ref_stats, stats, "{mode:?} {engine:?}: RunStats diverged");
-        }
+        let engine = SimEngine::Compiled;
+        let (out, stats) = run_node(image, mode, engine);
+        assert_eq!(ref_out, out, "{mode:?} {engine:?}: outputs diverged");
+        assert_eq!(ref_stats, stats, "{mode:?} {engine:?}: RunStats diverged");
         if mode == SimMode::Functional {
             functional_out = ref_out;
         }
@@ -68,7 +67,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Fuzzed disjoint-range pair images: every pair is its own conflict
-    /// group, so the run-ahead engine may slide one pair's instructions
+    /// group, so the compiled engine may slide one pair's instructions
     /// past another pair's pending same-tile deliveries — and must still
     /// be bit-identical to the reference interleaving.
     #[test]
@@ -136,14 +135,13 @@ proptest! {
             let (ref_out, ref_stats) = run_cluster(mode, SimEngine::Reference);
             prop_assert!(ref_stats.internode_words > 0, "chain must talk over the link");
             prop_assert_eq!(ref_out.len(), nodes * pairs + 1);
-            for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-                let (out, stats) = run_cluster(mode, engine);
-                prop_assert_eq!(&ref_out, &out, "{:?} {:?}: cluster outputs diverged", mode, engine);
-                prop_assert_eq!(
-                    &ref_stats, &stats,
-                    "{:?} {:?}: cluster RunStats diverged", mode, engine
-                );
-            }
+            let engine = SimEngine::Compiled;
+            let (out, stats) = run_cluster(mode, engine);
+            prop_assert_eq!(&ref_out, &out, "{:?} {:?}: cluster outputs diverged", mode, engine);
+            prop_assert_eq!(
+                &ref_stats, &stats,
+                "{:?} {:?}: cluster RunStats diverged", mode, engine
+            );
         }
     }
 
@@ -171,23 +169,22 @@ proptest! {
             sim.serve(&[], &pipeline_requests, None).expect("pipeline serves")
         };
         let reference = serve(SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            let other = serve(engine);
-            prop_assert_eq!(reference.shed, other.shed);
-            prop_assert_eq!(reference.max_concurrent, other.max_concurrent);
-            prop_assert_eq!(reference.makespan, other.makespan);
-            prop_assert_eq!(
-                &reference.stages, &other.stages,
-                "{:?}: stage occupancy diverged", engine
-            );
-            prop_assert_eq!(reference.results.len(), other.results.len());
-            for (i, (a, b)) in reference.results.iter().zip(other.results.iter()).enumerate() {
-                prop_assert_eq!(a.admitted, b.admitted, "request {} admission diverged", i);
-                prop_assert_eq!(a.start, b.start, "request {} start diverged", i);
-                prop_assert_eq!(a.finish, b.finish, "request {} finish diverged", i);
-                prop_assert_eq!(&a.outputs, &b.outputs, "request {} outputs diverged", i);
-                prop_assert_eq!(&a.stats, &b.stats, "request {} stats diverged", i);
-            }
+        let engine = SimEngine::Compiled;
+        let other = serve(engine);
+        prop_assert_eq!(reference.shed, other.shed);
+        prop_assert_eq!(reference.max_concurrent, other.max_concurrent);
+        prop_assert_eq!(reference.makespan, other.makespan);
+        prop_assert_eq!(
+            &reference.stages, &other.stages,
+            "{:?}: stage occupancy diverged", engine
+        );
+        prop_assert_eq!(reference.results.len(), other.results.len());
+        for (i, (a, b)) in reference.results.iter().zip(other.results.iter()).enumerate() {
+            prop_assert_eq!(a.admitted, b.admitted, "request {} admission diverged", i);
+            prop_assert_eq!(a.start, b.start, "request {} start diverged", i);
+            prop_assert_eq!(a.finish, b.finish, "request {} finish diverged", i);
+            prop_assert_eq!(&a.outputs, &b.outputs, "request {} outputs diverged", i);
+            prop_assert_eq!(&a.stats, &b.stats, "request {} stats diverged", i);
         }
     }
 }

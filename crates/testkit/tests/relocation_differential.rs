@@ -8,8 +8,8 @@
 //! idle tiles never prime — so any divergence here is a renumbering bug,
 //! not tolerance noise.
 //!
-//! The suite honours `PUMA_ENGINE`, so CI's three-engine matrix pins the
-//! invariant under the reference, run-ahead, and compiled engines.
+//! The suite honours `PUMA_ENGINE`, so CI's two-engine matrix pins the
+//! invariant under the reference and compiled engines.
 
 use proptest::prelude::*;
 use puma_compiler::relocate_image;

@@ -3,9 +3,8 @@
 //! handoffs — exactly the traffic where the run-ahead scheduler's
 //! per-tile event horizons, inline wake continuations, and
 //! condition-indexed wake-ups operate. Every case pins **bit-identical**
-//! outputs *and* [`RunStats`] across [`SimEngine::Reference`],
-//! [`SimEngine::RunAhead`], and [`SimEngine::Compiled`], standalone and —
-//! where the external horizon
+//! outputs *and* [`RunStats`] across [`SimEngine::Reference`] and
+//! [`SimEngine::Compiled`], standalone and — where the external horizon
 //! interacts with the per-tile horizons — under [`ClusterSim`] and
 //! [`PipelineSim`].
 
@@ -44,7 +43,7 @@ fn run_node(
     (outputs, sim.stats().clone())
 }
 
-/// Asserts all three engines agree bit-for-bit on a single-node image, in
+/// Asserts both engines agree bit-for-bit on a single-node image, in
 /// both simulation modes, and returns the functional outputs.
 fn assert_node_engines_agree(
     image: &puma_isa::MachineImage,
@@ -53,11 +52,10 @@ fn assert_node_engines_agree(
     let mut functional_out = HashMap::new();
     for mode in [SimMode::Functional, SimMode::Timing] {
         let (ref_out, ref_stats) = run_node(image, inputs, mode, SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            let (out, stats) = run_node(image, inputs, mode, engine);
-            assert_eq!(ref_out, out, "{mode:?} {engine:?}: outputs diverged");
-            assert_eq!(ref_stats, stats, "{mode:?} {engine:?}: RunStats diverged");
-        }
+        let engine = SimEngine::Compiled;
+        let (out, stats) = run_node(image, inputs, mode, engine);
+        assert_eq!(ref_out, out, "{mode:?} {engine:?}: outputs diverged");
+        assert_eq!(ref_stats, stats, "{mode:?} {engine:?}: RunStats diverged");
         if mode == SimMode::Functional {
             functional_out = ref_out;
         }
@@ -153,14 +151,13 @@ proptest! {
         };
         for mode in [SimMode::Functional, SimMode::Timing] {
             let (ref_out, ref_stats) = run_cluster(mode, SimEngine::Reference);
-            for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-                let (out, stats) = run_cluster(mode, engine);
-                prop_assert_eq!(&ref_out, &out, "{:?} {:?}: cluster outputs diverged", mode, engine);
-                prop_assert_eq!(
-                    &ref_stats, &stats,
-                    "{:?} {:?}: cluster RunStats diverged", mode, engine
-                );
-            }
+            let engine = SimEngine::Compiled;
+            let (out, stats) = run_cluster(mode, engine);
+            prop_assert_eq!(&ref_out, &out, "{:?} {:?}: cluster outputs diverged", mode, engine);
+            prop_assert_eq!(
+                &ref_stats, &stats,
+                "{:?} {:?}: cluster RunStats diverged", mode, engine
+            );
             if shards > 1 {
                 prop_assert!(ref_stats.internode_words > 0, "shards must talk over the link");
             }
@@ -197,23 +194,22 @@ proptest! {
             sim.serve(&[], &pipeline_requests, None).expect("pipeline serves")
         };
         let reference = serve(SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            let other = serve(engine);
-            prop_assert_eq!(reference.shed, other.shed);
-            prop_assert_eq!(reference.max_concurrent, other.max_concurrent);
-            prop_assert_eq!(reference.makespan, other.makespan);
-            prop_assert_eq!(
-                &reference.stages, &other.stages,
-                "{:?}: stage occupancy diverged", engine
-            );
-            prop_assert_eq!(reference.results.len(), other.results.len());
-            for (i, (a, b)) in reference.results.iter().zip(other.results.iter()).enumerate() {
-                prop_assert_eq!(a.admitted, b.admitted, "request {} admission diverged", i);
-                prop_assert_eq!(a.start, b.start, "request {} start diverged", i);
-                prop_assert_eq!(a.finish, b.finish, "request {} finish diverged", i);
-                prop_assert_eq!(&a.outputs, &b.outputs, "request {} outputs diverged", i);
-                prop_assert_eq!(&a.stats, &b.stats, "request {} stats diverged", i);
-            }
+        let engine = SimEngine::Compiled;
+        let other = serve(engine);
+        prop_assert_eq!(reference.shed, other.shed);
+        prop_assert_eq!(reference.max_concurrent, other.max_concurrent);
+        prop_assert_eq!(reference.makespan, other.makespan);
+        prop_assert_eq!(
+            &reference.stages, &other.stages,
+            "{:?}: stage occupancy diverged", engine
+        );
+        prop_assert_eq!(reference.results.len(), other.results.len());
+        for (i, (a, b)) in reference.results.iter().zip(other.results.iter()).enumerate() {
+            prop_assert_eq!(a.admitted, b.admitted, "request {} admission diverged", i);
+            prop_assert_eq!(a.start, b.start, "request {} start diverged", i);
+            prop_assert_eq!(a.finish, b.finish, "request {} finish diverged", i);
+            prop_assert_eq!(&a.outputs, &b.outputs, "request {} outputs diverged", i);
+            prop_assert_eq!(&a.stats, &b.stats, "request {} stats diverged", i);
         }
     }
 }

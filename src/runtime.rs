@@ -37,7 +37,7 @@
 //! the request starts, so a request it sheds is never simulated.
 
 use puma_compiler::{
-    compile, compose_fabric, fit_config, relocate_image, CompiledModel, CompilerOptions, Resident,
+    compile, compose_fabric, fit_config, CompiledModel, CompilerOptions, Resident,
 };
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
@@ -45,8 +45,8 @@ use puma_core::fixed::Fixed;
 use puma_core::timing::TrafficPattern;
 use puma_isa::MachineImage;
 use puma_sim::{
-    ClusterSim, CompiledImage, NodeSim, PipelineRequest, PipelineSim, ResidentModel, RunStats,
-    SimEngine, SimMode, StageStats,
+    ClusterSim, NodeSim, PipelineRequest, PipelineSim, ResidentModel, RunStats, SimEngine, SimMode,
+    StageStats,
 };
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
@@ -172,30 +172,9 @@ impl SimBackend {
         }
     }
 
-    /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order (`None` until an engine selection compiled them).
-    fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
-        match self {
-            SimBackend::Node(s) => s.compiled_image().map(|image| vec![image]),
-            SimBackend::Cluster(s) => s.compiled_images(),
-        }
-    }
-
-    /// Adopts pre-decoded images compiled by another replica of the same
-    /// model (the images are read-only and shared, not recompiled).
-    fn adopt_compiled_images(&mut self, images: &[Arc<CompiledImage>]) {
-        match self {
-            SimBackend::Node(s) => {
-                debug_assert_eq!(images.len(), 1, "single-node backends hold one image");
-                s.adopt_compiled_image(Arc::clone(&images[0]));
-            }
-            SimBackend::Cluster(s) => s.adopt_compiled_images(images),
-        }
-    }
-
     /// Forks a fresh worker replica with `lanes` data lanes (see
     /// [`NodeSim::fork_lanes`]; a cluster has one lane): programs,
-    /// programmed crossbars, and pre-decoded images are `Arc`-shared with
+    /// programmed crossbars, and the compiled micro-op build are `Arc`-shared with
     /// the original; only the state arenas and accumulators are allocated
     /// anew. This replaces re-running construction (and crossbar
     /// programming) per worker.
@@ -217,6 +196,14 @@ impl SimBackend {
         match self {
             SimBackend::Node(s) => s.state_bytes(),
             SimBackend::Cluster(s) => s.state_bytes(),
+        }
+    }
+
+    /// Nodes one request runs on.
+    fn node_count(&self) -> usize {
+        match self {
+            SimBackend::Node(_) => 1,
+            SimBackend::Cluster(s) => s.node_count(),
         }
     }
 }
@@ -928,13 +915,6 @@ impl BatchOutcome {
 pub struct ServeRunner {
     compiled: CompiledModel,
     plan: IoPlan,
-    /// Per-node images (one entry for single-node models; the sharded
-    /// split otherwise), computed once so workers build simulators from
-    /// ready-made programs.
-    images: Vec<MachineImage>,
-    cfg: NodeConfig,
-    mode: SimMode,
-    noise: NoiseModel,
     engine: SimEngine,
     /// Host threads used to parallelize simulation work.
     host_threads: usize,
@@ -954,17 +934,14 @@ pub struct ServeRunner {
     /// functional-mode crossbar programming) is paid once per worker
     /// across the runner's lifetime, not once per call.
     pool: Mutex<Vec<SimBackend>>,
-    /// The cached pipeline instance (built on first pipelined serve).
+    /// The cached pipeline instance (forked from the prototype on first
+    /// pipelined serve).
     pipeline_sim: Mutex<Option<PipelineSim>>,
-    /// Per-node pre-decoded images for [`SimEngine::Compiled`], compiled
-    /// once by the first worker (or pipeline) to select the engine and
-    /// adopted read-only by every later replica — the pool shares one
-    /// compiled image per node instead of recompiling per worker.
-    compiled_images: Mutex<Option<Vec<Arc<CompiledImage>>>>,
-    /// The immutable replica prototype: construction and crossbar
-    /// programming are paid once here; every pool worker is forked from
-    /// it (`Arc`-sharing programs, crossbars, and compiled images), so
-    /// growing the pool costs one arena allocation, not a rebuild.
+    /// The immutable replica prototype: construction, crossbar
+    /// programming and the micro-op build are paid once here; every pool
+    /// worker and the pipeline are forked from it (`Arc`-sharing all
+    /// three), so growing the pool costs one arena allocation, not a
+    /// rebuild.
     prototype: SimBackend,
     /// Whether workers may serve [`LANES`] requests per pass, decided once
     /// at construction: a functional, single-node model whose image
@@ -1030,10 +1007,6 @@ impl ServeRunner {
         Ok(ServeRunner {
             compiled,
             plan,
-            images,
-            cfg,
-            mode,
-            noise: noise.clone(),
             engine: SimEngine::default(),
             host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             workers: 1,
@@ -1042,7 +1015,6 @@ impl ServeRunner {
             deadline: None,
             pool: Mutex::new(Vec::new()),
             pipeline_sim: Mutex::new(None),
-            compiled_images: Mutex::new(None),
             prototype,
             lane_capable,
         })
@@ -1101,7 +1073,8 @@ impl ServeRunner {
         self
     }
 
-    /// Selects the simulator execution engine (default run-ahead).
+    /// Selects the simulator execution engine (default
+    /// [`SimEngine::Compiled`]).
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
@@ -1115,17 +1088,6 @@ impl ServeRunner {
             self.pipeline_sim.get_mut().unwrap_or_else(PoisonError::into_inner).as_mut()
         {
             p.set_engine(engine);
-        }
-        if engine == SimEngine::Compiled {
-            let cache = self.compiled_images.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if cache.is_none() {
-                *cache = self
-                    .pool
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .first()
-                    .and_then(SimBackend::compiled_images);
-            }
         }
         self
     }
@@ -1148,7 +1110,7 @@ impl ServeRunner {
     /// Number of simulated nodes each request runs on (1 unless the model
     /// was compiled with [`puma_compiler::Partitioning::Sharded`]).
     pub fn nodes_per_request(&self) -> usize {
-        self.images.len()
+        self.prototype.node_count()
     }
 
     /// Approximate bytes of per-replica mutable state — what one more
@@ -1174,18 +1136,7 @@ impl ServeRunner {
 
     fn build_sim(&self) -> Result<SimBackend> {
         let mut sim = self.prototype.fork_lanes(self.lanes())?;
-        if self.engine == SimEngine::Compiled {
-            let mut cache = self.compiled_images.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(images) = cache.as_ref() {
-                sim.adopt_compiled_images(images);
-                sim.set_engine(self.engine);
-            } else {
-                sim.set_engine(self.engine);
-                *cache = sim.compiled_images();
-            }
-        } else {
-            sim.set_engine(self.engine);
-        }
+        sim.set_engine(self.engine);
         Ok(sim)
     }
 
@@ -1257,7 +1208,7 @@ impl ServeRunner {
         // Queue order: arrival time, ties by submission index.
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| (arrivals[i], i));
-        let mut outcome = if self.pipeline && self.images.len() > 1 {
+        let mut outcome = if self.pipeline && self.nodes_per_request() > 1 {
             self.serve_pipelined(arrivals, inputs, &order)?
         } else {
             self.serve_replicated(arrivals, inputs, &order)?
@@ -1471,25 +1422,19 @@ impl ServeRunner {
         })
     }
 
-    /// Takes the cached pipeline instance or builds one (sharing any
-    /// already-compiled per-node images with the replicated pool).
+    /// Takes the cached pipeline instance or forks one from the
+    /// prototype cluster.
     fn checkout_pipeline(&self) -> Result<PipelineSim> {
         if let Some(sim) = self.pipeline_sim.lock().unwrap_or_else(PoisonError::into_inner).take() {
             return Ok(sim);
         }
-        let mut sim = PipelineSim::new(self.cfg, &self.images, self.mode, &self.noise)?;
-        if self.engine == SimEngine::Compiled {
-            let mut cache = self.compiled_images.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(images) = cache.as_ref() {
-                sim.adopt_compiled_images(images);
-                sim.set_engine(self.engine);
-            } else {
-                sim.set_engine(self.engine);
-                *cache = sim.compiled_images();
-            }
-        } else {
-            sim.set_engine(self.engine);
-        }
+        let SimBackend::Cluster(cluster) = &self.prototype else {
+            return Err(PumaError::Execution {
+                what: "internal: a pipeline needs a sharded model".to_string(),
+            });
+        };
+        let mut sim = PipelineSim::from_cluster(cluster.fork_replica());
+        sim.set_engine(self.engine);
         Ok(sim)
     }
 
@@ -1725,7 +1670,8 @@ impl BatchRunner {
         BatchRunner { inner: self.inner.with_host_threads(threads) }
     }
 
-    /// Selects the simulator execution engine (default run-ahead).
+    /// Selects the simulator execution engine (default
+    /// [`SimEngine::Compiled`]).
     #[must_use]
     pub fn with_engine(self, engine: SimEngine) -> Self {
         BatchRunner { inner: self.inner.with_engine(engine) }
@@ -2218,13 +2164,11 @@ pub struct TenantServer {
     /// Idle fabric simulators (every resident loaded), checked out by
     /// host threads during a serve — same pooling as [`ServeRunner`].
     pool: Mutex<Vec<SimBackend>>,
-    /// Per-node composed pre-decoded images for [`SimEngine::Compiled`]
-    /// (invalidated when the resident set changes).
-    node_compiled: Mutex<Option<Vec<Arc<CompiledImage>>>>,
-    /// Per-model pre-decoded builds, compiled once at the model's
-    /// deployed base and shared by `Arc` into every composed node image
-    /// and every pooled fabric replica.
-    model_compiled: Mutex<HashMap<String, Arc<CompiledImage>>>,
+    /// The fabric prototype every pooled simulator forks from: built on
+    /// the first serve after a deploy (construction, crossbar
+    /// programming and the micro-op build paid once), cleared with the
+    /// pool when the resident set changes.
+    prototype: Mutex<Option<SimBackend>>,
 }
 
 impl TenantServer {
@@ -2286,12 +2230,12 @@ impl TenantServer {
             plans: Vec::new(),
             planner: TilePlanner::new(fabric.nodes, fabric.tiles_per_node),
             pool: Mutex::new(Vec::new()),
-            node_compiled: Mutex::new(None),
-            model_compiled: Mutex::new(HashMap::new()),
+            prototype: Mutex::new(None),
         })
     }
 
-    /// Selects the simulator execution engine (default run-ahead).
+    /// Selects the simulator execution engine (default
+    /// [`SimEngine::Compiled`]).
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
@@ -2389,10 +2333,10 @@ impl TenantServer {
         };
         self.plans.push(IoPlan::new(compiled, &format!("{name}:")));
         self.deployments.push(Deployment { model: name.to_string(), node, base, tiles });
-        // The resident set changed: pooled fabrics and composed images
-        // are stale. Per-model builds stay valid (bases never move).
+        // The resident set changed: the prototype and pooled fabrics
+        // are stale.
         self.pool.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
-        *self.node_compiled.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        *self.prototype.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
         Ok(self.deployments.last().expect("just pushed"))
     }
 
@@ -2429,48 +2373,8 @@ impl TenantServer {
             .collect()
     }
 
-    /// The pre-decoded build of one deployed model, compiled **at its
-    /// deployed base** (interpreter-fallback micro-ops embed `send`
-    /// targets, so the build is position-specific) and cached — one
-    /// build per model serves every composed node image and every
-    /// pooled fabric replica.
-    fn model_compiled_at(&self, model: &str, base: usize) -> Result<Arc<CompiledImage>> {
-        let mut cache = self.model_compiled.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(img) = cache.get(model) {
-            return Ok(Arc::clone(img));
-        }
-        let compiled = self.catalog.get(model).expect("deployed models stay cataloged");
-        let mut relocated = relocate_image(&compiled.image, base)?;
-        // `CompiledImage::compose` places tiles *at* the base, so drop
-        // the relocation's empty prefix tiles.
-        relocated.tiles.drain(..base);
-        let img = Arc::new(CompiledImage::for_image(&self.cfg, self.mode, &relocated));
-        cache.insert(model.to_string(), Arc::clone(&img));
-        Ok(img)
-    }
-
-    /// Per-node composed pre-decoded images for [`SimEngine::Compiled`].
-    fn composed_compiled(&self, node_images: &[MachineImage]) -> Result<Vec<Arc<CompiledImage>>> {
-        if let Some(images) =
-            self.node_compiled.lock().unwrap_or_else(PoisonError::into_inner).as_ref()
-        {
-            return Ok(images.clone());
-        }
-        let mut composed = Vec::with_capacity(node_images.len());
-        for (node, image) in node_images.iter().enumerate() {
-            let mut parts = Vec::new();
-            for d in self.deployments.iter().filter(|d| d.node == node) {
-                parts.push((d.base, self.model_compiled_at(&d.model, d.base)?));
-            }
-            composed.push(Arc::new(CompiledImage::compose(self.mode, image.tiles.len(), &parts)));
-        }
-        *self.node_compiled.lock().unwrap_or_else(PoisonError::into_inner) = Some(composed.clone());
-        Ok(composed)
-    }
-
-    /// Builds one fabric simulator: composed per-node images, resident
-    /// registration, engine selection (sharing per-model compiled
-    /// builds under [`SimEngine::Compiled`]).
+    /// Builds the fabric prototype: composed per-node images and
+    /// resident registration.
     fn build_fabric_sim(&self) -> Result<SimBackend> {
         let images = self.node_images()?;
         // Tile death is modeled at the schedule layer (quarantine +
@@ -2485,9 +2389,18 @@ impl TenantServer {
         for node in 0..images.len() {
             sim.set_residents(node, self.residents_of(node))?;
         }
-        if self.engine == SimEngine::Compiled {
-            sim.adopt_compiled_images(&self.composed_compiled(&images)?);
-        }
+        Ok(sim)
+    }
+
+    /// Forks one pooled fabric simulator from the prototype, building the
+    /// prototype first if this is the first serve since a deploy.
+    fn fork_fabric_sim(&self) -> Result<SimBackend> {
+        let mut prototype = self.prototype.lock().unwrap_or_else(PoisonError::into_inner);
+        let prototype = match &mut *prototype {
+            Some(built) => built,
+            empty => empty.insert(self.build_fabric_sim()?),
+        };
+        let mut sim = prototype.fork_lanes(1)?;
         sim.set_engine(self.engine);
         Ok(sim)
     }
@@ -2571,7 +2484,7 @@ impl TenantServer {
             self.host_threads,
             gate.claims.len(),
             1,
-            &|| self.build_fabric_sim(),
+            &|| self.fork_fabric_sim(),
             &|sim, pass| {
                 let (s, r) = gate.claims[pass.start];
                 let plan = &self.plans[placed[s]];
