@@ -30,11 +30,14 @@
 //!
 //! Outputs, per-request statistics, latencies, and shed decisions are all
 //! functions of the request schedule alone — *never* of the host thread
-//! count. Host threads only parallelize the simulation work; the serving
-//! timeline is computed on the simulated clock, so percentiles are
-//! bit-reproducible and CI-gateable. Multi-tenant serving also lets the
-//! schedule gate the simulation: it needs a request's duration only when
-//! the request starts, so a request it sheds is never simulated.
+//! count. Host threads only parallelize the simulation work; one
+//! scheduler decides every start, finish, shed and timeout on the
+//! simulated clock, for replicated and multi-tenant serving alike, so
+//! percentiles are bit-reproducible and CI-gateable. It needs a request's
+//! duration only when the request starts, so multi-tenant serving lets
+//! it gate the simulation and never simulates a request it sheds.
+//! Replicated serving is ungated on purpose: it rarely sheds, and
+//! simulating up to four requests per pass pays more than skipping one.
 
 use puma_compiler::{
     compile, compose_fabric, fit_config, CompiledModel, CompilerOptions, Resident,
@@ -45,8 +48,8 @@ use puma_core::fixed::Fixed;
 use puma_core::timing::TrafficPattern;
 use puma_isa::MachineImage;
 use puma_sim::{
-    ClusterSim, NodeSim, PipelineRequest, PipelineSim, ResidentModel, RunStats, SimEngine, SimMode,
-    StageStats,
+    ClusterSim, NodeSim, PipelineRequest, PipelineResult, PipelineSim, ResidentModel, RunStats,
+    SimEngine, SimMode, StageStats,
 };
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
@@ -319,18 +322,26 @@ fn run_pass<S: AsRef<str>>(
         None => sim.run()?,
     };
     (0..requests.len())
-        .map(|lane| {
-            let mut out = HashMap::with_capacity(compiled.outputs.len());
-            for (io, chunks) in compiled.outputs.iter().zip(&plan.outputs) {
-                let mut data = Vec::with_capacity(io.width);
-                for chunk in chunks {
-                    data.extend(sim.read_output_lane(chunk, lane)?);
-                }
-                out.insert(io.name.clone(), data);
-            }
-            Ok(out)
-        })
+        .map(|lane| gather_outputs(compiled, plan, |chunk| sim.read_output_lane(chunk, lane)))
         .collect()
+}
+
+/// Assembles each logical output of `compiled` from its planned chunk
+/// bindings, reading each chunk with `read`.
+fn gather_outputs(
+    compiled: &CompiledModel,
+    plan: &IoPlan,
+    mut read: impl FnMut(&str) -> Result<Vec<f32>>,
+) -> Result<HashMap<String, Vec<f32>>> {
+    let mut out = HashMap::with_capacity(compiled.outputs.len());
+    for (io, chunks) in compiled.outputs.iter().zip(&plan.outputs) {
+        let mut data = Vec::with_capacity(io.width);
+        for chunk in chunks {
+            data.extend(read(chunk)?);
+        }
+        out.insert(io.name.clone(), data);
+    }
+    Ok(out)
 }
 
 /// [`run_pass`] on a simulator freshly reset to one live lane per
@@ -370,10 +381,15 @@ type Pass<'a> = dyn Fn(&mut SimBackend, Range<usize>) -> Vec<Result<RequestResul
 /// runs out. This is the one execution core of replicated and
 /// multi-tenant serving.
 ///
-/// With a `gate`, passes are single jobs: a thread skips a claim the
-/// schedule has already shed and reports every simulated duration back
-/// to it (see [`ScheduleGate`]). Results never depend on the thread
-/// count or on which jobs share a pass.
+/// With a `gate`, passes are single jobs and job `j` is the schedule's
+/// `j`-th request in merged arrival order: a thread skips a claim the
+/// schedule has already shed and records every simulated duration in
+/// it, advancing it as far as the known durations allow. Threads never
+/// wait for a decision: an undecided job — possible only with more than
+/// one host thread — is simulated speculatively. A thread that panics
+/// holding the gate re-raises when the thread scope joins, so a
+/// recovered lock never yields a schedule. Results never depend on the
+/// thread count or on which jobs share a pass.
 ///
 /// The spawned thread count is additionally capped at the host's
 /// available parallelism: each worker owns a full simulator replica
@@ -388,7 +404,7 @@ fn run_pool(
     lanes: usize,
     build: &(dyn Fn() -> Result<SimBackend> + Sync),
     simulate: &Pass<'_>,
-    gate: Option<&ScheduleGate<'_>>,
+    gate: Option<&Mutex<TenantScheduler<'_>>>,
 ) -> (Vec<Option<Result<RequestResult>>>, usize) {
     debug_assert!(lanes >= 1 && (gate.is_none() || lanes == 1), "gated passes are single jobs");
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -404,7 +420,9 @@ fn run_pool(
                     if j >= jobs {
                         break;
                     }
-                    if gate.is_some_and(|g| g.is_shed(j)) {
+                    if gate.is_some_and(|g| {
+                        g.lock().unwrap_or_else(PoisonError::into_inner).is_shed(j)
+                    }) {
                         continue;
                     }
                     let pass = j..(j + lanes).min(jobs);
@@ -425,7 +443,8 @@ fn run_pool(
                             // occupies its replica for zero cycles: the
                             // fault is reported per request, not
                             // modelled as service.
-                            g.record(j, result.as_ref().map_or(0, |ok| ok.stats.cycles));
+                            let cycles = result.as_ref().map_or(0, |ok| ok.stats.cycles);
+                            g.lock().unwrap_or_else(PoisonError::into_inner).record(j, cycles);
                         }
                         // Each index is claimed once, so the slot is empty.
                         let _ = slots[j].set(result);
@@ -438,15 +457,6 @@ fn run_pool(
         }
     });
     (slots.into_iter().map(OnceLock::into_inner).collect(), threads)
-}
-
-/// The result a pool slot must hold, or the typed error naming the
-/// missing request.
-fn claimed(
-    slot: Option<Result<RequestResult>>,
-    what: impl FnOnce() -> String,
-) -> Result<Result<RequestResult>> {
-    slot.ok_or_else(|| PumaError::Execution { what: format!("{} was never simulated", what()) })
 }
 
 /// A compiled model bound to a simulator instance.
@@ -853,7 +863,9 @@ impl BatchOutcome {
 /// counted, never buffered — which is the backpressure policy of a
 /// latency-bound serving system. At equal timestamps departures precede
 /// arrivals, so a freshly freed worker is visible to a same-cycle
-/// arrival.
+/// arrival. A request whose deadline ([`ServeRunner::with_deadline`])
+/// passes while it waits expires without taking a worker, but keeps its
+/// queue place — counting toward `depth` — until a worker would start it.
 ///
 /// Each simulated worker is one full replica of the node (or cluster, for
 /// sharded models): crossbars are programmed once per worker and persist
@@ -1191,7 +1203,7 @@ impl ServeRunner {
     ) -> Result<ServeOutcome> {
         let started = Instant::now();
         // A non-monotone submission is rejected, not silently reordered:
-        // arrival order is the FIFO queue order (and, with a watchdog
+        // submission order is the FIFO queue order (and, with a watchdog
         // armed, the deadline order), so reordering would change shed
         // and abort decisions behind the caller's back.
         if let Some(i) = (1..arrivals.len()).find(|&i| arrivals[i] < arrivals[i - 1]) {
@@ -1205,51 +1217,31 @@ impl ServeRunner {
                 ),
             });
         }
-        // Queue order: arrival time, ties by submission index.
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| (arrivals[i], i));
         let mut outcome = if self.pipeline && self.nodes_per_request() > 1 {
-            self.serve_pipelined(arrivals, inputs, &order)?
+            self.serve_pipelined(arrivals, inputs)?
         } else {
-            self.serve_replicated(arrivals, inputs, &order)?
+            self.serve_replicated(arrivals, inputs)?
         };
-        // Aggregate over completed requests in submission order, so the
-        // merged floating-point energy totals never depend on scheduling.
-        let mut stats = RunStats::new();
-        let mut latencies = Vec::new();
-        let mut makespan = 0u64;
-        for served in &outcome.results {
-            if let Disposition::Completed { result, finish, .. } = &served.disposition {
-                stats.merge(&result.stats);
-                latencies.push(finish - served.arrival);
-                makespan = makespan.max(*finish);
-            }
-        }
-        outcome.stats = stats;
-        outcome.latency = LatencySummary::from_latencies(latencies);
-        outcome.makespan_cycles = makespan;
         outcome.wall_seconds = started.elapsed().as_secs_f64();
         Ok(outcome)
     }
 
-    /// Replicated-worker serving: simulate every valid request
-    /// (host-parallel and ungated — replicated serving rarely sheds, so
-    /// few simulations are wasted), up to [`LANES`] consecutive requests
-    /// per pass, then compute the deterministic virtual-time queue
-    /// schedule. Requests with malformed inputs are rejected at
-    /// submission, never simulated and excluded from the schedule
-    /// (matching the pipelined path), so they never displace a valid
-    /// request from the bounded queue.
+    /// Replicated-worker serving: simulate every valid request, ungated,
+    /// up to [`LANES`] consecutive requests per pass, then schedule them
+    /// as one stream on `workers` primary slots of [`TenantScheduler`].
+    /// Requests with malformed inputs are rejected at submission, never
+    /// simulated and never queued (matching the pipelined path), so they
+    /// never displace a valid request from the bounded queue.
     fn serve_replicated(
         &self,
         arrivals: &[u64],
         inputs: &[&[(String, Vec<f32>)]],
-        order: &[usize],
     ) -> Result<ServeOutcome> {
-        let checks: Vec<Result<()>> = inputs.iter().map(|i| self.validate_inputs(i)).collect();
-        let valid: Vec<bool> = checks.iter().map(Result::is_ok).collect();
-        let schedule_order: Vec<usize> = order.iter().copied().filter(|&i| valid[i]).collect();
-        let jobs: Vec<usize> = (0..inputs.len()).filter(|&i| valid[i]).collect();
+        let checks: Vec<Result<()>> = inputs
+            .iter()
+            .map(|i| for_each_input_chunk(&self.compiled, &self.plan, i, &mut |_, _| Ok(())))
+            .collect();
+        let jobs: Vec<usize> = (0..inputs.len()).filter(|&i| checks[i].is_ok()).collect();
         let (slots, host_threads) = run_pool(
             &self.pool,
             self.host_threads,
@@ -1263,72 +1255,42 @@ impl ServeRunner {
             },
             None,
         );
-        // Per request: its validation error, or what simulating it gave.
-        let mut simulated = slots.into_iter();
-        let exec = checks
-            .into_iter()
-            .enumerate()
-            .map(|(i, check)| match check {
-                Err(e) => Ok(Err(e)),
-                Ok(()) => claimed(simulated.next().flatten(), || format!("request {i}")),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        // Requests that validated but faulted in simulation occupy their
-        // worker for zero cycles: the fault is reported per-request, not
-        // modelled as service time.
-        let durations: Vec<u64> =
-            exec.iter().map(|r| r.as_ref().map_or(0, |ok| ok.stats.cycles)).collect();
-        let schedule = virtual_schedule(
-            &schedule_order,
-            arrivals,
-            &durations,
-            self.workers,
+        let mut exec: Vec<Option<Result<RequestResult>>> = inputs.iter().map(|_| None).collect();
+        for (&i, slot) in jobs.iter().zip(slots) {
+            exec[i] = slot;
+        }
+        // A request that faulted in simulation occupies its worker for
+        // zero cycles: the fault is reported per request, not modelled
+        // as service time.
+        let durations = exec
+            .iter()
+            .map(|r| r.as_ref().and_then(|r| r.as_ref().ok()).map_or(0, |ok| ok.stats.cycles))
+            .collect();
+        // Arrivals are non-decreasing, so submission order is queue order.
+        let load = TenantLoad {
+            arrivals: arrivals.to_vec(),
+            durations,
+            order: jobs,
+            replicas: self.workers,
+            ..TenantLoad::default()
+        };
+        let (schedule, _) = TenantScheduler::new(
+            std::slice::from_ref(&load),
             self.queue_depth,
             self.deadline,
-        );
-        let mut shed = 0usize;
-        let mut timed_out = 0usize;
-        let mut results = Vec::with_capacity(arrivals.len());
-        let max_concurrent = max_overlap(&schedule);
-        for (i, (slot, result)) in schedule.into_iter().zip(exec).enumerate() {
-            let disposition = match (valid[i], slot, result) {
-                (false, _, Err(e)) | (true, ScheduleSlot::Served { .. }, Err(e)) => {
-                    Disposition::Failed(e.into())
-                }
-                (false, _, Ok(_)) => Disposition::Failed(RequestError::Sim(PumaError::Execution {
-                    what: format!("internal: request {i} failed validation yet was simulated"),
-                })),
-                (true, ScheduleSlot::Shed, _) => {
-                    shed += 1;
-                    Disposition::Shed
-                }
-                (true, ScheduleSlot::TimedOut { at }, _) => {
-                    timed_out += 1;
-                    let d = self.deadline.expect("timeouts require an armed watchdog");
-                    Disposition::Failed(RequestError::Deadline {
-                        cycle: at,
-                        what: format!("request {i} overran its {d}-cycle serving deadline"),
-                    })
-                }
-                (true, ScheduleSlot::Served { start, finish }, Ok(result)) => {
-                    Disposition::Completed { result, start, finish }
-                }
-            };
-            results.push(ServedRequest { arrival: arrivals[i], disposition });
-        }
-        Ok(ServeOutcome {
-            results,
-            stats: RunStats::new(),
-            latency: LatencySummary::default(),
-            shed,
-            timed_out,
-            workers: self.workers,
-            host_threads,
-            makespan_cycles: 0,
-            max_concurrent,
-            stages: None,
-            wall_seconds: 0.0,
-        })
+            ScalePolicy::default(),
+            RetryPolicy::default(),
+            None,
+            TilePlanner::new(0, 0),
+        )
+        .finish()
+        .map_err(|(_, r)| PumaError::Execution {
+            what: format!("the serving schedule stalled on request {r}"),
+        })?;
+        let tally =
+            settle_stream(arrivals, checks, &schedule, 0, exec, &|i| format!("request {i}"));
+        let max_concurrent = max_concurrent(&tally.results);
+        Ok(tally.into_serve_outcome(self.workers, host_threads, max_concurrent, None))
     }
 
     /// Pipelined serving over a sharded model (see the type docs).
@@ -1336,30 +1298,26 @@ impl ServeRunner {
         &self,
         arrivals: &[u64],
         inputs: &[&[(String, Vec<f32>)]],
-        order: &[usize],
     ) -> Result<ServeOutcome> {
         // Reject malformed requests before they enter the queue, and
         // build the per-request write list (input chunks) the pipeline
         // performs when a node starts the request's segment. The model
         // constants are identical for every request, so they are
         // flattened once and passed as the pipeline's common writes.
-        let mut dispositions: Vec<Option<Disposition>> = Vec::with_capacity(inputs.len());
-        let mut writes: Vec<Option<RequestWrites>> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let (w, d) = match self.prepare_writes(input) {
-                Ok(w) => (Some(w), None),
-                Err(e) => (None, Some(Disposition::Failed(e.into()))),
-            };
-            writes.push(w);
-            dispositions.push(d);
+        let mut checks: Vec<Result<()>> = Vec::with_capacity(inputs.len());
+        let mut pipeline_requests = Vec::with_capacity(inputs.len());
+        for (&arrival, input) in arrivals.iter().zip(inputs) {
+            let mut writes = RequestWrites::new();
+            let check =
+                for_each_input_chunk(&self.compiled, &self.plan, input, &mut |chunk, data| {
+                    writes.push((chunk.to_string(), data.to_vec()));
+                    Ok(())
+                });
+            if check.is_ok() {
+                pipeline_requests.push(PipelineRequest { arrival, writes });
+            }
+            checks.push(check);
         }
-        let (queue, pipeline_requests): (Vec<usize>, Vec<PipelineRequest>) = order
-            .iter()
-            .filter_map(|&i| {
-                let writes = writes[i].take()?;
-                Some((i, PipelineRequest { arrival: arrivals[i], writes }))
-            })
-            .unzip();
         let const_writes: RequestWrites = self
             .compiled
             .const_data
@@ -1375,51 +1333,30 @@ impl ServeRunner {
         );
         *self.pipeline_sim.lock().unwrap_or_else(PoisonError::into_inner) = Some(sim);
         let report = report?;
-        let mut shed = 0usize;
-        let mut timed_out = 0usize;
-        for (i, r) in queue.into_iter().zip(report.results) {
-            dispositions[i] = Some(if let Some(err) = r.error {
+        let mut served = report.results.into_iter();
+        let mut tally = Tally::default();
+        for (i, check) in checks.into_iter().enumerate() {
+            let disposition = match check.map(|()| served.next()) {
+                Err(e) => Disposition::Failed(e.into()),
                 // The watchdog aborted this request mid-pipeline; the
                 // typed fault (deadline or tile death) is per-request.
-                timed_out += 1;
-                Disposition::Failed(err.into())
-            } else if r.admitted {
-                let outputs = self.assemble_outputs(&r.outputs);
-                Disposition::Completed {
-                    result: RequestResult { outputs, stats: r.stats },
-                    start: r.start,
-                    finish: r.finish,
+                Ok(Some(PipelineResult { error: Some(e), .. })) => {
+                    tally.timed_out += 1;
+                    Disposition::Failed(e.into())
                 }
-            } else {
-                shed += 1;
-                Disposition::Shed
-            });
+                Ok(Some(r)) if r.admitted => {
+                    let outputs = gather_outputs(&self.compiled, &self.plan, |chunk| {
+                        Ok(r.outputs.get(chunk).cloned().unwrap_or_default())
+                    })?;
+                    let result = RequestResult { outputs, stats: r.stats };
+                    Disposition::Completed { result, start: r.start, finish: r.finish }
+                }
+                Ok(Some(_)) => Disposition::Shed,
+                Ok(None) => internal(format!("the pipeline reported no outcome for request {i}")),
+            };
+            tally.push(arrivals[i], disposition);
         }
-        let results = dispositions
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| ServedRequest {
-                arrival: arrivals[i],
-                disposition: d.unwrap_or_else(|| {
-                    Disposition::Failed(RequestError::Sim(PumaError::Execution {
-                        what: format!("internal: the pipeline reported no outcome for request {i}"),
-                    }))
-                }),
-            })
-            .collect();
-        Ok(ServeOutcome {
-            results,
-            stats: RunStats::new(),
-            latency: LatencySummary::default(),
-            shed,
-            timed_out,
-            workers: 1,
-            host_threads: 1,
-            makespan_cycles: 0,
-            max_concurrent: report.max_concurrent,
-            stages: Some(report.stages),
-            wall_seconds: 0.0,
-        })
+        Ok(tally.into_serve_outcome(1, 1, report.max_concurrent, Some(report.stages)))
     }
 
     /// Takes the cached pipeline instance or forks one from the
@@ -1437,165 +1374,141 @@ impl ServeRunner {
         sim.set_engine(self.engine);
         Ok(sim)
     }
+}
 
-    /// Validates one request's inputs against the compiled I/O layout
-    /// (every logical input present, at its declared width) — the same
-    /// contract [`run_request`] enforces, via the same code.
-    fn validate_inputs(&self, inputs: &[(String, Vec<f32>)]) -> Result<()> {
-        for_each_input_chunk(&self.compiled, &self.plan, inputs, &mut |_, _| Ok(()))
-    }
+/// A per-request failure the serving stack reports for a state it never
+/// reaches.
+fn internal(what: String) -> Disposition {
+    Disposition::Failed(RequestError::Sim(PumaError::Execution {
+        what: format!("internal: {what}"),
+    }))
+}
 
-    /// Validates one request's inputs against the compiled I/O layout and
-    /// flattens them into per-binding chunk writes (constants are shared
-    /// across requests and passed to the pipeline separately).
-    fn prepare_writes(&self, inputs: &[(String, Vec<f32>)]) -> Result<RequestWrites> {
-        let mut writes = RequestWrites::new();
-        for_each_input_chunk(&self.compiled, &self.plan, inputs, &mut |chunk, data| {
-            writes.push((chunk.to_string(), data.to_vec()));
-            Ok(())
-        })?;
-        Ok(writes)
-    }
+/// One request stream's served records and the totals over them — the
+/// one outcome assembly behind [`ServeOutcome`] and
+/// [`TenantModelOutcome`]. Records are pushed in submission order, so the
+/// merged floating-point energy totals never depend on scheduling.
+#[derive(Debug, Default)]
+struct Tally {
+    results: Vec<ServedRequest>,
+    stats: RunStats,
+    latencies: Vec<u64>,
+    shed: usize,
+    timed_out: usize,
+    retried: usize,
+    failed: usize,
+    /// Cycle the last completed request finished (0 if none completed).
+    makespan: u64,
+}
 
-    /// Reassembles logical outputs from per-binding chunk reads.
-    fn assemble_outputs(&self, chunks: &HashMap<String, Vec<f32>>) -> HashMap<String, Vec<f32>> {
-        let mut out = HashMap::new();
-        for io in &self.compiled.outputs {
-            let mut data = Vec::with_capacity(io.width);
-            for chunk in &io.chunks {
-                data.extend(chunks.get(chunk).map_or(&[][..], Vec::as_slice));
+impl Tally {
+    fn push(&mut self, arrival: u64, disposition: Disposition) {
+        match &disposition {
+            Disposition::Completed { result, finish, .. } => {
+                self.stats.merge(&result.stats);
+                self.latencies.push(finish - arrival);
+                self.makespan = self.makespan.max(*finish);
             }
-            out.insert(io.name.clone(), data);
+            Disposition::Shed => self.shed += 1,
+            Disposition::Failed(_) => {}
         }
-        out
+        self.results.push(ServedRequest { arrival, disposition });
+    }
+
+    fn into_serve_outcome(
+        self,
+        workers: usize,
+        host_threads: usize,
+        max_concurrent: usize,
+        stages: Option<Vec<StageStats>>,
+    ) -> ServeOutcome {
+        ServeOutcome {
+            results: self.results,
+            stats: self.stats,
+            latency: LatencySummary::from_latencies(self.latencies),
+            shed: self.shed,
+            timed_out: self.timed_out,
+            workers,
+            host_threads,
+            makespan_cycles: self.makespan,
+            max_concurrent,
+            stages,
+            wall_seconds: 0.0,
+        }
     }
 }
 
-/// One request's slot in the deterministic virtual-time schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScheduleSlot {
-    /// The request was served over `start..finish`.
-    Served {
-        /// Cycle service began.
-        start: u64,
-        /// Cycle service finished.
-        finish: u64,
-    },
-    /// The bounded queue rejected the request at arrival (also the slot
-    /// of requests excluded from the schedule entirely).
-    Shed,
-    /// The deadline watchdog aborted the request at `at` (its arrival
-    /// plus the deadline) — either mid-service (the worker is reclaimed
-    /// at `at`) or still queued (no worker was ever consumed).
-    TimedOut {
-        /// Cycle the watchdog fired.
-        at: u64,
-    },
-}
-
-/// The deterministic virtual-time queue schedule: given arrival times and
-/// service durations, computes each request's slot on a pool of `workers`
-/// simulated servers with a FIFO queue bounded by `depth`. Departures
-/// precede arrivals at equal timestamps. With a `deadline`, a request
-/// whose service would end after `arrival + deadline` is aborted there
-/// instead (a request finishing exactly at its deadline completes), and
-/// one whose deadline passes while it is still queued expires without
-/// ever consuming a worker.
-fn virtual_schedule(
-    order: &[usize],
+/// Settles stream `s` of a finished schedule: each request's disposition
+/// comes from its input check, then its [`Verdict`], then — for a served
+/// request — what simulating it gave (`exec`). `who(i)` names request
+/// `i` in its errors.
+fn settle_stream(
     arrivals: &[u64],
-    durations: &[u64],
-    workers: usize,
-    depth: Option<usize>,
-    deadline: Option<u64>,
-) -> Vec<ScheduleSlot> {
-    let workers = workers.max(1);
-    let mut schedule: Vec<ScheduleSlot> = vec![ScheduleSlot::Shed; arrivals.len()];
-    // (free_at, worker index): deterministic tie-break by index.
-    let mut free: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..workers).map(|w| Reverse((0, w))).collect();
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    // Serves request `i` on `worker` (free at `free_at`), or expires it
-    // against the deadline. Returns false when the worker was NOT
-    // consumed (the request's deadline passed while it was queued).
-    let place = |i: usize,
-                 free_at: u64,
-                 worker: usize,
-                 free: &mut BinaryHeap<Reverse<(u64, usize)>>,
-                 schedule: &mut Vec<ScheduleSlot>| {
-        let start = free_at.max(arrivals[i]);
-        let finish = start + durations[i];
-        if let Some(d) = deadline {
-            let dl = arrivals[i].saturating_add(d);
-            if finish > dl {
-                if start >= dl {
-                    // Expired in the queue: it never starts.
-                    schedule[i] = ScheduleSlot::TimedOut { at: dl };
-                    return false;
-                }
-                // Started but overran: the watchdog aborts it at the
-                // deadline and the worker is reclaimed there.
-                schedule[i] = ScheduleSlot::TimedOut { at: dl };
-                free.push(Reverse((dl, worker)));
-                return true;
+    checks: Vec<Result<()>>,
+    schedule: &TenantSchedule,
+    s: usize,
+    exec: Vec<Option<Result<RequestResult>>>,
+    who: &dyn Fn(usize) -> String,
+) -> Tally {
+    let mut tally = Tally { results: Vec::with_capacity(arrivals.len()), ..Tally::default() };
+    for (i, (check, exec)) in checks.into_iter().zip(exec).enumerate() {
+        let attempts = schedule.attempts[s][i];
+        let disposition = match (check, schedule.verdicts[s][i], exec) {
+            (Err(e), ..) | (Ok(()), Some(Verdict::Served { .. }), Some(Err(e))) => {
+                Disposition::Failed(e.into())
             }
-        }
-        schedule[i] = ScheduleSlot::Served { start, finish };
-        free.push(Reverse((finish, worker)));
-        true
-    };
-    let start_queued_until = |upto: u64,
-                              waiting: &mut VecDeque<usize>,
-                              free: &mut BinaryHeap<Reverse<(u64, usize)>>,
-                              schedule: &mut Vec<ScheduleSlot>| {
-        while let Some(&head) = waiting.front() {
-            let Some(&Reverse((free_at, worker))) = free.peek() else { break };
-            if free_at > upto {
-                break;
+            (Ok(()), Some(Verdict::Served { start, finish }), Some(Ok(result))) => {
+                tally.retried += usize::from(attempts > 1);
+                Disposition::Completed { result, start, finish }
             }
-            free.pop();
-            waiting.pop_front();
-            if !place(head, free_at, worker, free, schedule) {
-                free.push(Reverse((free_at, worker)));
+            (Ok(()), Some(Verdict::Served { .. }), None) => {
+                internal(format!("{} was never simulated", who(i)))
             }
-        }
-    };
-    for &i in order {
-        let t = arrivals[i];
-        start_queued_until(t, &mut waiting, &mut free, &mut schedule);
-        let idle_worker = free.peek().is_some_and(|&Reverse((f, _))| f <= t);
-        if idle_worker && waiting.is_empty() {
-            let Reverse((free_at, worker)) = free.pop().expect("peeked above");
-            if !place(i, free_at, worker, &mut free, &mut schedule) {
-                free.push(Reverse((free_at, worker)));
+            (Ok(()), None, _) => internal(format!("{} was never scheduled", who(i))),
+            (Ok(()), Some(Verdict::Shed), _) => Disposition::Shed,
+            (Ok(()), Some(Verdict::TimedOut { at, deadline }), _) => {
+                tally.timed_out += 1;
+                let what = format!("{} overran its {deadline}-cycle serving deadline", who(i));
+                Disposition::Failed(RequestError::Deadline { cycle: at, what })
             }
-        } else if depth.is_none_or(|d| waiting.len() < d) {
-            waiting.push_back(i);
-        }
-        // else: shed (schedule[i] stays Shed).
+            (Ok(()), Some(Verdict::Lost { cycle, node, tile, budget }), _) => {
+                tally.failed += 1;
+                let what = format!(
+                    "{} lost to the tile death ({attempts} of {budget} attempts made)",
+                    who(i)
+                );
+                Disposition::Failed(RequestError::FaultedTile { node, tile, cycle, what })
+            }
+            (Ok(()), Some(Verdict::Overflow { start, cycles }), _) => {
+                let what = format!(
+                    "{} would finish past cycle u64::MAX: {cycles} cycles from {start}",
+                    who(i)
+                );
+                Disposition::Failed(RequestError::Sim(PumaError::Execution { what }))
+            }
+        };
+        tally.push(arrivals[i], disposition);
     }
-    start_queued_until(u64::MAX, &mut waiting, &mut free, &mut schedule);
-    schedule
+    tally
 }
 
-/// Maximum number of simultaneously in-service requests in a schedule
-/// (finishes close before starts open at equal timestamps).
-fn max_overlap(schedule: &[ScheduleSlot]) -> usize {
-    let mut events: Vec<(u64, i32)> = Vec::new();
-    for slot in schedule {
-        let ScheduleSlot::Served { start, finish } = *slot else { continue };
-        events.push((start, 1));
-        events.push((finish, -1));
+/// Most completed requests in service at once (a window closing at a
+/// cycle ends before one opening there); timed-out and failed work is
+/// excluded.
+fn max_concurrent(results: &[ServedRequest]) -> usize {
+    let mut edges: Vec<(u64, i64)> = Vec::new();
+    for r in results {
+        if let Disposition::Completed { start, finish, .. } = r.disposition {
+            edges.extend([(start, 1), (finish, -1)]);
+        }
     }
-    // Sort by time, closes (−1) before opens (+1).
-    events.sort_unstable_by_key(|&(t, delta)| (t, delta));
-    let mut current = 0i64;
-    let mut max = 0i64;
-    for (_, delta) in events {
-        current += i64::from(delta);
-        max = max.max(current);
+    edges.sort_unstable();
+    let (mut open, mut max) = (0i64, 0i64);
+    for (_, delta) in edges {
+        open += delta;
+        max = max.max(open);
     }
-    max.max(0) as usize
+    max as usize
 }
 
 /// Batched inference over worker threads — a thin wrapper over
@@ -2441,28 +2354,34 @@ impl TenantServer {
                     what: format!("duplicate stream for model '{}'", s.model),
                 });
             }
-            placed.push(d);
+            placed
+                .push((d, &**self.catalog.get(&s.model).expect("deployed models stay cataloged")));
         }
-        let compiled: Vec<&CompiledModel> = streams
-            .iter()
-            .map(|s| &**self.catalog.get(&s.model).expect("deployed models stay cataloged"))
-            .collect();
         // Malformed requests are rejected at submission and never occupy
         // a queue slot; the rest are scheduled in (arrival, index) order.
         let mut checks: Vec<Vec<Result<()>>> = Vec::with_capacity(streams.len());
         let mut loads: Vec<TenantLoad> = Vec::with_capacity(streams.len());
-        for ((s, &d), c) in streams.iter().zip(&placed).zip(&compiled) {
+        for (s, &(d, compiled)) in streams.iter().zip(&placed) {
             let check: Vec<Result<()>> = s
                 .requests
                 .iter()
-                .map(|r| for_each_input_chunk(c, &self.plans[d], &r.inputs, &mut |_, _| Ok(())))
+                .map(|r| {
+                    for_each_input_chunk(compiled, &self.plans[d], &r.inputs, &mut |_, _| Ok(()))
+                })
                 .collect();
             let arrivals = s.pattern.arrivals(s.requests.len());
             let mut order: Vec<usize> = (0..check.len()).filter(|&i| check[i].is_ok()).collect();
             order.sort_by_key(|&i| (arrivals[i], i));
-            let at = &self.deployments[d];
-            let (tiles, node, base) = (at.tiles, at.node, at.base);
-            loads.push(TenantLoad { arrivals, durations: Vec::new(), order, tiles, node, base });
+            let Deployment { tiles, node, base, .. } = self.deployments[d];
+            loads.push(TenantLoad {
+                arrivals,
+                durations: Vec::new(),
+                order,
+                replicas: 1,
+                tiles,
+                node,
+                base,
+            });
             checks.push(check);
         }
         // An injected tile death is scheduling-visible (quarantine +
@@ -2471,27 +2390,31 @@ impl TenantServer {
             self.cfg.faults.tile_death.map(|d| (d.at_cycle, usize::from(d.node), d.tile as usize));
         // The planner copy is transient: mid-serve replica allocations
         // must not change the fabric's persistent placements.
-        let gate = ScheduleGate::new(TenantScheduler::new(
+        let mut scheduler = TenantScheduler::new(
             &loads,
             self.queue_depth,
+            None,
             self.policy,
             self.retry,
             death,
             self.planner.clone(),
-        ));
+        );
+        scheduler.advance();
+        let claims = scheduler.arrival_order();
+        let gate = Mutex::new(scheduler);
         let (slots, host_threads) = run_pool(
             &self.pool,
             self.host_threads,
-            gate.claims.len(),
+            claims.len(),
             1,
             &|| self.fork_fabric_sim(),
             &|sim, pass| {
-                let (s, r) = gate.claims[pass.start];
-                let plan = &self.plans[placed[s]];
+                let (s, r) = claims[pass.start];
+                let (d, compiled) = placed[s];
                 serve_pass(
                     sim,
-                    compiled[s],
-                    plan,
+                    compiled,
+                    &self.plans[d],
                     &[&streams[s].requests[r].inputs],
                     Some(&streams[s].model),
                 )
@@ -2501,78 +2424,38 @@ impl TenantServer {
         let mut exec: Vec<Vec<Option<Result<RequestResult>>>> =
             streams.iter().map(|s| s.requests.iter().map(|_| None).collect()).collect();
         let mut simulated = 0usize;
-        for (slot, &(s, r)) in slots.into_iter().zip(&gate.claims) {
+        for (slot, &(s, r)) in slots.into_iter().zip(&claims) {
             simulated += usize::from(slot.is_some());
             exec[s][r] = slot;
         }
-        let mut scheduler = gate.into_scheduler();
-        if let Some((s, r)) = scheduler.advance() {
-            return Err(PumaError::Execution {
-                what: format!(
-                    "the tenant schedule stalled on request {r} of model '{}' after the \
+        let (schedule, _) =
+            gate.into_inner().unwrap_or_else(PoisonError::into_inner).finish().map_err(
+                |(s, r)| PumaError::Execution {
+                    what: format!(
+                        "the tenant schedule stalled on request {r} of model '{}' after the \
                      pool drained",
-                    streams[s].model
-                ),
-            });
-        }
-        let (schedule, _) = scheduler.finish();
+                        streams[s].model
+                    ),
+                },
+            )?;
         // Assemble per-model outcomes in stream order.
         let mut models = Vec::with_capacity(streams.len());
         let mut makespan = 0u64;
-        for (si, stream) in streams.iter().enumerate() {
-            let load = &loads[si];
-            let mut results = Vec::with_capacity(stream.requests.len());
-            let mut stats = RunStats::new();
-            let mut latencies = Vec::new();
-            let mut retried = 0usize;
-            let mut failed = 0usize;
-            for i in 0..stream.requests.len() {
-                let disposition = if let Err(e) = std::mem::replace(&mut checks[si][i], Ok(())) {
-                    Disposition::Failed(e.into())
-                } else if schedule.failed[si][i] {
-                    // Lost to the injected tile death: aborted with the
-                    // retry budget exhausted, or no live replica left.
-                    failed += 1;
-                    let (cycle, node, tile) = death.expect("failures require a tile death");
-                    Disposition::Failed(RequestError::FaultedTile {
-                        node,
-                        tile,
-                        cycle,
-                        what: format!(
-                            "request {i} of model '{}' lost to the tile death \
-                             ({} of {} attempts made)",
-                            stream.model, schedule.attempts[si][i], self.retry.max_attempts
-                        ),
-                    })
-                } else if let Some((start, finish)) = schedule.windows[si][i] {
-                    match claimed(exec[si][i].take(), || {
-                        format!("request {i} of model '{}'", stream.model)
-                    })? {
-                        Err(e) => Disposition::Failed(e.into()),
-                        Ok(result) => {
-                            stats.merge(&result.stats);
-                            latencies.push(finish - load.arrivals[i]);
-                            makespan = makespan.max(finish);
-                            if schedule.attempts[si][i] > 1 {
-                                retried += 1;
-                            }
-                            Disposition::Completed { result, start, finish }
-                        }
-                    }
-                } else {
-                    Disposition::Shed
-                };
-                results.push(ServedRequest { arrival: load.arrivals[i], disposition });
-            }
+        for (si, ((stream, checks), exec)) in streams.iter().zip(checks).zip(exec).enumerate() {
+            let who = |i| format!("request {i} of model '{}'", stream.model);
+            let tally = settle_stream(&loads[si].arrivals, checks, &schedule, si, exec, &who);
+            // Every step that adds a replica records the live count after it.
+            let events = schedule.events.iter().filter(|e| e.stream == si);
+            makespan = makespan.max(tally.makespan);
             models.push(TenantModelOutcome {
                 model: stream.model.clone(),
-                results,
-                stats,
-                latency: LatencySummary::from_latencies(latencies),
-                shed: schedule.shed[si],
-                retried,
-                failed,
-                peak_replicas: schedule.peak[si],
+                results: tally.results,
+                stats: tally.stats,
+                latency: LatencySummary::from_latencies(tally.latencies),
+                shed: tally.shed,
+                retried: tally.retried,
+                failed: tally.failed,
+                peak_replicas: events.fold(1, |peak, e| peak.max(e.live)),
             });
         }
         let scale_events = schedule
@@ -2596,33 +2479,35 @@ impl TenantServer {
     }
 }
 
-/// One model's load for [`TenantScheduler`].
+/// One stream's load for [`TenantScheduler`].
+#[derive(Default)]
 struct TenantLoad {
     /// Arrival cycle of each request (non-decreasing).
     arrivals: Vec<u64>,
     /// Service duration of each request, in cycles, when known upfront;
-    /// empty when durations are revealed as simulations finish
-    /// ([`TenantScheduler::reveal`]).
+    /// empty when durations are recorded as simulations finish
+    /// ([`TenantScheduler::record`]).
     durations: Vec<u64>,
     /// Schedulable request indices in (arrival, index) order (malformed
     /// requests are excluded).
     order: Vec<usize>,
-    /// Tiles one replica of the model occupies.
+    /// Primary replica slots: a tenant's deployment, or a
+    /// [`ServeRunner`]'s workers.
+    replicas: usize,
+    /// Tiles, node and first tile of the deployment the primary slots
+    /// run on.
     tiles: usize,
-    /// Node of the materialized deployment (replica slot 0).
     node: usize,
-    /// First tile of the materialized deployment (replica slot 0).
     base: usize,
 }
 
-/// One replica slot of one model in the tenant schedule.
+/// One replica slot of one stream in the schedule.
 #[derive(Debug, Clone, Copy)]
 struct ReplicaSlot {
-    /// The transient tile allocation backing a scaled-up or failover
-    /// replica (`None` for slot 0, the materialized deployment).
+    /// The transient allocation of a scaled-up or failover replica.
     alloc: Option<(usize, usize)>,
-    /// Primary replicas — slot 0 and any failover replacement for it —
-    /// are never released by scale-down.
+    /// The initial slots and their failover replacements: never
+    /// released by scale-down.
     primary: bool,
     busy: bool,
     removed: bool,
@@ -2640,28 +2525,49 @@ struct RawScaleEvent {
     live: usize,
 }
 
+/// What the schedule decided for one request, carrying all its
+/// disposition reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Shed,
+    Served {
+        start: u64,
+        finish: u64,
+    },
+    /// The deadline watchdog fired at `at` = arrival + `deadline`.
+    TimedOut {
+        at: u64,
+        deadline: u64,
+    },
+    /// Lost to the tile death of `tile` on `node` at `cycle`, with a
+    /// retry budget of `budget` attempts.
+    Lost {
+        cycle: u64,
+        node: usize,
+        tile: usize,
+        budget: usize,
+    },
+    /// `cycles` of service from `start` would finish past `u64::MAX`.
+    Overflow {
+        start: u64,
+        cycles: u64,
+    },
+}
+
 /// Output of [`TenantScheduler`].
 #[derive(Debug, PartialEq)]
 struct TenantSchedule {
-    /// Per stream, per request: the `(start, finish)` service window
-    /// (`None` = shed or not schedulable).
-    windows: Vec<Vec<Option<(u64, u64)>>>,
-    /// Per stream, per request: the replica slot that served it (read
-    /// by the scheduler unit tests to pin the no-eviction invariant).
+    /// Per stream, per request: the decision (`None` = not schedulable).
+    verdicts: Vec<Vec<Option<Verdict>>>,
+    /// Per stream, per request: `(slot, from, until)` of the slot its
+    /// last attempt held (read by the tests' overcommit check).
     #[allow(dead_code)]
-    replica_of: Vec<Vec<Option<usize>>>,
-    /// Per stream: requests shed by the bounded queue.
-    shed: Vec<usize>,
-    /// Per stream: most replicas live at once.
-    peak: Vec<usize>,
+    held: Vec<Vec<Option<(usize, u64, u64)>>>,
     /// Autoscaling and fault-recovery steps, in simulated-clock order.
     events: Vec<RawScaleEvent>,
     /// Per stream, per request: service attempts made (0 = never
     /// started; > 1 = completed or failed after fault retries).
     attempts: Vec<Vec<usize>>,
-    /// Per stream, per request: permanently lost to the tile death (the
-    /// retry budget ran out, or no live replica remained to serve it).
-    failed: Vec<Vec<bool>>,
 }
 
 /// The kinds of schedule event, in their same-cycle order: departures
@@ -2676,54 +2582,60 @@ enum TenantEvent {
     Arrival,
 }
 
-/// The deterministic merged multi-tenant schedule, computed
-/// incrementally: per-model FIFO queues bounded by `depth`, one service
-/// slot per live replica, queue-depth-driven scale-up/down against the
-/// planner's free tiles, and fault recovery for one injected tile death
-/// `(cycle, node, tile)`.
+/// The one serving scheduler, computed incrementally: per-stream FIFO
+/// queues bounded by `depth`, one service slot per live replica, an
+/// optional per-request deadline, queue-depth-driven scale-up/down
+/// against the planner's free tiles, and fault recovery for one injected
+/// tile death `(cycle, node, tile)`. [`TenantServer`] runs it with one
+/// primary slot per model and no deadline; replicated [`ServeRunner`]
+/// serving with one stream, `workers` primary slots, no scaling and no
+/// death.
 ///
 /// Event order is total and host-independent: time, then
-/// [`TenantEvent`] kind, then stream index, then request index.
+/// [`TenantEvent`] kind, then stream, then slot (departures) or request
+/// index. An arrival takes the lowest idle slot only when nobody waits.
 /// Scale-up fires on the arrival that makes a model's queue reach
-/// [`ScalePolicy::scale_up_depth`] (capacity permitting) and the new
-/// replica immediately serves the queue head; scale-down releases a
-/// scaled-up replica the moment it departs its last request with an
-/// empty queue. Slot 0 — the materialized deployment — is never
-/// released, and only the replica that just went idle is ever a release
-/// candidate, so scale-down can never evict in-flight work.
+/// [`ScalePolicy::scale_up_depth`] (capacity permitting), and the new
+/// replica immediately serves the queue; a scaled-up replica is released
+/// the moment it departs its last request with an empty queue, so
+/// scale-down never evicts in-flight work. Primary slots stay.
 ///
-/// When the death hits a replica's allocation (slot 0's materialized
-/// placement or a scaled-up replica's transient one — allocations are
-/// disjoint, so at most one slot is hit), that slot is **quarantined**:
-/// removed from service with its tiles kept allocated, so nothing is
-/// ever re-placed onto the dead tile. Its in-flight request is aborted
-/// and retried per `retry` (retries bypass the bounded queue — the
-/// request was already admitted once), and a replacement replica is
-/// re-placed first-fit onto free tiles (**failover**). With no free
-/// capacity and no live replica left, the model's unserved requests
-/// fail.
+/// Every start goes through [`TenantScheduler::start`]. With a deadline
+/// `dl = arrival + deadline`, a start at `t ≥ dl` that would finish
+/// after `dl` expires without taking a slot, and the next queue head is
+/// tried in the same cycle; any other start that would finish after `dl`
+/// is aborted there, freeing its slot at `dl`; finishing exactly at `dl`
+/// completes. An expired request keeps its queue place, counting toward
+/// `depth`, until a slot would start it. A start whose finish would pass
+/// `u64::MAX` fails and takes no slot.
+///
+/// The death **quarantines** the live slot whose allocation covers the
+/// dead tile (allocations are disjoint): it leaves service and keeps its
+/// tiles, so nothing is ever re-placed there. Its in-flight request is
+/// retried per `retry` (bypassing the queue bound: it was admitted
+/// once), and a replacement replica is placed first-fit onto free tiles
+/// (**failover**). A model left with no live replica loses its unserved
+/// requests.
 ///
 /// # Laziness
 ///
-/// A request's service duration matters only when it **starts** (at a
-/// departure, an idle-slot arrival, a scale-up, a failover, or a
-/// retry); an arrival that is queued or shed needs none. So
+/// A request's service duration matters only when it **starts**; an
+/// arrival that is queued or shed needs none. So
 /// [`TenantScheduler::advance`] processes events until the next one
 /// would start a request whose duration is not yet
-/// [revealed](TenantScheduler::reveal), and stops there *before*
+/// [recorded](TenantScheduler::record), and stops there *before*
 /// mutating anything. Revealing durations in any order and advancing
 /// therefore yields the same [`TenantSchedule`] as knowing them all
 /// upfront, and a request the schedule sheds never needs simulating.
 struct TenantScheduler<'a> {
     loads: &'a [TenantLoad],
     depth: Option<usize>,
+    deadline: Option<u64>,
     policy: ScalePolicy,
     retry: RetryPolicy,
     planner: TilePlanner,
     /// Per stream, per request: the service duration, once known.
     durations: Vec<Vec<Option<u64>>>,
-    /// Per stream, per request: shed by the bounded queue on arrival.
-    dropped: Vec<Vec<bool>>,
     /// The schedule built so far.
     out: TenantSchedule,
     slots: Vec<Vec<ReplicaSlot>>,
@@ -2731,11 +2643,12 @@ struct TenantScheduler<'a> {
     /// Merged arrivals `(cycle, stream, request)`, consumed in order.
     arrivals: Vec<(u64, usize, usize)>,
     next_arrival: usize,
-    /// In-flight departures: `(finish, stream, slot, request)`.
+    /// Slots in service: `(frees at, stream, slot, request)`.
     departures: BinaryHeap<Reverse<(u64, usize, usize, usize)>>,
     /// Fault retries: `(re-arrival cycle, stream, request)`.
     retries: BinaryHeap<Reverse<(u64, usize, usize)>>,
     death: Option<(u64, usize, usize)>,
+    death_pending: bool,
 }
 
 impl<'a> TenantScheduler<'a> {
@@ -2744,6 +2657,7 @@ impl<'a> TenantScheduler<'a> {
     fn new(
         loads: &'a [TenantLoad],
         depth: Option<usize>,
+        deadline: Option<u64>,
         policy: ScalePolicy,
         retry: RetryPolicy,
         death: Option<(u64, usize, usize)>,
@@ -2758,9 +2672,11 @@ impl<'a> TenantScheduler<'a> {
             .flat_map(|(s, l)| l.order.iter().map(move |&r| (l.arrivals[r], s, r)))
             .collect();
         arrivals.sort_unstable();
+        let primary = ReplicaSlot { alloc: None, primary: true, busy: false, removed: false };
         TenantScheduler {
             loads,
             depth,
+            deadline,
             policy,
             retry,
             planner,
@@ -2768,28 +2684,20 @@ impl<'a> TenantScheduler<'a> {
                 .iter()
                 .map(|l| (0..l.arrivals.len()).map(|r| l.durations.get(r).copied()).collect())
                 .collect(),
-            dropped: per_request(loads, false),
             out: TenantSchedule {
-                windows: per_request(loads, None),
-                replica_of: per_request(loads, None),
-                shed: vec![0; loads.len()],
-                peak: vec![1; loads.len()],
+                verdicts: per_request(loads, None),
+                held: per_request(loads, None),
                 events: Vec::new(),
                 attempts: per_request(loads, 0),
-                failed: per_request(loads, false),
             },
-            slots: loads
-                .iter()
-                .map(|_| {
-                    vec![ReplicaSlot { alloc: None, primary: true, busy: false, removed: false }]
-                })
-                .collect(),
+            slots: loads.iter().map(|l| vec![primary; l.replicas]).collect(),
             waiting: loads.iter().map(|_| VecDeque::new()).collect(),
             arrivals,
             next_arrival: 0,
             departures: BinaryHeap::new(),
             retries: BinaryHeap::new(),
             death,
+            death_pending: death.is_some(),
         }
     }
 
@@ -2799,14 +2707,19 @@ impl<'a> TenantScheduler<'a> {
         self.arrivals.iter().map(|&(_, s, r)| (s, r)).collect()
     }
 
-    /// Records request `r` of stream `s`'s service duration.
-    fn reveal(&mut self, s: usize, r: usize, cycles: u64) {
+    /// Records job `j`'s service duration — job `j` is the `j`-th
+    /// request of [`TenantScheduler::arrival_order`] — and advances the
+    /// schedule as far as the known durations allow.
+    fn record(&mut self, j: usize, cycles: u64) {
+        let (_, s, r) = self.arrivals[j];
         self.durations[s][r] = Some(cycles);
+        self.advance();
     }
 
-    /// Whether request `r` of stream `s` has been shed on arrival.
-    fn is_shed(&self, s: usize, r: usize) -> bool {
-        self.dropped[s][r]
+    /// Whether job `j` has been shed on arrival.
+    fn is_shed(&self, j: usize) -> bool {
+        let (_, s, r) = self.arrivals[j];
+        self.out.verdicts[s][r] == Some(Verdict::Shed)
     }
 
     /// Processes events until the schedule is complete (`None`) or the
@@ -2821,28 +2734,31 @@ impl<'a> TenantScheduler<'a> {
         None
     }
 
-    /// The completed schedule and the planner's final state. Call once
-    /// [`TenantScheduler::advance`] returns `None`.
-    fn finish(mut self) -> (TenantSchedule, TilePlanner) {
+    /// Completes the schedule and returns it with the planner's final
+    /// state, or `Err((stream, request))` while it still needs that
+    /// request's duration.
+    fn finish(mut self) -> std::result::Result<(TenantSchedule, TilePlanner), (usize, usize)> {
+        if let Some(needed) = self.advance() {
+            return Err(needed);
+        }
         // A stream left with no live replica (the death consumed its last
         // slot and failover found no capacity) can never serve what is
         // still waiting.
         for s in 0..self.loads.len() {
-            if self.slots[s].iter().any(|x| !x.removed) {
-                continue;
-            }
-            for r in self.waiting[s].drain(..) {
-                self.out.failed[s][r] = true;
+            if self.live(s) == 0 {
+                for r in std::mem::take(&mut self.waiting[s]) {
+                    self.lose(s, r);
+                }
             }
         }
-        (self.out, self.planner)
+        Ok((self.out, self.planner))
     }
 
     /// The next event: minimum virtual time, ties by [`TenantEvent`].
     fn next_event(&self) -> Option<TenantEvent> {
         [
             (self.departures.peek().map(|&Reverse((t, ..))| t), TenantEvent::Departure),
-            (self.death.map(|(t, ..)| t), TenantEvent::Death),
+            (self.death.filter(|_| self.death_pending).map(|(t, ..)| t), TenantEvent::Death),
             (self.retries.peek().map(|&Reverse((t, ..))| t), TenantEvent::Retry),
             (self.arrivals.get(self.next_arrival).map(|&(t, ..)| t), TenantEvent::Arrival),
         ]
@@ -2852,10 +2768,39 @@ impl<'a> TenantScheduler<'a> {
         .map(|(_, e)| e)
     }
 
-    /// `Err((s, r))` when request `r` of stream `s` is about to start
-    /// but its duration is still unknown.
-    fn known(&self, s: usize, r: usize) -> std::result::Result<(), (usize, usize)> {
-        self.durations[s][r].map(|_| ()).ok_or((s, r))
+    /// What starting `cycles` of service for request `r` of stream `s` at
+    /// cycle `t` decides, and the cycle its slot frees again (`None`: it
+    /// takes no slot).
+    fn decide(&self, t: u64, s: usize, r: usize, cycles: u64) -> (Verdict, Option<u64>) {
+        let end = t.checked_add(cycles);
+        if let Some(deadline) = self.deadline {
+            let at = self.loads[s].arrivals[r].saturating_add(deadline);
+            if end.is_none_or(|finish| finish > at) {
+                return (Verdict::TimedOut { at, deadline }, (t < at).then_some(at));
+            }
+        }
+        match end {
+            Some(finish) => (Verdict::Served { start: t, finish }, Some(finish)),
+            None => (Verdict::Overflow { start: t, cycles }, None),
+        }
+    }
+
+    /// `Err((s, r))` when serving stream `s`'s queue — then `next`, if
+    /// given — on a slot freed at `t` would try request `r` before its
+    /// duration is known. Heads are tried until one takes the slot.
+    fn queue_known(
+        &self,
+        t: u64,
+        s: usize,
+        next: Option<usize>,
+    ) -> std::result::Result<(), (usize, usize)> {
+        for r in self.waiting[s].iter().copied().chain(next) {
+            let cycles = self.durations[s][r].ok_or((s, r))?;
+            if self.decide(t, s, r, cycles).1.is_some() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     fn live(&self, s: usize) -> usize {
@@ -2871,28 +2816,37 @@ impl<'a> TenantScheduler<'a> {
             .filter(|_| self.waiting[s].is_empty())
     }
 
-    /// The live slot `(stream, slot)` whose allocation covers tile `dt`
-    /// of node `dn` (allocations are disjoint, so at most one does).
-    fn death_victim(&self, dn: usize, dt: usize) -> Option<(usize, usize)> {
-        (0..self.loads.len()).find_map(|s| {
-            let load = &self.loads[s];
-            self.slots[s]
-                .iter()
-                .position(|slot| {
-                    let (node, base) = slot.alloc.unwrap_or((load.node, load.base));
-                    !slot.removed && node == dn && dt >= base && dt < base + load.tiles
-                })
-                .map(|k| (s, k))
-        })
+    /// Starts request `r` of stream `s` on the free `slot` at cycle `t` —
+    /// the one place a request starts — and returns whether it took the
+    /// slot (see the type docs for the deadline and overflow rules).
+    fn start(&mut self, t: u64, s: usize, r: usize, slot: usize) -> bool {
+        let cycles = self.durations[s][r].expect("checked before the event mutated anything");
+        let (verdict, frees) = self.decide(t, s, r, cycles);
+        self.out.verdicts[s][r] = Some(verdict);
+        self.out.attempts[s][r] += 1;
+        let Some(frees) = frees else { return false };
+        self.out.held[s][r] = Some((slot, t, frees));
+        self.slots[s][slot].busy = true;
+        self.departures.push(Reverse((frees, s, slot, r)));
+        true
     }
 
-    fn start(&mut self, t: u64, s: usize, r: usize, slot: usize) {
-        let finish = t + self.durations[s][r].expect("checked before the event mutated anything");
-        self.out.windows[s][r] = Some((t, finish));
-        self.out.replica_of[s][r] = Some(slot);
-        self.slots[s][slot].busy = true;
-        self.out.attempts[s][r] += 1;
-        self.departures.push(Reverse((finish, s, slot, r)));
+    /// Starts stream `s`'s queue heads on the free `slot` at `t` until one
+    /// takes it; false when the queue ran dry first.
+    fn serve_queue(&mut self, t: u64, s: usize, slot: usize) -> bool {
+        while let Some(r) = self.waiting[s].pop_front() {
+            if self.start(t, s, r, slot) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Records request `r` of stream `s` as lost to the tile death.
+    fn lose(&mut self, s: usize, r: usize) {
+        let budget = self.retry.max_attempts;
+        self.out.verdicts[s][r] =
+            self.death.map(|(cycle, node, tile)| Verdict::Lost { cycle, node, tile, budget });
     }
 
     fn push_event(&mut self, cycle: u64, stream: usize, slot: usize, kind: ScaleDirection) {
@@ -2908,7 +2862,6 @@ impl<'a> TenantScheduler<'a> {
             busy: false,
             removed: false,
         });
-        self.out.peak[s] = self.out.peak[s].max(self.live(s));
         self.slots[s].len() - 1
     }
 
@@ -2919,27 +2872,13 @@ impl<'a> TenantScheduler<'a> {
         match event {
             TenantEvent::Departure => {
                 let &Reverse((t, s, slot, _)) = self.departures.peek().expect("event peeked");
-                let removed = self.slots[s][slot].removed;
-                let head = self.waiting[s].front().copied().filter(|_| !removed);
-                if let Some(r) = head {
-                    self.known(s, r)?;
-                }
+                self.queue_known(t, s, None)?;
                 self.departures.pop();
-                if removed {
-                    // A quarantined slot's aborted in-flight request:
-                    // the abort and its retry were handled at the death
-                    // cycle, and the slot never returns to service.
-                    return Ok(());
-                }
                 self.slots[s][slot].busy = false;
-                if let Some(r) = head {
-                    self.waiting[s].pop_front();
-                    self.start(t, s, r, slot);
-                } else if !self.slots[s][slot].primary {
+                if !self.serve_queue(t, s, slot) && !self.slots[s][slot].primary {
                     // An idle scaled-up replica with an empty queue
                     // drains away; its tiles return to the free pool.
-                    // Primary replicas (slot 0 and its failover
-                    // replacement) stay resident.
+                    // Primary replicas stay resident.
                     let (node, base) =
                         self.slots[s][slot].alloc.expect("scaled-up replicas carry an allocation");
                     self.planner.release(node, base);
@@ -2949,14 +2888,22 @@ impl<'a> TenantScheduler<'a> {
             }
             TenantEvent::Death => {
                 let (dc, dn, dt) = self.death.expect("event peeked");
-                let victim = self.death_victim(dn, dt);
-                let failover_head = victim
-                    .filter(|&(s, _)| self.planner.find_fit(self.loads[s].tiles).is_some())
-                    .and_then(|(s, _)| self.waiting[s].front().map(|&r| (s, r)));
-                if let Some((s, r)) = failover_head {
-                    self.known(s, r)?;
+                // The live slot whose allocation covers the dead tile
+                // (allocations are disjoint, so at most one does).
+                let victim = (0..self.loads.len()).find_map(|s| {
+                    let load = &self.loads[s];
+                    let hit = |x: &ReplicaSlot| {
+                        let (node, base) = x.alloc.unwrap_or((load.node, load.base));
+                        !x.removed && node == dn && dt >= base && dt < base + load.tiles
+                    };
+                    self.slots[s].iter().position(hit).map(|k| (s, k))
+                });
+                if let Some((s, _)) =
+                    victim.filter(|&(s, _)| self.planner.find_fit(self.loads[s].tiles).is_some())
+                {
+                    self.queue_known(dc, s, None)?;
                 }
-                self.death = None;
+                self.death_pending = false;
                 let Some((s, k)) = victim else { return Ok(()) };
                 // Quarantine: the slot leaves service; its tiles stay
                 // allocated so nothing is ever re-placed onto the dead
@@ -2965,39 +2912,37 @@ impl<'a> TenantScheduler<'a> {
                 self.push_event(dc, s, k, ScaleDirection::Quarantine);
                 // Abort the in-flight victim; retry it after the
                 // exponential backoff while the budget allows.
-                let aborted = self
-                    .departures
-                    .iter()
-                    .find(|&&Reverse((_, ss, kk, _))| ss == s && kk == k)
-                    .map(|&Reverse((_, _, _, r))| r);
+                let mut aborted = None;
+                self.departures.retain(|&Reverse((_, ss, kk, r))| {
+                    aborted = aborted.or((ss == s && kk == k).then_some(r));
+                    ss != s || kk != k
+                });
                 if let Some(r) = aborted {
-                    self.out.windows[s][r] = None;
-                    self.out.replica_of[s][r] = None;
+                    self.out.verdicts[s][r] = None;
+                    self.out.held[s][r] = None;
                     let attempts = self.out.attempts[s][r];
                     if attempts < self.retry.max_attempts {
                         let exp = (attempts as u32 - 1).min(63);
                         let delay = self.retry.backoff_cycles.saturating_mul(1u64 << exp);
                         self.retries.push(Reverse((dc.saturating_add(delay), s, r)));
                     } else {
-                        self.out.failed[s][r] = true;
+                        self.lose(s, r);
                     }
                 }
                 // Failover: re-place the replica onto free tiles,
                 // first-fit like any deployment. The recovered replica
-                // immediately serves the queue head.
+                // immediately serves the queue.
                 if let Some(alloc) = self.planner.first_fit(self.loads[s].tiles) {
                     let slot = self.add_slot(s, alloc, self.slots[s][k].primary);
                     self.push_event(dc, s, slot, ScaleDirection::Failover);
-                    if let Some(r) = self.waiting[s].pop_front() {
-                        self.start(dc, s, r, slot);
-                    }
+                    self.serve_queue(dc, s, slot);
                 }
             }
             TenantEvent::Retry => {
                 let &Reverse((t, s, r)) = self.retries.peek().expect("event peeked");
                 let idle = self.idle_slot(s);
                 if idle.is_some() {
-                    self.known(s, r)?;
+                    self.queue_known(t, s, Some(r))?;
                 }
                 self.retries.pop();
                 if let Some(slot) = idle {
@@ -3007,7 +2952,7 @@ impl<'a> TenantScheduler<'a> {
                     // already admitted once.
                     self.waiting[s].push_back(r);
                 } else {
-                    self.out.failed[s][r] = true;
+                    self.lose(s, r);
                 }
             }
             TenantEvent::Arrival => {
@@ -3018,27 +2963,23 @@ impl<'a> TenantScheduler<'a> {
                     && self.waiting[s].len() + 1 >= self.policy.scale_up_depth
                     && self.live(s) < self.policy.max_replicas
                     && self.planner.find_fit(self.loads[s].tiles).is_some();
-                if idle.is_some() {
-                    self.known(s, r)?;
-                } else if scale_up {
-                    self.known(s, self.waiting[s].front().copied().unwrap_or(r))?;
+                if idle.is_some() || scale_up {
+                    self.queue_known(t, s, Some(r))?;
                 }
                 self.next_arrival += 1;
                 if let Some(slot) = idle {
                     self.start(t, s, r, slot);
                 } else if queued {
                     self.waiting[s].push_back(r);
-                    let alloc =
-                        if scale_up { self.planner.first_fit(self.loads[s].tiles) } else { None };
-                    if let Some(alloc) = alloc {
+                    if let Some(alloc) =
+                        scale_up.then(|| self.planner.first_fit(self.loads[s].tiles)).flatten()
+                    {
                         let slot = self.add_slot(s, alloc, false);
                         self.push_event(t, s, slot, ScaleDirection::Up);
-                        let head = self.waiting[s].pop_front().expect("pushed above");
-                        self.start(t, s, head, slot);
+                        self.serve_queue(t, s, slot);
                     }
                 } else {
-                    self.out.shed[s] += 1;
-                    self.dropped[s][r] = true;
+                    self.out.verdicts[s][r] = Some(Verdict::Shed);
                 }
             }
         }
@@ -3046,139 +2987,128 @@ impl<'a> TenantScheduler<'a> {
     }
 }
 
-/// The tenant pool's admission gate over a [`TenantScheduler`]: pool
-/// job `j` is the `j`-th request of the schedule's merged arrival order.
-/// A thread skips a job already decided shed and reveals each simulated
-/// duration, advancing the schedule as far as the known durations
-/// allow. Threads never wait here for a decision: an undecided job —
-/// possible only with more than one host thread — is simulated
-/// speculatively.
-struct ScheduleGate<'a> {
-    claims: Vec<(usize, usize)>,
-    scheduler: Mutex<TenantScheduler<'a>>,
-}
-
-impl<'a> ScheduleGate<'a> {
-    fn new(mut scheduler: TenantScheduler<'a>) -> Self {
-        scheduler.advance();
-        ScheduleGate { claims: scheduler.arrival_order(), scheduler: Mutex::new(scheduler) }
-    }
-
-    /// A thread that panics holding the lock re-raises when the pool's
-    /// thread scope joins, so a recovered guard never yields a schedule.
-    fn lock(&self) -> std::sync::MutexGuard<'_, TenantScheduler<'a>> {
-        self.scheduler.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether job `j` was already shed (so it is never simulated).
-    fn is_shed(&self, j: usize) -> bool {
-        let (s, r) = self.claims[j];
-        self.lock().is_shed(s, r)
-    }
-
-    /// Reveals job `j`'s simulated duration and advances the schedule.
-    fn record(&self, j: usize, cycles: u64) {
-        let (s, r) = self.claims[j];
-        let mut scheduler = self.lock();
-        scheduler.reveal(s, r, cycles);
-        scheduler.advance();
-    }
-
-    fn into_scheduler(self) -> TenantScheduler<'a> {
-        self.scheduler.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The replicated form of the scheduler, as [`ServeRunner`] runs it:
+    /// one stream of well-formed requests on `workers` primary slots,
+    /// every duration known upfront.
+    fn replicated_schedule(
+        arrivals: &[u64],
+        durations: &[u64],
+        workers: usize,
+        depth: Option<usize>,
+        deadline: Option<u64>,
+    ) -> Vec<Option<Verdict>> {
+        let loads = [TenantLoad {
+            arrivals: arrivals.to_vec(),
+            durations: durations.to_vec(),
+            order: (0..arrivals.len()).collect(),
+            replicas: workers,
+            tiles: 0,
+            node: 0,
+            base: 0,
+        }];
+        let policy = ScalePolicy::default();
+        let retry = RetryPolicy::default();
+        let planner = TilePlanner::new(0, 0);
+        let scheduler = TenantScheduler::new(&loads, depth, deadline, policy, retry, None, planner);
+        let (mut schedule, _) = scheduler.finish().expect("every duration is known upfront");
+        schedule.verdicts.remove(0)
+    }
+
+    fn served(start: u64, finish: u64) -> Option<Verdict> {
+        Some(Verdict::Served { start, finish })
+    }
+
+    /// [`max_concurrent`] over the served requests of a schedule.
+    fn overlap(schedule: &[Option<Verdict>]) -> usize {
+        let results: Vec<ServedRequest> = schedule
+            .iter()
+            .filter_map(|v| match *v {
+                Some(Verdict::Served { start, finish }) => Some(ServedRequest {
+                    arrival: start,
+                    disposition: Disposition::Completed {
+                        result: RequestResult { outputs: HashMap::new(), stats: RunStats::new() },
+                        start,
+                        finish,
+                    },
+                }),
+                _ => None,
+            })
+            .collect();
+        max_concurrent(&results)
+    }
+
     #[test]
-    fn virtual_schedule_single_worker_is_fifo() {
+    fn replicated_schedule_single_worker_is_fifo() {
         // Three requests, 10-cycle service, arriving every 4 cycles.
-        let arrivals = [0, 4, 8];
-        let durations = [10, 10, 10];
-        let schedule = virtual_schedule(&[0, 1, 2], &arrivals, &durations, 1, None, None);
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 10 });
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 10, finish: 20 });
-        assert_eq!(schedule[2], ScheduleSlot::Served { start: 20, finish: 30 });
-        assert_eq!(max_overlap(&schedule), 1);
+        let schedule = replicated_schedule(&[0, 4, 8], &[10, 10, 10], 1, None, None);
+        assert_eq!(schedule, vec![served(0, 10), served(10, 20), served(20, 30)]);
+        assert_eq!(overlap(&schedule), 1);
     }
 
     #[test]
-    fn virtual_schedule_extra_workers_run_in_parallel() {
-        let arrivals = [0, 0, 0];
-        let durations = [10, 10, 10];
-        let schedule = virtual_schedule(&[0, 1, 2], &arrivals, &durations, 3, None, None);
-        assert!(schedule.iter().all(|w| *w == ScheduleSlot::Served { start: 0, finish: 10 }));
-        assert_eq!(max_overlap(&schedule), 3);
+    fn replicated_schedule_extra_workers_run_in_parallel() {
+        let schedule = replicated_schedule(&[0, 0, 0], &[10, 10, 10], 3, None, None);
+        assert!(schedule.iter().all(|w| *w == served(0, 10)));
+        assert_eq!(overlap(&schedule), 3);
     }
 
     #[test]
-    fn virtual_schedule_sheds_beyond_queue_depth() {
+    fn replicated_schedule_sheds_beyond_queue_depth() {
         // One worker busy 0..100; depth 1: request 1 queues, 2 and 3 shed.
-        let arrivals = [0, 1, 2, 3];
-        let durations = [100, 100, 100, 100];
-        let schedule = virtual_schedule(&[0, 1, 2, 3], &arrivals, &durations, 1, Some(1), None);
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 100 });
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 100, finish: 200 });
-        assert_eq!(schedule[2], ScheduleSlot::Shed);
-        assert_eq!(schedule[3], ScheduleSlot::Shed);
+        let schedule = replicated_schedule(&[0, 1, 2, 3], &[100, 100, 100, 100], 1, Some(1), None);
+        assert_eq!(schedule[0], served(0, 100));
+        assert_eq!(schedule[1], served(100, 200));
+        assert_eq!(schedule[2], Some(Verdict::Shed));
+        assert_eq!(schedule[3], Some(Verdict::Shed));
     }
 
     #[test]
-    fn virtual_schedule_departure_precedes_same_cycle_arrival() {
+    fn replicated_schedule_departure_precedes_same_cycle_arrival() {
         // Worker frees at exactly t=10 when the second request arrives:
         // it must be admitted and start immediately.
-        let arrivals = [0, 10];
-        let durations = [10, 5];
-        let schedule = virtual_schedule(&[0, 1], &arrivals, &durations, 1, Some(0), None);
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 10, finish: 15 });
+        let schedule = replicated_schedule(&[0, 10], &[10, 5], 1, Some(0), None);
+        assert_eq!(schedule[1], served(10, 15));
     }
 
     #[test]
     fn depth_zero_is_a_loss_system() {
         // No waiting room: the second concurrent request is shed.
-        let arrivals = [0, 5];
-        let durations = [100, 100];
-        let schedule = virtual_schedule(&[0, 1], &arrivals, &durations, 1, Some(0), None);
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 100 });
-        assert_eq!(schedule[1], ScheduleSlot::Shed);
+        let schedule = replicated_schedule(&[0, 5], &[100, 100], 1, Some(0), None);
+        assert_eq!(schedule[0], served(0, 100));
+        assert_eq!(schedule[1], Some(Verdict::Shed));
     }
 
     #[test]
-    fn virtual_schedule_deadline_aborts_and_reclaims_worker() {
+    fn replicated_schedule_deadline_aborts_and_reclaims_worker() {
         // Request 0 would run 0..100 but its deadline is 50: the worker
         // is reclaimed at the abort cycle and serves request 1 on time.
-        let arrivals = [0, 40];
-        let durations = [100, 10];
-        let schedule = virtual_schedule(&[0, 1], &arrivals, &durations, 1, None, Some(50));
-        assert_eq!(schedule[0], ScheduleSlot::TimedOut { at: 50 });
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 50, finish: 60 });
+        let schedule = replicated_schedule(&[0, 40], &[100, 10], 1, None, Some(50));
+        assert_eq!(schedule[0], Some(Verdict::TimedOut { at: 50, deadline: 50 }));
+        assert_eq!(schedule[1], served(50, 60));
     }
 
     #[test]
-    fn virtual_schedule_queue_expiry_consumes_no_worker() {
+    fn replicated_schedule_queue_expiry_consumes_no_worker() {
         // One worker, deadline 60. Request 0 finishes in time; request 1
         // starts at 50 and is aborted at its deadline 60; request 2's
         // deadline passes while it is still queued, so it expires
         // without occupying the worker — which is free again for
         // request 3 the moment it arrives.
-        let arrivals = [0, 0, 0, 60];
-        let durations = [50, 50, 50, 20];
-        let schedule = virtual_schedule(&[0, 1, 2, 3], &arrivals, &durations, 1, None, Some(60));
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 50 });
-        assert_eq!(schedule[1], ScheduleSlot::TimedOut { at: 60 });
-        assert_eq!(schedule[2], ScheduleSlot::TimedOut { at: 60 });
-        assert_eq!(schedule[3], ScheduleSlot::Served { start: 60, finish: 80 });
+        let schedule = replicated_schedule(&[0, 0, 0, 60], &[50, 50, 50, 20], 1, None, Some(60));
+        assert_eq!(schedule[0], served(0, 50));
+        assert_eq!(schedule[1], Some(Verdict::TimedOut { at: 60, deadline: 60 }));
+        assert_eq!(schedule[2], Some(Verdict::TimedOut { at: 60, deadline: 60 }));
+        assert_eq!(schedule[3], served(60, 80));
     }
 
     #[test]
-    fn virtual_schedule_finishing_exactly_at_deadline_completes() {
-        let arrivals = [0];
-        let durations = [50];
-        let schedule = virtual_schedule(&[0], &arrivals, &durations, 1, None, Some(50));
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 50 });
+    fn replicated_schedule_finishing_exactly_at_deadline_completes() {
+        let schedule = replicated_schedule(&[0], &[50], 1, None, Some(50));
+        assert_eq!(schedule[0], served(0, 50));
     }
 
     use puma_core::tensor::Matrix;
@@ -3224,17 +3154,42 @@ mod tests {
         death: Option<(u64, usize, usize)>,
         planner: &mut TilePlanner,
     ) -> TenantSchedule {
-        let mut scheduler =
-            TenantScheduler::new(loads, depth, *policy, *retry, death, planner.clone());
-        assert_eq!(scheduler.advance(), None, "every duration is known upfront");
-        let (schedule, after) = scheduler.finish();
+        let scheduler =
+            TenantScheduler::new(loads, depth, None, *policy, *retry, death, planner.clone());
+        let (schedule, after) = scheduler.finish().expect("every duration is known upfront");
         *planner = after;
         schedule
     }
 
+    /// Most replicas stream `s` had live at once, from one at the start.
+    fn peak(schedule: &TenantSchedule, s: usize) -> usize {
+        schedule.events.iter().filter(|e| e.stream == s).fold(1, |p, e| p.max(e.live))
+    }
+
     fn load(arrivals: Vec<u64>, durations: Vec<u64>, tiles: usize) -> TenantLoad {
         let order: Vec<usize> = (0..arrivals.len()).collect();
-        TenantLoad { arrivals, durations, order, tiles, node: 0, base: 0 }
+        TenantLoad { arrivals, durations, order, replicas: 1, tiles, node: 0, base: 0 }
+    }
+
+    /// Stream `s`'s service windows (`None` = not served).
+    fn windows(schedule: &TenantSchedule, s: usize) -> Vec<Option<(u64, u64)>> {
+        schedule.verdicts[s]
+            .iter()
+            .map(|v| match *v {
+                Some(Verdict::Served { start, finish }) => Some((start, finish)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Stream `s`'s requests shed on arrival.
+    fn shed(schedule: &TenantSchedule, s: usize) -> usize {
+        schedule.verdicts[s].iter().filter(|v| **v == Some(Verdict::Shed)).count()
+    }
+
+    /// Per request of stream `s`: lost to the tile death.
+    fn lost(schedule: &TenantSchedule, s: usize) -> Vec<bool> {
+        schedule.verdicts[s].iter().map(|v| matches!(v, Some(Verdict::Lost { .. }))).collect()
     }
 
     #[test]
@@ -3265,12 +3220,12 @@ mod tests {
             None,
             &mut planner,
         );
-        assert_eq!(s.windows[0], vec![Some((0, 10)), Some((10, 20)), Some((20, 30))]);
-        assert_eq!(s.shed[0], 0);
-        assert_eq!(s.peak[0], 1);
+        assert_eq!(windows(&s, 0), vec![Some((0, 10)), Some((10, 20)), Some((20, 30))]);
+        assert_eq!(shed(&s, 0), 0);
+        assert_eq!(peak(&s, 0), 1);
         assert!(s.events.is_empty());
         assert_eq!(s.attempts[0], vec![1, 1, 1]);
-        assert!(s.failed[0].iter().all(|f| !f));
+        assert!(lost(&s, 0).iter().all(|f| !f));
     }
 
     #[test]
@@ -3286,10 +3241,10 @@ mod tests {
             None,
             &mut planner,
         );
-        assert_eq!(s.windows[0][0], Some((0, 100)));
-        assert_eq!(s.windows[0][1], Some((100, 200)));
-        assert_eq!(s.windows[0][2], None);
-        assert_eq!(s.shed[0], 2);
+        assert_eq!(windows(&s, 0)[0], Some((0, 100)));
+        assert_eq!(windows(&s, 0)[1], Some((100, 200)));
+        assert_eq!(windows(&s, 0)[2], None);
+        assert_eq!(shed(&s, 0), 2);
     }
 
     #[test]
@@ -3307,11 +3262,11 @@ mod tests {
             None,
             &mut planner,
         );
-        assert_eq!(s.windows[0][0], Some((0, 100)));
+        assert_eq!(windows(&s, 0)[0], Some((0, 100)));
         // Request 1 queued at t=1; request 2's arrival at t=2 makes the
         // queue reach depth 2 → scale up serves request 1 (the head).
-        assert_eq!(s.windows[0][1], Some((2, 102)));
-        assert_eq!(s.peak[0], 2);
+        assert_eq!(windows(&s, 0)[1], Some((2, 102)));
+        assert_eq!(peak(&s, 0), 2);
         assert_eq!(
             s.events.first(),
             Some(&RawScaleEvent {
@@ -3343,8 +3298,8 @@ mod tests {
             &mut planner,
         );
         assert!(s.events.is_empty());
-        assert_eq!(s.peak[0], 1);
-        assert_eq!(s.windows[0][3], Some((300, 400)));
+        assert_eq!(peak(&s, 0), 1);
+        assert_eq!(windows(&s, 0)[3], Some((300, 400)));
     }
 
     #[test]
@@ -3368,10 +3323,10 @@ mod tests {
         // Request 1 (queue head at the death) starts on the failover
         // replica immediately; request 0 re-arrives at 50 + 8 and runs
         // after it.
-        assert_eq!(s.windows[0][1], Some((50, 150)));
-        assert_eq!(s.windows[0][0], Some((150, 250)));
+        assert_eq!(windows(&s, 0)[1], Some((50, 150)));
+        assert_eq!(windows(&s, 0)[0], Some((150, 250)));
         assert_eq!(s.attempts[0], vec![2, 1]);
-        assert!(s.failed[0].iter().all(|f| !f));
+        assert!(lost(&s, 0).iter().all(|f| !f));
         let kinds: Vec<ScaleDirection> = s.events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![ScaleDirection::Quarantine, ScaleDirection::Failover]);
         assert_eq!(s.events[0].live, 0);
@@ -3398,11 +3353,11 @@ mod tests {
             Some((50, 0, 1)),
             &mut planner,
         );
-        assert_eq!(s.windows[0], vec![None, None, None]);
-        assert_eq!(s.failed[0], vec![true, true, true]);
+        assert_eq!(windows(&s, 0), vec![None, None, None]);
+        assert_eq!(lost(&s, 0), vec![true, true, true]);
         let kinds: Vec<ScaleDirection> = s.events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![ScaleDirection::Quarantine]);
-        assert_eq!(s.shed[0], 0);
+        assert_eq!(shed(&s, 0), 0);
     }
 
     #[test]
@@ -3420,15 +3375,14 @@ mod tests {
             &mut planner,
         );
         // Everything completes.
-        assert!(s.windows[0].iter().all(Option::is_some));
+        assert!(windows(&s, 0).iter().all(Option::is_some));
         // Slot 0 (the materialized deployment) is never released.
         assert!(s.events.iter().filter(|e| e.kind == ScaleDirection::Down).all(|e| e.slot != 0));
         // A released replica has no request in flight at the release
         // cycle: every request it served finished at or before it.
         for e in s.events.iter().filter(|e| e.kind == ScaleDirection::Down) {
-            for (r, slot) in s.replica_of[e.stream].iter().enumerate() {
-                if *slot == Some(e.slot) {
-                    let (start, finish) = s.windows[e.stream][r].unwrap();
+            for (r, held) in s.held[e.stream].iter().enumerate() {
+                if let Some((_, start, finish)) = held.filter(|&(slot, ..)| slot == e.slot) {
                     assert!(
                         finish <= e.cycle || start > e.cycle,
                         "slot {} released at {} with request {} in flight ({}..{})",
@@ -3575,6 +3529,72 @@ mod tests {
         assert_eq!(recovered.stages, clean.stages);
     }
 
+    /// Every completed request ran forward in time from its arrival.
+    fn assert_forward(results: &[ServedRequest]) {
+        for (i, r) in results.iter().enumerate() {
+            if let Disposition::Completed { start, finish, .. } = r.disposition {
+                assert!(r.arrival <= start && start <= finish, "request {i}: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn late_arrivals_fail_typed_instead_of_overflowing_the_clock() {
+        let cfg = NodeConfig::default();
+        let x = vec![("x".to_string(), vec![0.25; 16])];
+        let late = [ServeRequest::new(u64::MAX - 10, x.clone())];
+        let runner = ServeRunner::functional(&tiny_model("late", 16, 1.0), &cfg).unwrap();
+        let outcome = runner.serve(&late).unwrap();
+        assert_forward(&outcome.results);
+        let Disposition::Failed(e) = &outcome.results[0].disposition else {
+            panic!("a finish past u64::MAX must fail: {:?}", outcome.results[0]);
+        };
+        assert!(e.to_string().contains("past cycle u64::MAX"), "{e}");
+        assert_eq!((outcome.completed(), outcome.makespan_cycles, outcome.timed_out), (0, 0, 0));
+        // An armed watchdog still fires at the (representable) deadline.
+        let outcome = runner.with_deadline(Some(5)).serve(&late).unwrap();
+        let Disposition::Failed(RequestError::Deadline { cycle, .. }) =
+            outcome.results[0].disposition
+        else {
+            panic!("expected a deadline abort: {:?}", outcome.results[0]);
+        };
+        assert_eq!((cycle, outcome.timed_out), (u64::MAX - 5, 1));
+
+        let mut server =
+            TenantServer::functional(catalog_with(&[("m", 1.0)]), FabricSpec::new(1, 2), &cfg)
+                .unwrap();
+        server.deploy("m").unwrap();
+        let requests = vec![BatchRequest::new(x); 2];
+        let pattern = TrafficPattern::Uniform { interval: u64::MAX };
+        let outcome = server.serve(&[TenantStream::new("m", requests, pattern)]).unwrap();
+        let model = outcome.model("m").unwrap();
+        assert_forward(&model.results);
+        assert_eq!(model.completed(), 1);
+        assert!(matches!(model.results[1].disposition, Disposition::Failed(_)));
+        assert_eq!(outcome.makespan_cycles, model.latency.max);
+    }
+
+    #[test]
+    fn tenant_schedule_saturated_retry_fails_typed_at_the_clock_limit() {
+        // The death aborts request 0 at cycle 50; its retry backoff
+        // saturates, so the retry re-arrives at u64::MAX, where 100
+        // cycles of service cannot finish: it fails and takes no slot.
+        let loads = [load(vec![0], vec![100], 1)];
+        let mut planner = TilePlanner::new(1, 4);
+        planner.first_fit(1).unwrap();
+        let s = tenant_schedule(
+            &loads,
+            None,
+            &ScalePolicy::default(),
+            &RetryPolicy::new(2, u64::MAX),
+            Some((50, 0, 0)),
+            &mut planner,
+        );
+        assert_eq!(s.verdicts[0][0], Some(Verdict::Overflow { start: u64::MAX, cycles: 100 }));
+        assert_eq!(s.attempts[0][0], 2);
+        assert_eq!(s.held[0][0], None);
+    }
+
     #[test]
     fn latency_summary_nearest_rank() {
         let s = LatencySummary::from_latencies((1..=100).collect());
@@ -3602,20 +3622,67 @@ mod tests {
         assert_eq!(s.max, lat);
     }
 
-    /// One random tenant scenario for the laziness property: loads with
-    /// their true durations, queue depth, policies, tile death, and a
-    /// planner with every stream deployed (`None` when they do not fit).
-    #[allow(clippy::type_complexity)]
-    fn random_scenario(
-        rng: &mut proptest::test_runner::TestRng,
-    ) -> Option<(
-        Vec<TenantLoad>,
-        Option<usize>,
-        ScalePolicy,
-        RetryPolicy,
-        Option<(u64, usize, usize)>,
-        TilePlanner,
-    )> {
+    /// One random schedule scenario: loads with their true durations and
+    /// every rule a caller can set, with the planner holding each
+    /// stream's deployment.
+    struct Scenario {
+        loads: Vec<TenantLoad>,
+        depth: Option<usize>,
+        deadline: Option<u64>,
+        policy: ScalePolicy,
+        retry: RetryPolicy,
+        death: Option<(u64, usize, usize)>,
+        planner: TilePlanner,
+    }
+
+    /// Random arrivals, durations and malformed requests for one stream:
+    /// `n` requests, on a coarse grid half the time so departures and
+    /// arrivals often share a cycle.
+    fn random_load(rng: &mut proptest::test_runner::TestRng, n: usize) -> TenantLoad {
+        let grain = [1, 10][rng.next_index(2)];
+        let mut t = 0u64;
+        let mut arrivals = Vec::with_capacity(n);
+        let mut durations = Vec::with_capacity(n);
+        for _ in 0..n {
+            t += (rng.next_index(40) / grain * grain) as u64;
+            arrivals.push(t);
+            // A request that faulted in simulation serves 0 cycles.
+            durations.push(if rng.next_index(8) == 0 {
+                0
+            } else {
+                ((1 + rng.next_index(80)) / grain * grain).max(1) as u64
+            });
+        }
+        // Malformed requests never enter the schedule.
+        let order = (0..n).filter(|_| rng.next_index(10) != 0).collect();
+        TenantLoad { arrivals, durations, order, replicas: 1, tiles: 0, node: 0, base: 0 }
+    }
+
+    /// A random scenario from one of the two families a caller can
+    /// reach: replicated serving (one stream, 1–4 fixed workers, an
+    /// optional deadline, no scaling, retries or tile death) or
+    /// multi-tenant serving (one primary replica per stream, scaling,
+    /// retries and a tile death; `None` when the streams do not fit).
+    fn random_scenario(rng: &mut proptest::test_runner::TestRng) -> Option<Scenario> {
+        let depth = [None, Some(0), Some(1), Some(2), Some(4)][rng.next_index(5)];
+        if rng.next_index(3) == 0 {
+            let n = rng.next_index(20);
+            let deadline = match rng.next_index(3) {
+                0 => None,
+                1 => Some(0),
+                _ => Some(1 + rng.next_index(120) as u64),
+            };
+            let replicas = 1 + rng.next_index(4);
+            return Some(Scenario {
+                loads: vec![TenantLoad { replicas, ..random_load(rng, n) }],
+                depth,
+                deadline,
+                policy: ScalePolicy::default(),
+                retry: RetryPolicy::default(),
+                death: None,
+                planner: TilePlanner::new(0, 0),
+            });
+        }
         let nodes = 1 + rng.next_index(2);
         let tiles_per_node = 2 + rng.next_index(7);
         let mut planner = TilePlanner::new(nodes, tiles_per_node);
@@ -3624,24 +3691,8 @@ mod tests {
             let tiles = 1 + rng.next_index(2);
             let (node, base) = planner.first_fit(tiles)?;
             let n = rng.next_index(14);
-            let mut t = 0u64;
-            let mut arrivals = Vec::with_capacity(n);
-            let mut durations = Vec::with_capacity(n);
-            for _ in 0..n {
-                t += rng.next_index(40) as u64;
-                arrivals.push(t);
-                // A request that faulted in simulation serves 0 cycles.
-                durations.push(if rng.next_index(8) == 0 {
-                    0
-                } else {
-                    1 + rng.next_index(80) as u64
-                });
-            }
-            // Malformed requests never enter the schedule.
-            let order = (0..n).filter(|_| rng.next_index(10) != 0).collect();
-            loads.push(TenantLoad { arrivals, durations, order, tiles, node, base });
+            loads.push(TenantLoad { tiles, node, base, ..random_load(rng, n) });
         }
-        let depth = [None, Some(0), Some(1), Some(2), Some(4)][rng.next_index(5)];
         let policy = if rng.next_index(2) == 0 {
             ScalePolicy::default()
         } else {
@@ -3651,7 +3702,429 @@ mod tests {
         let death = (rng.next_index(2) == 0).then(|| {
             (rng.next_index(300) as u64, rng.next_index(nodes), rng.next_index(tiles_per_node))
         });
-        Some((loads, depth, policy, retry, death, planner))
+        Some(Scenario { loads, depth, deadline: None, policy, retry, death, planner })
+    }
+
+    /// What a schedule decided for one request, in the oracle's terms.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Fate {
+        Shed,
+        Served(u64, u64),
+        TimedOut(u64),
+        Lost,
+    }
+
+    /// A finished schedule in the oracle's terms: what the oracle
+    /// produces and what every scheduler's output is checked in.
+    #[derive(Debug, PartialEq)]
+    struct Decided {
+        /// Per stream, per request: its fate (`None` = never decided).
+        fates: Vec<Vec<Option<Fate>>>,
+        /// Per stream, per request: service attempts made.
+        attempts: Vec<Vec<usize>>,
+        /// Per stream, per request: `(slot, from, until)` of the last
+        /// attempt that held a slot and was not aborted by the tile death.
+        held: Vec<Vec<Option<(usize, u64, u64)>>>,
+        events: Vec<RawScaleEvent>,
+        /// Per node, per tile: allocated once the schedule finished.
+        tiles: Vec<Vec<bool>>,
+    }
+
+    /// The planner's allocations as a per-node, per-tile occupancy grid.
+    fn tile_grid(planner: &TilePlanner) -> Vec<Vec<bool>> {
+        planner
+            .allocs
+            .iter()
+            .map(|allocs| {
+                let mut grid = vec![false; planner.tiles_per_node];
+                for &(base, tiles) in allocs {
+                    grid[base..base + tiles].fill(true);
+                }
+                grid
+            })
+            .collect()
+    }
+
+    /// One replica slot of the oracle.
+    struct NaiveSlot {
+        /// Transient `(node, base)` allocation (`None` = the deployment).
+        alloc: Option<(usize, usize)>,
+        primary: bool,
+        live: bool,
+        /// `(frees at, request)` while a request holds the slot.
+        busy: Option<(u64, usize)>,
+    }
+
+    /// The oracle's state: everything in plain vectors.
+    struct Naive<'a> {
+        sc: &'a Scenario,
+        out: Decided,
+        slots: Vec<Vec<NaiveSlot>>,
+        queues: Vec<Vec<usize>>,
+        grid: Vec<Vec<bool>>,
+    }
+
+    impl Naive<'_> {
+        fn live(&self, s: usize) -> usize {
+            self.slots[s].iter().filter(|x| x.live).count()
+        }
+
+        fn event(&mut self, cycle: u64, stream: usize, slot: usize, kind: ScaleDirection) {
+            let live = self.live(stream);
+            self.out.events.push(RawScaleEvent { cycle, stream, slot, kind, live });
+        }
+
+        /// Allocates the first `(node, base)` with `want` free tiles in a
+        /// row, scanning nodes then bases.
+        fn fit(&mut self, want: usize) -> Option<(usize, usize)> {
+            for (node, row) in self.grid.iter_mut().enumerate() {
+                for base in 0..row.len() {
+                    if base + want <= row.len() && row[base..base + want].iter().all(|&u| !u) {
+                        row[base..base + want].fill(true);
+                        return Some((node, base));
+                    }
+                }
+            }
+            None
+        }
+
+        fn add(&mut self, s: usize, alloc: (usize, usize), primary: bool) -> usize {
+            self.slots[s].push(NaiveSlot { alloc: Some(alloc), primary, live: true, busy: None });
+            self.slots[s].len() - 1
+        }
+
+        /// The lowest live idle slot, only when nobody waits.
+        fn idle(&self, s: usize) -> Option<usize> {
+            if !self.queues[s].is_empty() {
+                return None;
+            }
+            self.slots[s].iter().position(|x| x.live && x.busy.is_none())
+        }
+
+        /// Starts request `r` on slot `k` at `t`; false when it takes no
+        /// slot (its deadline passed while it queued).
+        fn start(&mut self, t: u64, s: usize, r: usize, k: usize) -> bool {
+            let load = &self.sc.loads[s];
+            self.out.attempts[s][r] += 1;
+            let finish = t + load.durations[r];
+            let mut until = finish;
+            let mut fate = Fate::Served(t, finish);
+            if let Some(d) = self.sc.deadline {
+                let dl = load.arrivals[r] + d;
+                if finish > dl {
+                    fate = Fate::TimedOut(dl);
+                    until = dl;
+                }
+                if finish > dl && t >= dl {
+                    self.out.fates[s][r] = Some(fate);
+                    return false;
+                }
+            }
+            let slot = &mut self.slots[s][k];
+            assert!(slot.live && slot.busy.is_none(), "oracle overcommitted slot {k}");
+            slot.busy = Some((until, r));
+            self.out.fates[s][r] = Some(fate);
+            self.out.held[s][r] = Some((k, t, until));
+            true
+        }
+
+        /// Starts queue heads on slot `k` until one takes it.
+        fn serve_queue(&mut self, t: u64, s: usize, k: usize) -> bool {
+            while !self.queues[s].is_empty() {
+                let r = self.queues[s].remove(0);
+                if self.start(t, s, r, k) {
+                    return true;
+                }
+            }
+            false
+        }
+    }
+
+    /// A deliberately naive reference scheduler: it steps the clock one
+    /// cycle at a time, keeps everything in plain vectors found by
+    /// linear scans (no heaps, no laziness), and within a cycle handles
+    /// whatever is due in a fixed priority — departures (lowest stream,
+    /// then slot), then the tile death, then retries (lowest stream,
+    /// then request), then arrivals (lowest stream, then request) — until
+    /// nothing is.
+    fn oracle(sc: &Scenario) -> Decided {
+        let n = sc.loads.len();
+        let mut o = Naive {
+            sc,
+            out: Decided {
+                fates: sc.loads.iter().map(|l| vec![None; l.arrivals.len()]).collect(),
+                attempts: sc.loads.iter().map(|l| vec![0; l.arrivals.len()]).collect(),
+                held: sc.loads.iter().map(|l| vec![None; l.arrivals.len()]).collect(),
+                events: Vec::new(),
+                tiles: Vec::new(),
+            },
+            slots: (0..n)
+                .map(|s| {
+                    (0..sc.loads[s].replicas)
+                        .map(|_| NaiveSlot { alloc: None, primary: true, live: true, busy: None })
+                        .collect()
+                })
+                .collect(),
+            queues: vec![Vec::new(); n],
+            grid: tile_grid(&sc.planner),
+        };
+        let mut arrivals: Vec<(u64, usize, usize)> = Vec::new();
+        for (s, load) in sc.loads.iter().enumerate() {
+            arrivals.extend(load.order.iter().map(|&r| (load.arrivals[r], s, r)));
+        }
+        arrivals.sort_unstable();
+        let mut next = 0;
+        let mut retries: Vec<(u64, usize, usize)> = Vec::new();
+        let mut death = sc.death;
+        let mut t = 0u64;
+        loop {
+            let busy = o.slots.iter().flatten().any(|x| x.busy.is_some());
+            if next == arrivals.len() && retries.is_empty() && death.is_none() && !busy {
+                break;
+            }
+            assert!(t < 1_000_000, "the oracle ran away");
+            loop {
+                let mut departing = None;
+                for s in 0..n {
+                    for k in 0..o.slots[s].len() {
+                        if departing.is_none() && o.slots[s][k].busy.is_some_and(|(u, _)| u == t) {
+                            departing = Some((s, k));
+                        }
+                    }
+                }
+                if let Some((s, k)) = departing {
+                    o.slots[s][k].busy = None;
+                    if !o.serve_queue(t, s, k) && !o.slots[s][k].primary {
+                        let (node, base) = o.slots[s][k].alloc.expect("scaled-up slots hold tiles");
+                        o.grid[node][base..base + sc.loads[s].tiles].fill(false);
+                        o.slots[s][k].live = false;
+                        o.event(t, s, k, ScaleDirection::Down);
+                    }
+                    continue;
+                }
+                if let Some((dc, dn, dt)) = death.filter(|&(dc, ..)| dc == t) {
+                    death = None;
+                    let mut victim = None;
+                    for (s, load) in sc.loads.iter().enumerate() {
+                        for (k, slot) in o.slots[s].iter().enumerate() {
+                            let (node, base) = slot.alloc.unwrap_or((load.node, load.base));
+                            let hit = node == dn && base <= dt && dt < base + load.tiles;
+                            if victim.is_none() && slot.live && hit {
+                                victim = Some((s, k));
+                            }
+                        }
+                    }
+                    let Some((s, k)) = victim else { continue };
+                    o.slots[s][k].live = false;
+                    o.event(dc, s, k, ScaleDirection::Quarantine);
+                    if let Some((_, r)) = o.slots[s][k].busy.take() {
+                        o.out.fates[s][r] = None;
+                        o.out.held[s][r] = None;
+                        let a = o.out.attempts[s][r];
+                        if a < sc.retry.max_attempts {
+                            retries.push((dc + sc.retry.backoff_cycles * (1 << (a - 1)), s, r));
+                        } else {
+                            o.out.fates[s][r] = Some(Fate::Lost);
+                        }
+                    }
+                    if let Some(alloc) = o.fit(sc.loads[s].tiles) {
+                        let primary = o.slots[s][k].primary;
+                        let k = o.add(s, alloc, primary);
+                        o.event(dc, s, k, ScaleDirection::Failover);
+                        o.serve_queue(dc, s, k);
+                    }
+                    continue;
+                }
+                let due = (0..retries.len())
+                    .filter(|&i| retries[i].0 == t)
+                    .min_by_key(|&i| (retries[i].1, retries[i].2));
+                if let Some(i) = due {
+                    let (_, s, r) = retries.remove(i);
+                    if let Some(k) = o.idle(s) {
+                        o.start(t, s, r, k);
+                    } else if o.live(s) > 0 {
+                        o.queues[s].push(r);
+                    } else {
+                        o.out.fates[s][r] = Some(Fate::Lost);
+                    }
+                    continue;
+                }
+                if next < arrivals.len() && arrivals[next].0 == t {
+                    let (_, s, r) = arrivals[next];
+                    next += 1;
+                    if let Some(k) = o.idle(s) {
+                        o.start(t, s, r, k);
+                    } else if sc.depth.is_none_or(|d| o.queues[s].len() < d) {
+                        o.queues[s].push(r);
+                        let deep = o.queues[s].len() >= sc.policy.scale_up_depth
+                            && o.live(s) < sc.policy.max_replicas;
+                        if let Some(alloc) = deep.then(|| o.fit(sc.loads[s].tiles)).flatten() {
+                            let k = o.add(s, alloc, false);
+                            o.event(t, s, k, ScaleDirection::Up);
+                            o.serve_queue(t, s, k);
+                        }
+                    } else {
+                        o.out.fates[s][r] = Some(Fate::Shed);
+                    }
+                    continue;
+                }
+                break;
+            }
+            t += 1;
+        }
+        // A stream with no live slot left can never serve its queue.
+        for s in 0..n {
+            if o.live(s) == 0 {
+                for r in std::mem::take(&mut o.queues[s]) {
+                    o.out.fates[s][r] = Some(Fate::Lost);
+                }
+            }
+        }
+        o.out.tiles = o.grid;
+        o.out
+    }
+
+    /// The invariants every schedule keeps, checked on `d`:
+    /// - every schedulable request gets exactly one fate, the rest none;
+    /// - service windows run forward from the arrival;
+    /// - no slot is overcommitted: per slot, held windows are disjoint,
+    ///   and no more are held at once than slots were ever live;
+    /// - queues are FIFO per stream, retries aside: requests served on
+    ///   their first attempt start in arrival order;
+    /// - a slot freed at `t` is visible to an arrival at `t`: where a
+    ///   stream's slots never changed, a request that waited or was shed
+    ///   found every slot held over its arrival cycle by requests ahead
+    ///   of it, and it was shed exactly when `depth` of those still
+    ///   waited.
+    fn check_invariants(sc: &Scenario, d: &Decided, what: &str) {
+        for (s, load) in sc.loads.iter().enumerate() {
+            for r in 0..load.arrivals.len() {
+                let schedulable = load.order.contains(&r);
+                assert_eq!(d.fates[s][r].is_some(), schedulable, "{what}: fate of ({s}, {r})");
+                if let Some(Fate::Served(start, finish)) = d.fates[s][r] {
+                    assert!(load.arrivals[r] <= start && start <= finish, "{what}: ({s}, {r})");
+                }
+            }
+            let mut held: Vec<(usize, u64, u64)> = d.held[s].iter().flatten().copied().collect();
+            held.sort_unstable();
+            for w in held.windows(2) {
+                if w[0].0 == w[1].0 {
+                    assert!(w[0].2 <= w[1].1, "{what}: stream {s} slot overcommitted: {w:?}");
+                }
+            }
+            let mut edges: Vec<(u64, i64)> =
+                held.iter().flat_map(|&(_, from, until)| [(from, 1), (until, -1)]).collect();
+            edges.sort_unstable();
+            let most_live = d.events.iter().filter(|e| e.stream == s).map(|e| e.live);
+            let most_live = most_live.max().unwrap_or(0).max(load.replicas) as i64;
+            let mut open = 0i64;
+            for (_, delta) in edges {
+                open += delta;
+                assert!(open <= most_live, "{what}: stream {s} holds more than its slots");
+            }
+            let mut last = 0u64;
+            for &r in &load.order {
+                if let (Some(Fate::Served(start, _)), true) = (d.fates[s][r], d.attempts[s][r] <= 1)
+                {
+                    assert!(start >= last, "{what}: ({s}, {r}) overtook the queue");
+                    last = start;
+                }
+            }
+            if d.events.iter().all(|e| e.stream != s) {
+                for (k, &r) in load.order.iter().enumerate() {
+                    let t = load.arrivals[r];
+                    let waited = match d.fates[s][r] {
+                        Some(Fate::Shed) => true,
+                        Some(Fate::Served(start, _)) => start > t,
+                        _ => false,
+                    };
+                    // Only requests ahead of `r` can hold a slot when it arrives.
+                    let holding = load.order[..k].iter().filter(|&&q| {
+                        d.held[s][q].is_some_and(|(_, from, until)| from <= t && t < until)
+                    });
+                    // Requests ahead that still wait once `t`'s departures
+                    // are done: a queued one leaves when it starts, or when
+                    // its deadline expires it.
+                    let queued = load.order[..k].iter().filter(|&&q| {
+                        let left = match d.fates[s][q] {
+                            Some(Fate::Served(start, _)) => start,
+                            Some(Fate::TimedOut(at)) => {
+                                d.held[s][q].map_or(at, |(_, from, _)| from)
+                            }
+                            _ => return false,
+                        };
+                        left > t
+                    });
+                    if waited {
+                        assert_eq!(
+                            holding.count(),
+                            load.replicas,
+                            "{what}: ({s}, {r}) waited at cycle {t} beside a free slot"
+                        );
+                        let shed = d.fates[s][r] == Some(Fate::Shed);
+                        assert_eq!(
+                            shed,
+                            sc.depth == Some(queued.count()),
+                            "{what}: ({s}, {r}) at cycle {t} broke the queue bound"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A schedule in the oracle's terms.
+    fn view(schedule: &TenantSchedule, planner: &TilePlanner) -> Decided {
+        let fate = |v: &Option<Verdict>| {
+            v.map(|v| match v {
+                Verdict::Shed => Fate::Shed,
+                Verdict::Served { start, finish } => Fate::Served(start, finish),
+                Verdict::TimedOut { at, .. } => Fate::TimedOut(at),
+                Verdict::Lost { .. } => Fate::Lost,
+                Verdict::Overflow { .. } => panic!("a small scenario overflowed"),
+            })
+        };
+        Decided {
+            fates: schedule.verdicts.iter().map(|v| v.iter().map(fate).collect()).collect(),
+            attempts: schedule.attempts.clone(),
+            held: schedule.held.clone(),
+            events: schedule.events.clone(),
+            tiles: tile_grid(planner),
+        }
+    }
+
+    /// Runs one scenario through the serving scheduler, every duration
+    /// known upfront.
+    fn production(sc: &Scenario) -> Decided {
+        let scheduler = TenantScheduler::new(
+            &sc.loads,
+            sc.depth,
+            sc.deadline,
+            sc.policy,
+            sc.retry,
+            sc.death,
+            sc.planner.clone(),
+        );
+        let (schedule, planner) = scheduler.finish().expect("every duration is known upfront");
+        view(&schedule, &planner)
+    }
+
+    /// The serving scheduler against the naive oracle, over random
+    /// scenarios from both families: the oracle keeps the invariants, the
+    /// scheduler's output keeps them too, and the two agree exactly.
+    #[test]
+    fn scheduler_matches_the_naive_oracle() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(0x0_7ac1e);
+        let mut done = 0;
+        while done < 4000 {
+            let Some(sc) = random_scenario(&mut rng) else { continue };
+            done += 1;
+            let want = oracle(&sc);
+            check_invariants(&sc, &want, &format!("case {done}: oracle"));
+            let got = production(&sc);
+            check_invariants(&sc, &got, &format!("case {done}: scheduler"));
+            assert_eq!(got, want, "case {done}");
+        }
     }
 
     /// The resumable scheduler's laziness property: whether durations
@@ -3665,37 +4138,55 @@ mod tests {
         let mut rng = proptest::test_runner::TestRng::from_seed(0x7e4a_4747);
         let mut cases = 0;
         while cases < 400 {
-            let Some((loads, depth, policy, retry, death, planner)) = random_scenario(&mut rng)
-            else {
-                continue;
-            };
+            let Some(sc) = random_scenario(&mut rng) else { continue };
+            let Scenario { loads, depth, deadline, policy, retry, death, planner } = sc;
             cases += 1;
-            let mut upfront_planner = planner.clone();
-            let upfront =
-                tenant_schedule(&loads, depth, &policy, &retry, death, &mut upfront_planner);
+            let (upfront, upfront_planner) = TenantScheduler::new(
+                &loads,
+                depth,
+                deadline,
+                policy,
+                retry,
+                death,
+                planner.clone(),
+            )
+            .finish()
+            .expect("every duration is known upfront");
             let hidden: Vec<TenantLoad> = loads
                 .iter()
                 .map(|l| TenantLoad {
                     arrivals: l.arrivals.clone(),
                     durations: Vec::new(),
                     order: l.order.clone(),
+                    replicas: l.replicas,
                     tiles: l.tiles,
                     node: l.node,
                     base: l.base,
                 })
                 .collect();
-            let fresh =
-                || TenantScheduler::new(&hidden, depth, policy, retry, death, planner.clone());
+            let fresh = || {
+                TenantScheduler::new(
+                    &hidden,
+                    depth,
+                    deadline,
+                    policy,
+                    retry,
+                    death,
+                    planner.clone(),
+                )
+            };
 
-            // Lazy: reveal exactly what each stall asks for.
+            // Lazy: record exactly what each stall asks for.
             let mut lazy = fresh();
+            let jobs = lazy.arrival_order();
             let mut asked = Vec::new();
             while let Some((s, r)) = lazy.advance() {
                 assert!(!asked.contains(&(s, r)), "case {cases}: asked for ({s}, {r}) twice");
                 asked.push((s, r));
-                lazy.reveal(s, r, loads[s].durations[r]);
+                let j = jobs.iter().position(|&job| job == (s, r)).expect("asked for a job");
+                lazy.record(j, loads[s].durations[r]);
             }
-            let (schedule, after) = lazy.finish();
+            let (schedule, after) = lazy.finish().expect("every asked duration was revealed");
             assert_eq!(schedule, upfront, "case {cases}: lazy reveal changed the schedule");
             assert_eq!(after.allocs, upfront_planner.allocs, "case {cases}");
             for (s, l) in loads.iter().enumerate() {
@@ -3705,25 +4196,25 @@ mod tests {
                 }
             }
 
-            // Random order: reveal everything one at a time, advancing
-            // after each; a shed decision, once made, is final.
-            let mut all = fresh().arrival_order();
+            // Random order: record everything one job at a time; a shed
+            // decision, once made, is final.
+            let mut all: Vec<usize> = (0..jobs.len()).collect();
             for i in (1..all.len()).rev() {
                 all.swap(i, rng.next_index(i + 1));
             }
             let mut random = fresh();
             random.advance();
-            for &(s, r) in &all {
-                random.reveal(s, r, loads[s].durations[r]);
-                random.advance();
-                for &(s, r) in &all {
-                    if random.is_shed(s, r) {
+            for &j in &all {
+                let (s, r) = jobs[j];
+                random.record(j, loads[s].durations[r]);
+                for (k, &(s, r)) in jobs.iter().enumerate() {
+                    if random.is_shed(k) {
                         assert_eq!(upfront.attempts[s][r], 0, "case {cases}: ({s}, {r})");
                     }
                 }
             }
             assert_eq!(random.advance(), None);
-            let (schedule, after) = random.finish();
+            let (schedule, after) = random.finish().expect("every duration was revealed");
             assert_eq!(schedule, upfront, "case {cases}: random reveal changed the schedule");
             assert_eq!(after.allocs, upfront_planner.allocs, "case {cases}");
         }
