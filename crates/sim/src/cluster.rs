@@ -20,7 +20,7 @@
 //! correctly.
 
 use crate::fifo::Packet;
-use crate::machine::{NodeSim, OutboundPacket, ResidentModel, SimEngine, SimMode};
+use crate::machine::{NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SimEngine, SimMode};
 use crate::stats::RunStats;
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
@@ -42,6 +42,7 @@ struct Flight {
     dest_tile: u16,
     fifo: u8,
     packet: Packet,
+    origin: PacketOrigin,
 }
 
 impl PartialEq for Flight {
@@ -377,6 +378,7 @@ impl ClusterSim {
                         flight.fifo,
                         flight.packet,
                         flight.arrive_at,
+                        flight.origin,
                     )?;
                 }
                 (_, Some((_, i))) => {
@@ -398,7 +400,7 @@ impl ClusterSim {
                     self.nodes[i].set_external_horizon(horizon);
                     self.nodes[i].step_one()?;
                     for out in self.nodes[i].take_outbox() {
-                        let OutboundPacket { node, tile, fifo, packet, arrive_at } = out;
+                        let OutboundPacket { node, tile, fifo, packet, arrive_at, origin } = out;
                         self.flight_seq += 1;
                         self.in_flight.push(Reverse(Flight {
                             arrive_at,
@@ -407,6 +409,7 @@ impl ClusterSim {
                             dest_tile: tile,
                             fifo,
                             packet,
+                            origin,
                         }));
                     }
                 }

@@ -50,6 +50,7 @@ pub(crate) struct DeliverEvent {
     pub tile: u32,
     pub fifo: u8,
     pub packet: Packet,
+    pub origin: crate::machine::PacketOrigin,
 }
 
 #[derive(Debug)]
@@ -84,6 +85,7 @@ impl Event {
         }
     }
 
+    #[cfg(test)]
     fn key(&self) -> (u64, u64) {
         (self.time, self.prio_seq)
     }
@@ -91,7 +93,7 @@ impl Event {
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
 impl Eq for Event {}
@@ -101,8 +103,17 @@ impl PartialOrd for Event {
     }
 }
 impl Ord for Event {
+    /// `(time, prio_seq)`, except that two same-cycle deliveries order by
+    /// origin first: push sequence follows execution order, which the
+    /// engines do not share across tiles, while the origin is fixed by
+    /// the program.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+        self.time.cmp(&other.time).then_with(|| match (&self.kind, &other.kind) {
+            (EventKind::Deliver(a), EventKind::Deliver(b)) => {
+                a.origin.cmp(&b.origin).then(self.prio_seq.cmp(&other.prio_seq))
+            }
+            _ => self.prio_seq.cmp(&other.prio_seq),
+        })
     }
 }
 
@@ -169,10 +180,9 @@ impl BucketQueue {
     pub fn push(&mut self, ev: Event) {
         // Into the frontier bucket if it has room or the event beats its
         // tail; the displaced tail spills to the heap.
-        let fits =
-            self.front.len() < FRONT_CAP || self.front.back().is_some_and(|b| ev.key() < b.key());
+        let fits = self.front.len() < FRONT_CAP || self.front.back().is_some_and(|b| ev < *b);
         if fits {
-            let pos = self.front.partition_point(|e| e.key() < ev.key());
+            let pos = self.front.partition_point(|e| *e < ev);
             self.front.insert(pos, ev);
             if self.front.len() > FRONT_CAP {
                 let spill = self.front.pop_back().expect("over cap");
@@ -185,7 +195,7 @@ impl BucketQueue {
 
     pub fn pop(&mut self) -> Option<Event> {
         match (self.front.front(), self.far.peek()) {
-            (Some(f), Some(Reverse(h))) if h.key() < f.key() => self.far.pop().map(|Reverse(e)| e),
+            (Some(f), Some(Reverse(h))) if h < f => self.far.pop().map(|Reverse(e)| e),
             (Some(_), _) => self.front.pop_front(),
             (None, _) => self.far.pop().map(|Reverse(e)| e),
         }

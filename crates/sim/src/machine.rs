@@ -465,6 +465,23 @@ impl IoIndex {
     }
 }
 
+/// Where and when a packet was sent. Two packets landing in one tile in
+/// the same cycle are delivered in origin order — send cycle, then
+/// sender node, sender tile and duplicate index — on every engine: the
+/// order the engines happen to execute the sends in is not part of the
+/// semantics, since the compiled engine runs tiles ahead of one another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PacketOrigin {
+    /// Global cycle the `send` executed at.
+    pub sent_at: u64,
+    /// Sending node.
+    pub node: u16,
+    /// Sending tile, local to the sending node.
+    pub tile: u32,
+    /// 0 for the packet itself, 1 for a fault-injected duplicate.
+    pub copy: u8,
+}
+
 /// An inter-node packet produced by a `send` whose destination node is
 /// not this node: a cluster scheduler ([`crate::ClusterSim`],
 /// [`crate::PipelineSim`], or an external driver of the stepping API)
@@ -482,6 +499,9 @@ pub struct OutboundPacket {
     pub packet: Packet,
     /// Global cycle at which the packet lands at the destination tile.
     pub arrive_at: u64,
+    /// The send that produced the packet: the tie-break among packets
+    /// landing in one tile in the same cycle.
+    pub origin: PacketOrigin,
 }
 
 /// The node simulator.
@@ -535,6 +555,12 @@ pub struct NodeSim {
     agent_energy_maps: Vec<EnergyStats>,
     /// First agent slot of each tile (prefix sums over cores+ctl).
     agent_offsets: Vec<usize>,
+    /// Per agent slot, the cycle its current instruction first blocked
+    /// at (`u64::MAX` while it is not blocked). A parked agent's retries
+    /// re-park it at their own cycle — the reference engine retries on
+    /// every change, the compiled engine only on matching ones — so this,
+    /// not the latest park, is what [`NodeSim::blocked_summary`] reports.
+    blocked_from: Vec<u64>,
     /// Dynamic instruction counts by [`InstructionCategory::index`].
     instr_counts: [u64; puma_isa::InstructionCategory::ALL.len()],
     /// Host I/O bindings and their name index, built once per image and
@@ -969,6 +995,7 @@ impl NodeSim {
             agent_energy: vec![AgentEnergy::default(); agents],
             agent_energy_maps: vec![EnergyStats::new(); agents],
             agent_offsets,
+            blocked_from: vec![u64::MAX; agents],
             instr_counts: [0; puma_isa::InstructionCategory::ALL.len()],
             io: Arc::new(IoIndex::new(image)),
             max_cycles: DEFAULT_MAX_CYCLES,
@@ -1138,6 +1165,7 @@ impl NodeSim {
             agent_energy: vec![AgentEnergy::default(); self.agent_energy.len()],
             agent_energy_maps: vec![EnergyStats::new(); self.agent_energy_maps.len()],
             agent_offsets: self.agent_offsets.clone(),
+            blocked_from: vec![u64::MAX; self.blocked_from.len()],
             instr_counts: [0; puma_isa::InstructionCategory::ALL.len()],
             io: Arc::clone(&self.io),
             max_cycles: self.max_cycles,
@@ -1483,6 +1511,7 @@ impl NodeSim {
             }
         }
         self.stats = RunStats::new();
+        self.blocked_from.fill(u64::MAX);
         for acc in &mut self.agent_energy {
             *acc = AgentEnergy::default();
         }
@@ -1836,7 +1865,7 @@ impl NodeSim {
         }
         match event.kind {
             EventKind::Deliver(d) => {
-                let DeliverEvent { tile, fifo, packet } = *d;
+                let DeliverEvent { tile, fifo, packet, .. } = *d;
                 if self.tile_dead(tile, now) {
                     // Deliveries addressed to a dead tile are dropped on
                     // the floor: its receive buffers are powered off.
@@ -1867,9 +1896,7 @@ impl NodeSim {
                         self.set_pc(agent, next_pc);
                         self.push_agent_event(agent, now + latency)?;
                     }
-                    Step::Blocked(cond) => {
-                        self.tiles[agent.tile as usize].parked.park(agent, now, cond);
-                    }
+                    Step::Blocked(cond) => self.park(agent, now, cond),
                     Step::Halted => {
                         self.set_halted(agent);
                     }
@@ -1948,7 +1975,8 @@ impl NodeSim {
                 entries.sort_by_key(|(a, _, _)| a.core);
                 entries
                     .into_iter()
-                    .map(|(a, since, cond)| {
+                    .map(|&(a, _, cond)| {
+                        let since = self.blocked_from[self.agent_slot(a)];
                         let agent = if a.is_tile_ctl() {
                             format!("tile{t}/ctl")
                         } else {
@@ -2102,6 +2130,8 @@ impl NodeSim {
 
     /// Injects a packet from another node into this node's receive path at
     /// global cycle `time` (it lands in the tile's FIFO like a NoC packet).
+    /// `origin` orders it among packets landing in the same tile in the
+    /// same cycle.
     ///
     /// # Errors
     ///
@@ -2112,6 +2142,7 @@ impl NodeSim {
         fifo: u8,
         packet: Packet,
         time: u64,
+        origin: PacketOrigin,
     ) -> Result<()> {
         if tile as usize >= self.tiles.len() {
             return Err(PumaError::Execution {
@@ -2124,7 +2155,7 @@ impl NodeSim {
         self.enqueue(
             time,
             PRIO_DELIVER,
-            EventKind::Deliver(Box::new(DeliverEvent { tile: tile as u32, fifo, packet })),
+            EventKind::Deliver(Box::new(DeliverEvent { tile: tile as u32, fifo, packet, origin })),
         );
         Ok(())
     }
@@ -2206,7 +2237,9 @@ impl NodeSim {
             }
             if self.tile_dead(tile, t) {
                 // Same dead-tile halt as the other engines, at the same
-                // instruction-start timestamp.
+                // instruction-start timestamp, which the reference engine
+                // observes as the suppressed dispatch's event time.
+                self.last_time = self.last_time.max(t);
                 self.set_halted(agent);
                 self.death_fired = true;
                 self.stats.dead_tile_halts += 1;
@@ -2339,7 +2372,7 @@ impl NodeSim {
                             t += latency;
                         }
                         Step::Blocked(cond) => {
-                            self.tiles[tile as usize].parked.park(agent, t, cond);
+                            self.park(agent, t, cond);
                             return Ok(());
                         }
                         Step::Halted => {
@@ -2509,6 +2542,13 @@ impl NodeSim {
         self.wake_scratch = woken;
     }
 
+    /// Parks a blocked agent on its tile (see `blocked_from`).
+    fn park(&mut self, agent: AgentId, now: u64, cond: WaitCond) {
+        let slot = self.agent_slot(agent);
+        self.blocked_from[slot] = self.blocked_from[slot].min(now);
+        self.tiles[agent.tile as usize].parked.park(agent, now, cond);
+    }
+
     fn set_pc(&mut self, agent: AgentId, pc: u32) {
         let tile = &mut self.tiles[agent.tile as usize];
         if agent.is_tile_ctl() {
@@ -2627,6 +2667,8 @@ impl NodeSim {
         // emptiness check for them).
         self.apply_wakes(agent.tile as usize, now);
         if matches!(outcome, Step::Advance { .. } | Step::Halted) {
+            let slot = self.agent_slot(agent);
+            self.blocked_from[slot] = u64::MAX;
             match self.engine {
                 // Seed-faithful accounting: the reference engine updates
                 // the dynamic-instruction BTreeMap and re-evaluates the
@@ -2751,6 +2793,8 @@ impl NodeSim {
                     if arrive_at > self.max_cycles {
                         return Err(self.cycle_cap_error());
                     }
+                    let origin =
+                        PacketOrigin { sent_at: now, node: self.node_id, tile: t as u32, copy: 0 };
                     if duplicate {
                         self.outbox.push(OutboundPacket {
                             node,
@@ -2758,6 +2802,7 @@ impl NodeSim {
                             fifo,
                             packet: Packet { words: words.clone() },
                             arrive_at,
+                            origin: PacketOrigin { copy: 1, ..origin },
                         });
                     }
                     self.outbox.push(OutboundPacket {
@@ -2766,6 +2811,7 @@ impl NodeSim {
                         fifo,
                         packet: Packet { words },
                         arrive_at,
+                        origin,
                     });
                     return Ok(Step::Advance { next_pc: pc + 1, latency: occupancy });
                 }
@@ -2785,6 +2831,12 @@ impl NodeSim {
                         tile: target as u32,
                         fifo,
                         packet: Packet { words },
+                        origin: PacketOrigin {
+                            sent_at: now,
+                            node: self.node_id,
+                            tile: t as u32,
+                            copy: 0,
+                        },
                     })),
                 );
                 Ok(Step::Advance { next_pc: pc + 1, latency: occupancy })

@@ -37,7 +37,7 @@
 
 use crate::cluster::ClusterSim;
 use crate::fifo::Packet;
-use crate::machine::{NodeSim, SimEngine, SimMode};
+use crate::machine::{NodeSim, PacketOrigin, SimEngine, SimMode};
 use crate::stats::RunStats;
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
@@ -124,6 +124,7 @@ struct Flight {
     dest_tile: u16,
     fifo: u8,
     packet: Packet,
+    origin: PacketOrigin,
     req: usize,
 }
 
@@ -153,6 +154,7 @@ struct HeldPacket {
     tile: u16,
     fifo: u8,
     packet: Packet,
+    origin: PacketOrigin,
 }
 
 /// A cluster of node simulators serving a *stream* of requests with
@@ -363,6 +365,7 @@ impl PipelineSim {
                         flight.fifo,
                         flight.packet,
                         flight.arrive_at,
+                        flight.origin,
                     )?;
                 }
                 Action::Start(j) => {
@@ -389,6 +392,7 @@ impl PipelineSim {
                                 p.fifo,
                                 p.packet,
                                 p.arrive_at.max(s),
+                                p.origin,
                             )?;
                         }
                     }
@@ -488,6 +492,7 @@ impl PipelineSim {
                                 dest_tile: out.tile,
                                 fifo: out.fifo,
                                 packet: out.packet,
+                                origin: out.origin,
                                 req: k,
                             }));
                         } else {
@@ -497,6 +502,7 @@ impl PipelineSim {
                                 tile: out.tile,
                                 fifo: out.fifo,
                                 packet: out.packet,
+                                origin: out.origin,
                             });
                         }
                     }

@@ -12,6 +12,8 @@
 //!   (and CNN workload specs) drawn from the Table 5 zoo families;
 //! - [`isagen`] — a strategy covering every encodable instruction, for
 //!   encode/decode/assemble round-trip suites;
+//! - [`imagegen`] — random small multi-tile machine images and the
+//!   engine-differential check the image fuzzer runs them through;
 //! - [`golden`] — stdout snapshot checking for the figure/table binaries,
 //!   so paper numbers cannot silently drift.
 //!
@@ -42,5 +44,6 @@
 
 pub mod golden;
 pub mod harness;
+pub mod imagegen;
 pub mod isagen;
 pub mod modelgen;
