@@ -33,7 +33,7 @@ use puma_nn::data::{split, synthetic_clusters};
 use puma_nn::spec::{Activation, LayerSpec, WorkloadClass, WorkloadSpec};
 use puma_nn::train::{train_mlp, TrainConfig};
 use puma_nn::zoo;
-use puma_sim::{NodeSim, SimEngine, SimMode};
+use puma_sim::{NodeSim, SchedStats, SimEngine, SimMode};
 use puma_xbar::NoiseModel;
 use std::time::Instant;
 
@@ -68,10 +68,11 @@ struct EngineRow {
     runs: usize,
     instructions: u64,
     cycles: u64,
-    /// Event-queue pops per run — the scheduler-overhead residue the
-    /// compiled engine exists to avoid. Deterministic
-    /// (simulated, not wall clock), so `compare_bench` gates it.
-    queue_events: u64,
+    /// Scheduler counters per run. Tile entries (scheduler-queue pops)
+    /// are the scheduler-overhead residue the compiled engine exists to
+    /// avoid; deterministic (simulated, not wall clock), so
+    /// `compare_bench` gates them per instruction.
+    sched: SchedStats,
     /// Best (minimum) wall time of a single simulated inference.
     best_seconds: f64,
 }
@@ -85,12 +86,17 @@ impl EngineRow {
         }
     }
 
-    fn queue_events_per_instruction(&self) -> f64 {
+    fn per_instruction(&self, count: u64) -> f64 {
         if self.instructions > 0 {
-            self.queue_events as f64 / self.instructions as f64
+            count as f64 / self.instructions as f64
         } else {
             0.0
         }
+    }
+
+    /// Scheduler entries (tile entries) per executed instruction.
+    fn queue_events_per_instruction(&self) -> f64 {
+        self.per_instruction(self.sched.tile_entries)
     }
 }
 
@@ -657,7 +663,7 @@ fn bench_graph_workload(name: &str, cfg: &NodeConfig, runs: usize) -> Vec<Engine
                 runs,
                 instructions: stats.total_instructions(),
                 cycles: stats.cycles,
-                queue_events: session.queue_events(),
+                sched: session.sched_stats(),
                 best_seconds: best,
             }
         })
@@ -668,8 +674,8 @@ fn bench_graph_workload(name: &str, cfg: &NodeConfig, runs: usize) -> Vec<Engine
 /// each running a double-buffered producer → 2-consumer attribute-buffer
 /// fan-out, with no compute padding — the NMTL3-class regime (many tiles
 /// concurrently ping-ponging over the Fig. 6 protocol) that the compiled
-/// engine's per-tile event horizons and inline wake continuations
-/// target. This is the row that keeps the gated all-rows speedup floor
+/// engine's tile scheduler targets. This is the row that keeps the gated
+/// all-rows speedup floor
 /// honest on sync-bound code.
 fn bench_sync_workload(runs: usize) -> Vec<EngineRow> {
     let (tiles, consumers, rounds, width) = (12usize, 2usize, 150usize, 8usize);
@@ -691,7 +697,7 @@ fn bench_sync_workload(runs: usize) -> Vec<EngineRow> {
                 runs,
                 instructions: sim.stats().total_instructions(),
                 cycles: sim.stats().cycles,
-                queue_events: sim.queue_events(),
+                sched: sim.sched_stats(),
                 best_seconds: best,
             }
         })
@@ -737,7 +743,7 @@ fn bench_cnn_workload(cfg: &NodeConfig, runs: usize) -> Vec<EngineRow> {
                 runs,
                 instructions: sim.stats().total_instructions(),
                 cycles: sim.stats().cycles,
-                queue_events: sim.queue_events(),
+                sched: sim.sched_stats(),
                 best_seconds: best,
             }
         })
@@ -977,6 +983,8 @@ fn write_json(
                 "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"runs\": {}, \
                  \"instructions_per_run\": {}, \"simulated_cycles\": {}, \
                  \"queue_events_per_instruction\": {:.4}, \
+                 \"dispatches_per_instruction\": {:.4}, \"parks_per_run\": {}, \
+                 \"deferrals_per_run\": {}, \
                  \"best_seconds_per_run\": {:.6}, \"instructions_per_second\": {:.1}}}",
                 json_escape(&r.workload),
                 r.engine,
@@ -984,6 +992,9 @@ fn write_json(
                 r.instructions,
                 r.cycles,
                 r.queue_events_per_instruction(),
+                r.per_instruction(r.sched.dispatches),
+                r.sched.parks,
+                r.sched.deferrals,
                 r.best_seconds,
                 r.instr_per_sec(),
             )
@@ -1106,6 +1117,7 @@ fn main() {
                 r.engine.to_string(),
                 r.instructions.to_string(),
                 format!("{:.4}", r.queue_events_per_instruction()),
+                format!("{:.4}", r.per_instruction(r.sched.dispatches)),
                 format!("{:.4}", r.best_seconds),
                 format!("{:.2}M", r.instr_per_sec() / 1e6),
                 fmt_ratio(r.instr_per_sec() / reference.instr_per_sec()),
@@ -1118,7 +1130,8 @@ fn main() {
             "Workload",
             "Engine",
             "Instrs/run",
-            "Qevents/instr",
+            "Entries/instr",
+            "Disp/instr",
             "Best s/run",
             "Sim instr/s",
             "Speedup",

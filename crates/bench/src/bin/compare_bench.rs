@@ -344,12 +344,11 @@ fn section_specs(gate_wall: bool) -> Vec<SectionSpec> {
             metrics: vec![
                 ("instructions_per_run", Worse::Higher, true),
                 ("simulated_cycles", Worse::Higher, true),
-                // Queue pops per executed instruction: the
+                // Scheduler-queue entries per executed instruction: the
                 // scheduler-overhead residue. Deterministic (simulated
-                // event count over simulated instruction count), so it
-                // gates on any host — a scheduler or conflict-group
-                // regression shows up here before it shows up in wall
-                // clock.
+                // entry count over simulated instruction count), so it
+                // gates on any host — a scheduler regression shows up
+                // here before it shows up in wall clock.
                 ("queue_events_per_instruction", Worse::Higher, true),
                 ("instructions_per_second", Worse::Lower, gate_wall),
             ],

@@ -38,7 +38,7 @@ use puma_core::config::NodeConfig;
 use puma_core::error::Result;
 use puma_nn::zoo;
 use puma_nn::WeightFactory;
-use puma_sim::{ClusterSim, NodeSim, RunStats, SimEngine, SimMode};
+use puma_sim::{ClusterSim, NodeSim, RunStats, SchedStats, SimEngine, SimMode};
 use puma_xbar::NoiseModel;
 
 /// Prints an aligned text table.
@@ -178,11 +178,18 @@ impl TimingSession {
         Ok(self.sim.stats())
     }
 
-    /// Event-queue pops of the last [`TimingSession::run`] (see
-    /// [`NodeSim::queue_events`]) — the scheduler-overhead residue the
-    /// bench reports per executed instruction.
+    /// Scheduler-queue pops (tile entries) of the last
+    /// [`TimingSession::run`] (see [`NodeSim::queue_events`]) — the
+    /// scheduler-overhead residue the bench reports per executed
+    /// instruction.
     pub fn queue_events(&self) -> u64 {
         self.sim.queue_events()
+    }
+
+    /// Every scheduler counter of the last [`TimingSession::run`] (see
+    /// [`NodeSim::sched_stats`]).
+    pub fn sched_stats(&self) -> SchedStats {
+        self.sim.sched_stats()
     }
 
     /// Approximate per-replica mutable state bytes of the underlying
@@ -259,10 +266,15 @@ impl ClusterTimingSession {
         Ok(self.sim.stats())
     }
 
-    /// Event-queue pops of the last run, summed over nodes (see
+    /// Scheduler-queue pops of the last run, summed over nodes (see
     /// [`ClusterSim::queue_events`]).
     pub fn queue_events(&self) -> u64 {
         self.sim.queue_events()
+    }
+
+    /// Every scheduler counter of the last run, summed over nodes.
+    pub fn sched_stats(&self) -> SchedStats {
+        self.sim.sched_stats()
     }
 
     /// Approximate per-replica mutable state bytes, summed over nodes

@@ -10,7 +10,7 @@
 //! the globally earliest work first is exact: nothing a later node does
 //! can reach back before it.
 //!
-//! The compiled engine's run-ahead scheduler keeps working inside a
+//! The compiled engine's tile scheduler keeps working inside a
 //! cluster. Before stepping a node the scheduler hands it an *external
 //! horizon* — the earliest global cycle at which any inter-node packet
 //! could still arrive (in-flight arrivals, plus every other node's next
@@ -20,7 +20,9 @@
 //! correctly.
 
 use crate::fifo::Packet;
-use crate::machine::{NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SimEngine, SimMode};
+use crate::machine::{
+    NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SchedStats, SimEngine, SimMode,
+};
 use crate::stats::RunStats;
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
@@ -182,6 +184,16 @@ impl ClusterSim {
     /// [`NodeSim::queue_events`]).
     pub fn queue_events(&self) -> u64 {
         self.nodes.iter().map(NodeSim::queue_events).sum()
+    }
+
+    /// Every node's scheduler counters, summed (see
+    /// [`NodeSim::sched_stats`]).
+    pub fn sched_stats(&self) -> SchedStats {
+        let mut total = SchedStats::default();
+        for node in &self.nodes {
+            total.merge(&node.sched_stats());
+        }
+        total
     }
 
     /// Overrides the runaway-simulation safety cap on every node.

@@ -31,9 +31,9 @@
 //!   engines pin *bit-identical* [`RunStats`].
 //!
 //! Segment boundaries fall exactly at the synchronization points the
-//! run-ahead scheduler already knows: attribute-buffer load/store, FIFO
+//! scheduler already knows: attribute-buffer load/store, FIFO
 //! send/receive, control flow, and anything register-visible. The
-//! scheduler itself (per-tile event horizons, continuations, wakes) is
+//! scheduler itself (tile ready lists, the cross-tile horizon, wakes) is
 //! described in the [`crate::machine`] module docs, next to the
 //! segment-safety invariant.
 //!

@@ -69,6 +69,8 @@ pub mod regfile;
 pub mod stats;
 
 pub use cluster::ClusterSim;
-pub use machine::{NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SimEngine, SimMode};
+pub use machine::{
+    NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SchedStats, SimEngine, SimMode,
+};
 pub use pipeline::{PipelineReport, PipelineRequest, PipelineResult, PipelineSim, StageStats};
 pub use stats::{EnergyComponent, EnergyStats, RunStats};

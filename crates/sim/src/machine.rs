@@ -21,9 +21,9 @@
 //! Two execution engines with bit-identical semantics (see
 //! [`SimEngine`]): the reference per-instruction event loop, the oracle;
 //! and the default compiled engine, which runs pre-decoded micro-op
-//! segments under a run-ahead scheduler — straight-line runs of
-//! core-local instructions execute inside one event, and the queue is
-//! re-entered only at synchronization points.
+//! segments tile by tile — straight-line runs of core-local instructions
+//! execute inside one event, and a tile's events run back to back while
+//! no other tile can reach it.
 //!
 //! # Lanes
 //!
@@ -34,7 +34,7 @@
 //! resident memory — and everything else runs once:
 //!
 //! - **Shared:** the program counters, the attribute buffer (`valid`
-//!   and `count`), FIFO occupancy, the event queue and its horizons,
+//!   and `count`), FIFO occupancy, the scheduler queue,
 //!   timing, energy, [`RunStats`] and the instruction counts. Timing never
 //!   depends on data, so a `K`-lane run takes exactly the cycles and
 //!   energy of each request's solo run.
@@ -62,73 +62,59 @@
 //! `Copy` or `Mvm`. Packet faults, whose decisions hash the payload,
 //! apply only to inter-node sends, which a standalone node never makes.
 //!
-//! # The compiled engine's scheduler: the per-tile event-horizon invariant
+//! # The scheduler: tiles, and the cross-tile horizon
 //!
-//! [`SimEngine::Compiled`] runs ahead of the event queue: after an agent
-//! event pops, the agent keeps executing — through core-local
-//! instructions, and through a *synchronization* instruction
-//! (attribute-buffer load/store, FIFO send/receive) for an agent of tile
-//! `T` at local time `t` — outside the queue, but only when nothing still
-//! queued could change tile `T`'s observable state at or before `t`.
-//! Three facts make that check cheap and exact:
+//! PUMA's cores synchronize only through their tile's attribute buffer
+//! and receive FIFOs, and tiles talk to each other only over the NoC (or
+//! the chip-to-chip link). The scheduler follows that structure: every
+//! queued event targets exactly one tile (an agent's next instruction, or
+//! a packet delivery), each tile keeps its events in a small ready list
+//! sorted by the reference order `(time, priority, seq)`, and the global
+//! queue holds one entry per tile, keyed by the tile's next event
+//! (the `equeue` module).
 //!
-//! 1. **Every queued event targets exactly one tile** (an agent's tile,
-//!    or a packet delivery's destination tile), and an event on tile `U`
-//!    can only touch tile `U`'s memory and FIFOs directly. The simulator
-//!    therefore tracks, per tile, the earliest queued event time
-//!    (`tile_next`, maintained incrementally as events push and pop —
-//!    external deliveries included). Tile `T` is safe from *direct*
-//!    interference iff `tile_next[T] > t`.
-//! 2. **Cross-tile interference travels only by NoC packet**, and any
-//!    packet delivery scheduled by an event executing at time `s` lands
-//!    at `s + d` with `d` at least the cheapest static send into `T`
-//!    (`min_direct`, `min_indirect`, the per-sender `senders_to` slack).
-//!    So pending work on *other* tiles is harmless iff it cannot land a
-//!    packet on `T` by `t`.
-//! 3. **Inter-node packets** bypass the NoC; the external scheduler
+//! - The **reference engine** pops the earliest tile and runs one event
+//!   — one instruction or one delivery — which is exactly one flat event
+//!   heap in `(time, priority, seq)` order.
+//! - The **compiled engine** pops the earliest tile and runs its events
+//!   back to back, in list order, while the tile's *cross-tile horizon*
+//!   clears; an agent event runs the agent's whole straight-line stretch
+//!   of instructions (below). When the tile's next event fails the
+//!   horizon, the tile goes back into the global queue under that event.
+//!
+//! Events of one tile run in exact reference order by construction: the
+//! list is that order, and every event that can affect the tile lands in
+//! it. An agent running ahead stops at each synchronization instruction
+//! (attribute-buffer load/store, FIFO send/receive) until it is its turn:
+//! it first runs, in place, every event of its tile that sorts before
+//! the instruction, waiting suspended in its own frame, or — when an
+//! agent suspended further out must go first, or the horizon below does
+//! not clear — the instruction is deferred into the list under its own
+//! key. Only instructions that touch no shared state run past the tile's
+//! other events.
+//!
+//! The cross-tile horizon is what other tiles and nodes could still do to
+//! tile `T` at or before time `t`:
+//!
+//! 1. **Cross-tile interference travels only by NoC packet.** A delivery
+//!    into `T` is scheduled by a static `send` executing on a sender tile
+//!    `U` no earlier than `U`'s next event, and lands at least the
+//!    cheapest static transit `D` later (`senders_to`); a chain of two or
+//!    more sends costs at least `min_indirect` beyond the globally
+//!    earliest queued event. Every transit is at least one cycle, so a
+//!    chain starting at `T` itself cannot land by `t`.
+//! 2. **Inter-node packets** bypass the NoC; the external scheduler
 //!    ([`crate::ClusterSim`], [`crate::PipelineSim`]) publishes the
 //!    earliest global cycle at which one could still arrive via
-//!    [`NodeSim::set_external_horizon`], and the scheduler additionally
-//!    requires `t < horizon`.
+//!    [`NodeSim::set_external_horizon`], and the tile may only run
+//!    strictly below it.
 //!
-//! Together: every event that will ever target tile `T` carries a time
-//! at or past `T`'s horizon, so executing tile-local synchronization
-//! strictly below it is indistinguishable from the reference event loop.
-//! A blocking instruction that fails the check is deferred as a
-//! *continuation*, resumed inline once its horizon clears or re-queued
-//! otherwise. Any new stepping-API feature (a new event kind, a new
-//! cross-tile effect, a zero-latency message path) must preserve this
-//! invariant or widen the checks in `NodeSim::tile_clear_until`.
-//!
-//! # Word-range horizons: the conflict-group refinement
-//!
-//! Fact 1's per-tile check is tile-granular, which serializes same-tile
-//! agents even when their synchronization footprints cannot interact —
-//! the dominant queue-event residue on sync-dense recurrent workloads.
-//! The simulator therefore derives, at construction (and again on
-//! `NodeSim::join_cluster` — node identity decides which sends are
-//! local), each agent's *static footprint*: the attribute-buffer word
-//! ranges its loads/stores/sends/receives can touch (direct addressing
-//! only — one indexed access makes the footprint unbounded) and the
-//! receive FIFOs it reads, with a same-tile send contributing its target
-//! FIFO to the *sender's* footprint (the delivery it schedules is not
-//! yet queued when a receiver's horizon is checked, so the sender's own
-//! queued event must cover it). Agents whose footprints overlap —
-//! transitively, so a third agent bridging two others merges all three —
-//! share a *conflict group*; an unbounded footprint collapses the tile
-//! to one group. Every queued event carries its group (an agent event
-//! its agent's, a delivery its target FIFO's receiver group), and the
-//! per-tile term of the horizon check relaxes to the *running agent's
-//! group*: queued events of other groups touch provably disjoint words
-//! and FIFOs, so executing below their times is indistinguishable from
-//! the reference order. Wakes can never cross groups (a transition only
-//! wakes waiters on the very words/FIFOs it touched), so FIFO park order
-//! within a group — the fairness contract — is unaffected; only the
-//! interleaving of *unrelated* groups may differ between engines, which
-//! is why [`NodeSim::blocked_summary`] reports in agent order rather
-//! than park order. The cross-tile and external terms stay tile-granular
-//! (a remote sender's program, not this tile's footprints, decides where
-//! its packets land).
+//! The first event of a tile entry needs no check: it is the global
+//! minimum. Every event that will ever target `T` therefore lands in `T`'s
+//! list before `T` runs past its time, so the compiled engine computes
+//! exactly what the reference event loop does. Any new stepping-API
+//! feature (a new event kind, a new cross-tile effect, a zero-latency
+//! message path) must preserve this or widen `NodeSim::tile_clear`.
 //!
 //! # Compiled segments: the segment-boundary safety invariant
 //!
@@ -141,8 +127,8 @@
 //!    pure-charge ops — no register, memory, FIFO, or control-flow
 //!    effect — are bulk-charged; every instruction that can observe or
 //!    mutate shared tile state executes through the interpreter and, when
-//!    it [`may block`](Instruction::may_block), re-checks
-//!    `NodeSim::tile_clear_until`. A segment is therefore invisible to
+//!    it [`may block`](Instruction::may_block), re-checks its tile's
+//!    order and horizon. A segment is therefore invisible to
 //!    every other agent, and charging it in one step is
 //!    indistinguishable from per-instruction execution.
 //! 2. **A segment never crosses the cycle cap.** Bulk charging is gated
@@ -154,13 +140,12 @@
 
 use crate::compiled::{CompiledImage, MicroOp, OpCost, NO_CHARGE};
 use crate::equeue::{
-    agent_priority, BucketQueue, DeliverEvent, Event, EventKind, PRIO_DELIVER, PRIO_SHIFT,
-    PRIO_WAKE,
+    agent_priority, DeliverEvent, Event, EventKind, TileQueue, PRIO_DELIVER, PRIO_SHIFT, PRIO_WAKE,
 };
 use crate::fifo::{FifoArena, Packet};
 use crate::lanes::Lanes;
 use crate::lut::RomLut;
-use crate::memory::{MemArena, MemOutcome};
+use crate::memory::{MemArena, MemImage, MemOutcome};
 use crate::regfile::RegArena;
 use crate::stats::{EnergyComponent, EnergyStats, RunStats};
 use puma_core::config::NodeConfig;
@@ -218,18 +203,19 @@ impl ResidentModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimEngine {
     /// The original per-instruction event loop: every executed instruction
-    /// is one heap round-trip. Kept as the differential oracle and for
+    /// is one queue round-trip. Kept as the differential oracle and for
     /// event-level debugging.
     Reference,
-    /// Compiled run-ahead execution (default): an agent event executes a
-    /// whole straight-line run of instructions back-to-back, accumulating
-    /// time locally, and re-enters the queue only at synchronization
-    /// points (module docs, event-horizon invariant). Each program is
-    /// compiled once, at [`NodeSim::new`], into dense micro-ops with
-    /// decode, operand resolution, and per-op timing/energy hoisted out
-    /// of the hot loop, and maximal pure-charge runs accounted as whole
-    /// segments (see [`crate::compiled`] and the module docs'
-    /// segment-boundary invariant). Forks share the build.
+    /// Compiled tile-granular execution (default): a tile's events run
+    /// back to back while no other tile can reach it, and an agent event
+    /// executes a whole straight-line run of instructions, accumulating
+    /// time locally, up to its next synchronization point (module docs,
+    /// the scheduler). Each program is compiled once, on the first
+    /// compiled run, into dense micro-ops with decode, operand
+    /// resolution, and per-op timing/energy hoisted out of the hot loop,
+    /// and maximal pure-charge runs accounted as whole segments (see
+    /// [`crate::compiled`] and the module docs' segment-boundary
+    /// invariant). Forks share the build.
     #[default]
     Compiled,
 }
@@ -282,9 +268,6 @@ struct TileState {
     tile_pc: u32,
     tile_program: Arc<Program>,
     tile_halted: bool,
-    /// Agents parked on a synchronization condition, indexed for O(1)
-    /// condition-matched wake-up with deterministic FIFO park order.
-    parked: ParkedSet,
 }
 
 /// Outcome of executing one instruction.
@@ -399,16 +382,16 @@ impl ParkedSet {
     fn drain_all(&mut self, out: &mut Vec<(AgentId, u64)>) {
         out.extend(self.entries.drain(..).map(|(a, s, _)| (a, s)));
     }
-    fn take_matching(&mut self, change: TileChange, out: &mut Vec<(AgentId, u64)>) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].2.wakes_on(change) {
-                let (a, s, _) = self.entries.remove(i);
+    /// Moves every agent some change in `changes` can wake to `out`, in
+    /// park order (as the reference engine's wake-all retries them).
+    fn take_matching(&mut self, changes: &[TileChange], out: &mut Vec<(AgentId, u64)>) {
+        self.entries.retain(|&(a, s, cond)| {
+            let wake = changes.iter().any(|&c| cond.wakes_on(c));
+            if wake {
                 out.push((a, s));
-            } else {
-                i += 1;
             }
-        }
+            !wake
+        });
     }
     fn iter(&self) -> impl Iterator<Item = &(AgentId, u64, WaitCond)> {
         self.entries.iter()
@@ -553,8 +536,14 @@ pub struct NodeSim {
     agent_energy: Vec<AgentEnergy>,
     /// Reference-engine accumulators (see `agent_energy`).
     agent_energy_maps: Vec<EnergyStats>,
-    /// First agent slot of each tile (prefix sums over cores+ctl).
+    /// First agent slot of each tile (prefix sums over cores+ctl), plus
+    /// the agent count. A core's register-file slot follows from it: the
+    /// slots before tile `t` hold `t` control units, which have none.
     agent_offsets: Vec<usize>,
+    /// Each tile's agents parked on a synchronization condition, in one
+    /// dense array (the wake path checks it after every synchronization
+    /// instruction).
+    parked: Vec<ParkedSet>,
     /// Per agent slot, the cycle its current instruction first blocked
     /// at (`u64::MAX` while it is not blocked). A parked agent's retries
     /// re-park it at their own cycle — the reference engine retries on
@@ -573,58 +562,24 @@ pub struct NodeSim {
     changes: Vec<TileChange>,
     /// Scratch for wake batches (reused so waking allocates nothing).
     wake_scratch: Vec<(AgentId, u64)>,
-    /// Run-ahead continuations: agents that became runnable during the
-    /// current [`NodeSim::step_one`] — woken waiters *and* the running
-    /// agent's own deferred re-entry — and may resume *inline*, without a
-    /// queue round-trip, provided the per-tile horizon clears at their
-    /// resume time. Tuples are `(agent, resume time, priority class,
-    /// creation order)`, drained in exactly the `(time, priority, order)`
-    /// order their queue events would pop. Empty between steps.
-    continuations: Vec<(AgentId, u64, u64, u64)>,
-    /// The event queue (a bucketed calendar queue; same pop order as the
-    /// original binary heap). Owned by the simulator (rather than the run
-    /// loop) so a cluster scheduler can interleave events across nodes
-    /// via [`NodeSim::step_one`].
-    queue: BucketQueue,
-    /// Per-tile next-event index: for each tile, the (unordered)
-    /// `(time, conflict group)` pairs of the queued events targeting it,
-    /// maintained incrementally on every push and pop — external
-    /// deliveries included — while the compiled engine is active. Its
-    /// time-minimum is the tile's direct event horizon (see the module
-    /// docs); a flat list beats a search tree here because a tile rarely
-    /// has more than its agent count in flight.
-    tile_next: Vec<Vec<(u64, u16)>>,
-    /// Cached minimum time of each `tile_next` entry (`u64::MAX` when
-    /// empty), so the hot-path horizon checks are O(1); recomputed from
-    /// the flat list only when the minimum itself is popped.
-    tile_min: Vec<u64>,
-    /// The word-range refinement of `tile_min`: per tile, the minimum
-    /// queued event time of each conflict group (the extra last slot is
-    /// the inert group of deliveries into FIFOs no local agent receives
-    /// from — unobservable locally, but still counted in `tile_min` for
-    /// the tile-granular cross-tile terms). See the module docs.
-    group_min: Vec<Vec<u64>>,
-    /// Per-tile static conflict groups over agent synchronization
-    /// footprints, recomputed on [`NodeSim::join_cluster`].
-    groups: Vec<TileGroups>,
-    /// Cached minimum resume time of `continuations` (`u64::MAX` when
-    /// empty). All continuations within one step target one tile, so a
-    /// single value serves the in-segment horizon check.
-    cont_min: u64,
+    /// The scheduler queue: per-tile ready lists under one tile heap
+    /// (module docs, the scheduler). Owned by the simulator (rather than
+    /// the run loop) so a cluster scheduler can interleave events across
+    /// nodes via [`NodeSim::step_one`].
+    queue: TileQueue,
     /// The static NoC send graph, per target tile: `senders_to[T]` lists
     /// `(U, D)` pairs where some `send` instruction in tile `U`'s control
     /// program addresses tile `T` with minimum transit `D` (self-sends
-    /// excluded — they execute as tile-`T` events and are covered by the
-    /// direct per-tile check). Any packet delivery into `T` is scheduled
-    /// by one of these static sends executing at an event time `s ≥` the
-    /// sender's next-event horizon, so it lands `≥ m_U + D` — the
-    /// cross-tile slack terms of the per-tile horizon. Recomputed on
+    /// excluded — they are tile-`T` events, in `T`'s own list). Any
+    /// packet delivery into `T` is scheduled by one of these static sends
+    /// executing at an event time `s ≥` the sender's next event time
+    /// `m_U`, so it lands `≥ m_U + D` — the direct term of the cross-tile
+    /// horizon. Recomputed on
     /// [`NodeSim::join_cluster`] (the node id decides which sends are
     /// local).
     senders_to: Vec<Vec<(u32, u64)>>,
     /// Per-target cheapest direct incoming edge (`u64::MAX` when no send
-    /// targets the tile) — the fast-path bound of
-    /// [`NodeSim::tile_clear_for_resume`].
+    /// targets the tile) — the fast-path bound of `NodeSim::tile_clear`.
     min_direct: Vec<u64>,
     /// Per-target floor on *multi-hop* delivery cost: the cheapest
     /// last-edge-into-`T` plus the cheapest edge into that edge's source
@@ -643,16 +598,22 @@ pub struct NodeSim {
     /// Inter-node packets awaiting pickup by the cluster scheduler.
     outbox: Vec<OutboundPacket>,
     /// External horizon: the earliest global cycle at which an
-    /// inter-node packet could still arrive. The compiled engine may not
-    /// execute a blocking instruction at or past this time outside the
-    /// event queue (it could miss the delivery). `u64::MAX` standalone.
+    /// inter-node packet could still arrive. The compiled engine runs a
+    /// tile's events and synchronization instructions past its first
+    /// event only strictly below it (it could miss the delivery).
+    /// `u64::MAX` standalone.
     horizon: u64,
     /// The pre-decoded micro-op image for [`SimEngine::Compiled`]: built
-    /// once in [`NodeSim::new`] and `Arc`-shared by every fork. Read-only
-    /// and preserved across [`NodeSim::reset`] — programs are immutable
-    /// after construction, so one build serves every request. `None` only
-    /// while `NodeSim::run_compiled` borrows it.
-    pub(crate) compiled: Option<Arc<CompiledImage>>,
+    /// on the first compiled run of this simulator or any fork of it,
+    /// and `Arc`-shared by all of them, so a simulator that only ever
+    /// runs [`SimEngine::Reference`] never builds it. Read-only and
+    /// preserved across [`NodeSim::reset`] — programs are immutable after
+    /// construction, so one build serves every request. `None` only while
+    /// `NodeSim::run_tile` borrows it.
+    pub(crate) compiled: Option<Arc<OnceLock<CompiledImage>>>,
+    /// Snapshots saved by [`NodeSim::save_snapshot`], by key. Survive
+    /// [`NodeSim::reset`]; a fork starts without any.
+    snapshots: Vec<Snapshot>,
     /// Resident-model registry (sorted by base tile; empty for
     /// single-tenant machines). Machine configuration like the compiled
     /// image: survives [`NodeSim::reset`].
@@ -684,15 +645,66 @@ pub struct NodeSim {
     /// or a delivery this run (cleared by [`NodeSim::reset`]); drives
     /// the typed [`PumaError::FaultedTile`] quiescence diagnosis.
     death_fired: bool,
-    /// Event-queue pops processed since the last [`NodeSim::reset`] —
-    /// the scheduler-overhead counterpart of the dynamic instruction
-    /// count. Not part of [`RunStats`]: engines deliberately differ
-    /// here, and `RunStats` equality is the cross-engine contract.
-    queue_events: u64,
+    /// The reference key `(time, priority)` of the innermost agent
+    /// suspended at a synchronization instruction while earlier events of
+    /// its tile run (see `NodeSim::take_turn`); `(u64::MAX, u64::MAX)`
+    /// when none is.
+    floor: (u64, u64),
+    /// Scheduler work since the last [`NodeSim::reset`] — the
+    /// scheduler-overhead counterpart of the dynamic instruction count.
+    /// Not part of [`RunStats`]: engines deliberately differ here, and
+    /// `RunStats` equality is the cross-engine contract.
+    sched: SchedStats,
     /// Compiled-segment execution counters, populated when
     /// `PUMA_PROFILE=1` (or [`NodeSim::enable_segment_profiling`]).
     /// Boxed so the disabled case costs one null check in the hot loop.
     profile: Option<Box<SegmentProfile>>,
+}
+
+/// A saved start-of-run state (see [`NodeSim::save_snapshot`]): lane 0
+/// of the attribute buffers and the statistics the writes before it
+/// charged.
+#[derive(Debug, Clone)]
+struct Snapshot {
+    key: String,
+    mem: MemImage,
+    stats: RunStats,
+}
+
+/// Scheduler work of one node since its last reset (see
+/// [`NodeSim::sched_stats`]): how often the scheduler entered a tile,
+/// dispatched an agent, parked one, and deferred a synchronization
+/// instruction. Engine-dependent by design, so it is kept out of
+/// [`RunStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Pops of the global tile queue ([`NodeSim::queue_events`]). The
+    /// reference engine runs one event per entry; the compiled engine
+    /// runs a tile's events back to back.
+    pub tile_entries: u64,
+    /// Agent events run: one instruction each on the reference engine,
+    /// a straight-line run up to the next synchronization point on the
+    /// compiled engine.
+    pub dispatches: u64,
+    /// Packet deliveries processed.
+    pub deliveries: u64,
+    /// Instructions that blocked and parked their agent.
+    pub parks: u64,
+    /// Synchronization instructions the compiled engine deferred into
+    /// their tile's list because an earlier event might still change the
+    /// tile.
+    pub deferrals: u64,
+}
+
+impl SchedStats {
+    /// Adds another node's counts (cluster totals).
+    pub fn merge(&mut self, other: &SchedStats) {
+        self.tile_entries += other.tile_entries;
+        self.dispatches += other.dispatches;
+        self.deliveries += other.deliveries;
+        self.parks += other.parks;
+        self.deferrals += other.deferrals;
+    }
 }
 
 /// Per-segment execution counters for the compiled engine: how many
@@ -724,155 +736,6 @@ impl Drop for NodeSim {
             }
         }
     }
-}
-
-/// The static conflict groups of one tile (module docs, word-range
-/// horizons): for every agent and every receive FIFO, the group its
-/// queued events are indexed under.
-#[derive(Debug, Clone)]
-struct TileGroups {
-    /// Group of each agent: cores in index order, then the tile control
-    /// unit.
-    agent: Vec<u16>,
-    /// Group of each receive FIFO id — the group of the agent that
-    /// receives from it (unique: shared FIFOs merge their receivers).
-    /// FIFOs no local agent receives from map to the inert group
-    /// `count`: their deliveries are unobservable by any local agent.
-    fifo: Vec<u16>,
-    /// Number of real (agent-owned) groups.
-    count: u16,
-}
-
-impl TileGroups {
-    fn agent_group(&self, agent: AgentId) -> u16 {
-        if agent.is_tile_ctl() {
-            *self.agent.last().expect("every tile has a control unit")
-        } else {
-            self.agent[agent.core as usize]
-        }
-    }
-
-    /// A fifo id past the configured range maps to the inert group; the
-    /// delivery event faults with the canonical out-of-range message
-    /// when it executes.
-    fn fifo_group(&self, fifo: u8) -> u16 {
-        self.fifo.get(fifo as usize).copied().unwrap_or(self.count)
-    }
-}
-
-/// One agent's static synchronization footprint: the attribute-buffer
-/// word ranges and the receive FIFOs its program can touch. One indexed
-/// (register-offset) access makes the footprint unbounded — it overlaps
-/// everything on the tile.
-#[derive(Debug, Default)]
-struct Footprint {
-    /// Half-open `[start, end)` word ranges.
-    ranges: Vec<(u32, u32)>,
-    fifos: Vec<u8>,
-    unbounded: bool,
-}
-
-impl Footprint {
-    fn add_range(&mut self, addr: MemAddr, width: u16) {
-        match addr.index {
-            Some(_) => self.unbounded = true,
-            None => self.ranges.push((addr.base, addr.base.saturating_add(width as u32))),
-        }
-    }
-
-    fn overlaps(&self, other: &Footprint) -> bool {
-        if self.unbounded || other.unbounded {
-            return true;
-        }
-        self.ranges.iter().any(|&(s0, e0)| other.ranges.iter().any(|&(s1, e1)| s0 < e1 && s1 < e0))
-            || self.fifos.iter().any(|f| other.fifos.contains(f))
-    }
-}
-
-fn uf_root(parent: &[u16], mut i: usize) -> usize {
-    while parent[i] as usize != i {
-        i = parent[i] as usize;
-    }
-    i
-}
-
-/// Derives every tile's conflict groups from the loaded programs: the
-/// connected components of the footprint-overlap relation over the
-/// tile's agents (transitive — pairwise disjointness alone is unsound
-/// when a third agent bridges two others). `node_id` decides which sends
-/// are same-tile NoC traffic (a same-tile send joins its target FIFO to
-/// the sender's footprint; see the module docs for why).
-fn conflict_groups(tiles: &[TileState], fifo_count: usize, node_id: u16) -> Vec<TileGroups> {
-    tiles
-        .iter()
-        .enumerate()
-        .map(|(t, tile)| {
-            let n = tile.cores.len() + 1;
-            let mut fps: Vec<Footprint> = (0..n).map(|_| Footprint::default()).collect();
-            for (c, core) in tile.cores.iter().enumerate() {
-                for instr in &core.program.instructions {
-                    match *instr {
-                        Instruction::Load { addr, width, .. }
-                        | Instruction::Store { addr, width, .. } => fps[c].add_range(addr, width),
-                        _ => {}
-                    }
-                }
-            }
-            let ctl = n - 1;
-            for instr in &tile.tile_program.instructions {
-                match *instr {
-                    Instruction::Send { addr, fifo, target, node, width } => {
-                        fps[ctl].add_range(addr, width);
-                        if node == node_id && target as usize == t {
-                            fps[ctl].fifos.push(fifo);
-                        }
-                    }
-                    Instruction::Receive { addr, fifo, width, .. } => {
-                        fps[ctl].add_range(addr, width);
-                        fps[ctl].fifos.push(fifo);
-                    }
-                    _ => {}
-                }
-            }
-            if fps.iter().any(|f| f.unbounded) {
-                // One unbounded footprint overlaps every agent: the tile
-                // collapses to a single group (tile-granular horizons,
-                // exactly the pre-refinement behaviour).
-                return TileGroups { agent: vec![0; n], fifo: vec![0; fifo_count], count: 1 };
-            }
-            let mut parent: Vec<u16> = (0..n as u16).collect();
-            for i in 0..n {
-                for j in i + 1..n {
-                    if fps[i].overlaps(&fps[j]) {
-                        let (ri, rj) = (uf_root(&parent, i), uf_root(&parent, j));
-                        if ri != rj {
-                            parent[rj] = ri as u16;
-                        }
-                    }
-                }
-            }
-            let mut ids = vec![u16::MAX; n];
-            let mut count = 0u16;
-            let mut agent = vec![0u16; n];
-            for (i, a) in agent.iter_mut().enumerate() {
-                let r = uf_root(&parent, i);
-                if ids[r] == u16::MAX {
-                    ids[r] = count;
-                    count += 1;
-                }
-                *a = ids[r];
-            }
-            let fifo = (0..fifo_count)
-                .map(|f| match u8::try_from(f) {
-                    Ok(f8) => {
-                        fps.iter().position(|fp| fp.fifos.contains(&f8)).map_or(count, |i| agent[i])
-                    }
-                    Err(_) => count,
-                })
-                .collect();
-            TileGroups { agent, fifo, count }
-        })
-        .collect()
 }
 
 impl NodeSim {
@@ -951,29 +814,18 @@ impl NodeSim {
                 tile_pc: 0,
                 tile_program: Arc::new(tile_img.program.clone()),
                 cores,
-                parked: ParkedSet::default(),
             });
         }
-        let mut agent_offsets = Vec::with_capacity(tiles.len());
+        let mut agent_offsets = Vec::with_capacity(tiles.len() + 1);
         let mut agents = 0usize;
         for tile in &tiles {
             agent_offsets.push(agents);
             agents += tile.cores.len() + 1;
         }
+        agent_offsets.push(agents);
         let timing = TimingModel::new(cfg);
         let tile_count = tiles.len();
         let (senders_to, min_direct, min_indirect) = send_graph(&timing, &tiles, 0);
-        let groups = conflict_groups(&tiles, cfg.tile.receive_fifos, 0);
-        let group_min: Vec<Vec<u64>> =
-            groups.iter().map(|g| vec![u64::MAX; g.count as usize + 1]).collect();
-        let compiled = CompiledImage::build(
-            &cfg,
-            &timing,
-            mode,
-            tiles.iter().map(|tile| {
-                (tile.cores.iter().map(|c| &*c.program).collect::<Vec<_>>(), &*tile.tile_program)
-            }),
-        );
         Ok(NodeSim {
             fd_energy_nj: timing.fetch_decode_energy_nj(),
             senders_to,
@@ -995,6 +847,7 @@ impl NodeSim {
             agent_energy: vec![AgentEnergy::default(); agents],
             agent_energy_maps: vec![EnergyStats::new(); agents],
             agent_offsets,
+            parked: (0..tile_count).map(|_| ParkedSet::default()).collect(),
             blocked_from: vec![u64::MAX; agents],
             instr_counts: [0; puma_isa::InstructionCategory::ALL.len()],
             io: Arc::new(IoIndex::new(image)),
@@ -1002,20 +855,15 @@ impl NodeSim {
             seq: 0,
             changes: Vec::new(),
             wake_scratch: Vec::new(),
-            continuations: Vec::new(),
-            queue: BucketQueue::new(),
-            tile_next: vec![Vec::new(); tile_count],
-            tile_min: vec![u64::MAX; tile_count],
-            group_min,
-            groups,
-            cont_min: u64::MAX,
+            queue: TileQueue::new(tile_count),
             last_time: 0,
             node_id: 0,
             cluster_nodes: 1,
             interconnect: InterconnectConfig::default(),
             outbox: Vec::new(),
             horizon: u64::MAX,
-            compiled: Some(Arc::new(compiled)),
+            compiled: Some(Arc::default()),
+            snapshots: Vec::new(),
             residents: Vec::new(),
             run_base: 0,
             mvm_perturbation: Perturbation {
@@ -1027,7 +875,8 @@ impl NodeSim {
             vec_out: Vec::new(),
             dead_tile: Self::dead_tile_for(&cfg, 0),
             death_fired: false,
-            queue_events: 0,
+            floor: (u64::MAX, u64::MAX),
+            sched: SchedStats::default(),
             profile: if segment_profiling() { Some(Box::default()) } else { None },
         })
     }
@@ -1138,7 +987,6 @@ impl NodeSim {
                 tile_pc: 0,
                 tile_program: Arc::clone(&tile.tile_program),
                 tile_halted: tile.tile_program.is_empty(),
-                parked: ParkedSet::default(),
             })
             .collect();
         let reg_slots = tiles.iter().map(|t| t.cores.len()).sum::<usize>();
@@ -1165,6 +1013,7 @@ impl NodeSim {
             agent_energy: vec![AgentEnergy::default(); self.agent_energy.len()],
             agent_energy_maps: vec![EnergyStats::new(); self.agent_energy_maps.len()],
             agent_offsets: self.agent_offsets.clone(),
+            parked: (0..tile_count).map(|_| ParkedSet::default()).collect(),
             blocked_from: vec![u64::MAX; self.blocked_from.len()],
             instr_counts: [0; puma_isa::InstructionCategory::ALL.len()],
             io: Arc::clone(&self.io),
@@ -1172,13 +1021,7 @@ impl NodeSim {
             seq: 0,
             changes: Vec::new(),
             wake_scratch: Vec::new(),
-            continuations: Vec::new(),
-            queue: BucketQueue::new(),
-            tile_next: vec![Vec::new(); tile_count],
-            tile_min: vec![u64::MAX; tile_count],
-            group_min: self.groups.iter().map(|g| vec![u64::MAX; g.count as usize + 1]).collect(),
-            groups: self.groups.clone(),
-            cont_min: u64::MAX,
+            queue: TileQueue::new(tile_count),
             senders_to: self.senders_to.clone(),
             min_direct: self.min_direct.clone(),
             min_indirect: self.min_indirect.clone(),
@@ -1189,6 +1032,7 @@ impl NodeSim {
             outbox: Vec::new(),
             horizon: u64::MAX,
             compiled: self.compiled.clone(),
+            snapshots: Vec::new(),
             residents: self.residents.clone(),
             run_base: 0,
             mvm_perturbation: self.mvm_perturbation,
@@ -1196,7 +1040,8 @@ impl NodeSim {
             vec_out: Vec::new(),
             dead_tile: self.dead_tile,
             death_fired: false,
-            queue_events: 0,
+            floor: (u64::MAX, u64::MAX),
+            sched: SchedStats::default(),
             profile: if segment_profiling() { Some(Box::default()) } else { None },
         }
     }
@@ -1208,7 +1053,8 @@ impl NodeSim {
     /// this is the marginal footprint of one more worker in a serving
     /// pool.
     pub fn state_bytes(&self) -> usize {
-        self.mem.state_bytes()
+        self.snapshots.iter().map(|s| s.mem.bytes()).sum::<usize>()
+            + self.mem.state_bytes()
             + self.regs.state_bytes()
             + self.fifos.state_bytes()
             + self.agent_energy.len() * std::mem::size_of::<AgentEnergy>()
@@ -1221,12 +1067,17 @@ impl NodeSim {
                 .sum::<usize>()
     }
 
-    /// Event-queue pops processed since the last [`NodeSim::reset`].
-    /// Queue events are the scheduler overhead the compiled engine
-    /// exists to avoid; benchmarks report this per executed
-    /// instruction.
+    /// Scheduler-queue pops (tile entries) since the last
+    /// [`NodeSim::reset`]. Queue entries are the scheduler overhead the
+    /// compiled engine exists to avoid; benchmarks report this per
+    /// executed instruction.
     pub fn queue_events(&self) -> u64 {
-        self.queue_events
+        self.sched.tile_entries
+    }
+
+    /// Every scheduler counter since the last [`NodeSim::reset`].
+    pub fn sched_stats(&self) -> SchedStats {
+        self.sched
     }
 
     /// Turns on per-segment execution counting for this instance even
@@ -1293,35 +1144,6 @@ impl NodeSim {
     /// Selects the execution engine (default [`SimEngine::Compiled`]).
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
-        // The per-tile horizon index is maintained only while the
-        // compiled engine is active (the reference engine must
-        // keep seed-faithful per-event cost). Rebuild it here so
-        // switching engines with events already queued stays correct.
-        for index in &mut self.tile_next {
-            index.clear();
-        }
-        self.tile_min.fill(u64::MAX);
-        for gm in &mut self.group_min {
-            gm.fill(u64::MAX);
-        }
-        if engine != SimEngine::Reference {
-            let indexed: Vec<(usize, u64, u16)> = self
-                .queue
-                .iter()
-                .map(|event| {
-                    let t = event.tile() as usize;
-                    (t, event.time, self.indexed_group(t, &event.kind))
-                })
-                .collect();
-            for (t, time, g) in indexed {
-                self.tile_next[t].push((time, g));
-                self.tile_min[t] = self.tile_min[t].min(time);
-                if self.groups[t].count > 1 {
-                    let gm = &mut self.group_min[t][g as usize];
-                    *gm = (*gm).min(time);
-                }
-            }
-        }
     }
 
     /// The active execution engine.
@@ -1472,21 +1294,12 @@ impl NodeSim {
     /// written once at configuration time, §3.2.5).
     pub fn reset(&mut self) {
         self.changes.clear();
-        self.continuations.clear();
         self.queue.clear();
-        for index in &mut self.tile_next {
-            index.clear();
-        }
-        self.tile_min.fill(u64::MAX);
-        for gm in &mut self.group_min {
-            gm.fill(u64::MAX);
-        }
-        self.cont_min = u64::MAX;
         self.outbox.clear();
         self.last_time = 0;
         self.run_base = 0;
         self.horizon = u64::MAX;
-        self.queue_events = 0;
+        self.sched = SchedStats::default();
         self.death_fired = false;
         let mem = &mut self.mem;
         let fifos = &mut self.fifos;
@@ -1499,7 +1312,6 @@ impl NodeSim {
             fifos.reset_tile(t);
             tile.tile_pc = 0;
             tile.tile_halted = tile.tile_program.is_empty();
-            tile.parked.clear();
             for (ci, core) in tile.cores.iter_mut().enumerate() {
                 core.pc = 0;
                 core.halted = core.program.is_empty();
@@ -1512,6 +1324,9 @@ impl NodeSim {
         }
         self.stats = RunStats::new();
         self.blocked_from.fill(u64::MAX);
+        for parked in &mut self.parked {
+            parked.clear();
+        }
         for acc in &mut self.agent_energy {
             *acc = AgentEnergy::default();
         }
@@ -1522,20 +1337,46 @@ impl NodeSim {
         self.seq = 0;
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
+    /// Saves the attribute buffers and the statistics under `key`, so
+    /// later runs can start from here with [`NodeSim::restore_snapshot`]
+    /// instead of repeating the writes. Take it right after
+    /// [`NodeSim::reset_lanes`] (or on a fresh simulator) and the writes
+    /// every run starts with — a model's constants — written alike to
+    /// every lane: lane 0 is what is saved. A snapshot under the same key
+    /// is replaced.
+    pub fn save_snapshot(&mut self, key: &str) {
+        let snapshot =
+            Snapshot { key: key.to_string(), mem: self.mem.save(), stats: self.stats.clone() };
+        match self.snapshots.iter_mut().find(|s| s.key == key) {
+            Some(old) => *old = snapshot,
+            None => self.snapshots.push(snapshot),
+        }
+    }
+
+    /// On a simulator just reset with [`NodeSim::reset`] or
+    /// [`NodeSim::reset_lanes`]: restores the snapshot saved under `key`
+    /// into every live lane, with its statistics — the off-chip energy
+    /// its writes charged, added in the same order, so the run's
+    /// [`RunStats`] are bit-identical to repeating the writes. Only the
+    /// dirty word ranges are copied. Returns `false`, changing nothing,
+    /// when no snapshot is saved under `key`.
+    pub fn restore_snapshot(&mut self, key: &str) -> bool {
+        let Some(snapshot) = self.snapshots.iter().find(|s| s.key == key) else {
+            return false;
+        };
+        self.mem.restore(&snapshot.mem);
+        self.stats = snapshot.stats.clone();
+        true
     }
 
     /// The energy-accumulator slot of an agent (per tile: cores in index
     /// order, then the tile control unit).
     fn agent_slot(&self, agent: AgentId) -> usize {
         let t = agent.tile as usize;
-        let base = self.agent_offsets[t];
         if agent.is_tile_ctl() {
-            base + self.tiles[t].cores.len()
+            self.agent_offsets[t + 1] - 1
         } else {
-            base + agent.core as usize
+            self.agent_offsets[t] + agent.core as usize
         }
     }
 
@@ -1703,19 +1544,8 @@ impl NodeSim {
     /// clears every queue/scheduler leftover, then seeds the live agents
     /// of `tiles` at global cycle `at`.
     fn prime_tiles(&mut self, at: u64, tiles: std::ops::Range<usize>) -> Result<()> {
+        // The queue may hold leftovers from an aborted run.
         self.queue.clear();
-        // The compiled engine's scheduler state mirrors the queue (per-tile
-        // next-event index) or must be empty between steps
-        // (continuations); both may hold leftovers from an aborted run.
-        for index in &mut self.tile_next {
-            index.clear();
-        }
-        self.tile_min.fill(u64::MAX);
-        for gm in &mut self.group_min {
-            gm.fill(u64::MAX);
-        }
-        self.continuations.clear();
-        self.cont_min = u64::MAX;
         self.outbox.clear();
         self.last_time = at;
         self.run_base = at;
@@ -1766,98 +1596,76 @@ impl NodeSim {
         self.queue.min_time()
     }
 
-    /// Files an event into the queue, keeping the per-tile next-event
-    /// index in sync (compiled engine only; the reference
-    /// engine never reads it). The single enqueue path for agents,
-    /// wakes, and deliveries.
+    /// Files an event into its tile's ready list: the single enqueue path
+    /// for agents, wakes, and deliveries.
     fn enqueue(&mut self, time: u64, priority: u64, kind: EventKind) {
         self.seq += 1;
         debug_assert!(self.seq < 1 << PRIO_SHIFT, "event sequence exceeds the packed tie-break");
-        if self.engine != SimEngine::Reference {
-            let tile = match &kind {
-                EventKind::AgentReady(agent) => agent.tile,
-                EventKind::Deliver(d) => d.tile,
-            } as usize;
-            let group = self.indexed_group(tile, &kind);
-            self.tile_next[tile].push((time, group));
-            self.tile_min[tile] = self.tile_min[tile].min(time);
-            if self.groups[tile].count > 1 {
-                let gm = &mut self.group_min[tile][group as usize];
-                *gm = (*gm).min(time);
-            }
-        }
         self.queue.push(Event { time, prio_seq: (priority << PRIO_SHIFT) | self.seq, kind });
     }
 
-    /// The conflict group a queued event is indexed under: an agent
-    /// event under its agent's group, a delivery under its target FIFO's
-    /// receiver group (module docs, word-range horizons).
-    fn event_group(&self, kind: &EventKind) -> u16 {
-        match kind {
-            EventKind::AgentReady(agent) => self.groups[agent.tile as usize].agent_group(*agent),
-            EventKind::Deliver(d) => self.groups[d.tile as usize].fifo_group(d.fifo),
-        }
-    }
-
-    /// [`NodeSim::event_group`] with the single-group fast path: a tile
-    /// whose agents all share one conflict group (the overwhelmingly
-    /// common case — one bridging control unit collapses most tiles)
-    /// indexes every event, inert deliveries included, under group 0 and
-    /// skips the per-group minimum entirely; `tile_clear_until` then
-    /// vetoes on `tile_min` alone, which for such a tile is at most one
-    /// inert-delivery veto more conservative — and deferring is always
-    /// safe (module docs).
-    fn indexed_group(&self, tile: usize, kind: &EventKind) -> u16 {
-        if self.groups[tile].count <= 1 {
-            0
-        } else {
-            self.event_group(kind)
-        }
-    }
-
-    /// Removes one popped event's entry from the per-tile index. The
-    /// entry is matched on `(time, group)` — matching the time alone
-    /// could evict another group's entry and corrupt its cached minimum.
-    fn unindex(&mut self, tile: u32, time: u64, group: u16) {
-        if self.engine != SimEngine::Reference {
-            let t = tile as usize;
-            let index = &mut self.tile_next[t];
-            let at = index
-                .iter()
-                .position(|&(tt, g)| tt == time && g == group)
-                .expect("popped event was indexed");
-            index.swap_remove(at);
-            if time == self.tile_min[t] {
-                self.tile_min[t] = index.iter().map(|&(tt, _)| tt).min().unwrap_or(u64::MAX);
-            }
-            if self.groups[t].count > 1 {
-                let gm = &mut self.group_min[t][group as usize];
-                if time == *gm {
-                    *gm = index
-                        .iter()
-                        .filter(|&&(_, g)| g == group)
-                        .map(|&(tt, _)| tt)
-                        .min()
-                        .unwrap_or(u64::MAX);
-                }
-            }
-        }
-    }
-
-    /// Processes the next queued event. Returns `Ok(false)` when the queue
-    /// is empty (the node is quiescent: halted, blocked, or awaiting
-    /// inter-node packets).
+    /// Enters the tile with the earliest queued event: the reference
+    /// engine runs that one event, the compiled engine runs the tile's
+    /// events back to back while its cross-tile horizon clears (module
+    /// docs, the scheduler). Returns `Ok(false)` when nothing is queued
+    /// (the node is quiescent: halted, blocked, or awaiting inter-node
+    /// packets).
     ///
     /// # Errors
     ///
     /// Propagates execution faults and the cycle cap.
     pub fn step_one(&mut self) -> Result<bool> {
-        let Some(event) = self.queue.pop() else {
+        let Some(tile) = self.queue.pop_tile() else {
             return Ok(false);
         };
-        self.queue_events += 1;
-        let group = self.indexed_group(event.tile() as usize, &event.kind);
-        self.unindex(event.tile(), event.time, group);
+        self.sched.tile_entries += 1;
+        let result = match self.engine {
+            SimEngine::Reference => self.dispatch(tile, None),
+            SimEngine::Compiled => self.run_tile(tile),
+        };
+        self.queue.requeue(tile);
+        result.map(|()| true)
+    }
+
+    /// The compiled engine's tile entry: the first event is the global
+    /// minimum and runs unconditionally; each later one runs only if the
+    /// tile's cross-tile horizon clears at its time.
+    fn run_tile(&mut self, tile: u32) -> Result<()> {
+        // Borrow the image for the entry without touching its reference
+        // count, which every fork of this simulator shares: take it out
+        // of `self` and put it back on every exit.
+        let cell = self.compiled.take().expect("the compiled image cell is always present");
+        let image = cell.get_or_init(|| {
+            CompiledImage::build(
+                &self.cfg,
+                &self.timing,
+                self.mode,
+                self.tiles.iter().map(|tile| {
+                    (
+                        tile.cores.iter().map(|c| &*c.program).collect::<Vec<_>>(),
+                        &*tile.tile_program,
+                    )
+                }),
+            )
+        });
+        let mut result = self.dispatch(tile, Some(image));
+        while result.is_ok() {
+            match self.queue.peek(tile) {
+                Some(next) if self.tile_clear(tile, next.time) => {
+                    result = self.dispatch(tile, Some(image));
+                }
+                _ => break,
+            }
+        }
+        self.compiled = Some(cell);
+        result
+    }
+
+    /// Runs the taken tile's next event: a delivery, or an agent — one
+    /// instruction without an image (the reference engine), its
+    /// straight-line run with one.
+    fn dispatch(&mut self, tile: u32, image: Option<&CompiledImage>) -> Result<()> {
+        let event = self.queue.pop(tile).expect("a queued tile has an event");
         let now = event.time;
         self.last_time = self.last_time.max(now);
         if now > self.max_cycles {
@@ -1865,6 +1673,7 @@ impl NodeSim {
         }
         match event.kind {
             EventKind::Deliver(d) => {
+                self.sched.deliveries += 1;
                 let DeliverEvent { tile, fifo, packet, .. } = *d;
                 if self.tile_dead(tile, now) {
                     // Deliveries addressed to a dead tile are dropped on
@@ -1872,7 +1681,7 @@ impl NodeSim {
                     // Senders blocked on the lost acknowledgement park
                     // forever and surface as a FaultedTile diagnosis.
                     self.death_fired = true;
-                    return Ok(true);
+                    return Ok(());
                 }
                 // An out-of-range fifo faults here — at delivery time —
                 // with the canonical message, exactly as the old push
@@ -1890,66 +1699,19 @@ impl NodeSim {
                 self.death_fired = true;
                 self.stats.dead_tile_halts += 1;
             }
-            EventKind::AgentReady(agent) => match self.engine {
-                SimEngine::Reference => match self.step_agent(agent, now)? {
-                    Step::Advance { next_pc, latency } => {
-                        self.set_pc(agent, next_pc);
-                        self.push_agent_event(agent, now + latency)?;
-                    }
-                    Step::Blocked(cond) => self.park(agent, now, cond),
-                    Step::Halted => {
-                        self.set_halted(agent);
-                    }
-                },
-                SimEngine::Compiled => {
-                    self.run_compiled(agent, now)?;
+            EventKind::AgentReady(agent) => {
+                self.sched.dispatches += 1;
+                match image {
+                    Some(image) => self.run_compiled(image, agent, now)?,
+                    None => match self.step_agent(agent, now)? {
+                        Step::Advance { next_pc, latency } => {
+                            self.set_pc(agent, next_pc);
+                            self.push_agent_event(agent, now + latency)?;
+                        }
+                        Step::Blocked(cond) => self.park(agent, now, cond),
+                        Step::Halted => self.set_halted(agent),
+                    },
                 }
-            },
-        }
-        if self.engine != SimEngine::Reference && !self.continuations.is_empty() {
-            self.drain_continuations()?;
-        }
-        Ok(true)
-    }
-
-    /// Runs the continuations accumulated during this step, minimum
-    /// `(time, priority, order)` first — exactly the order their events
-    /// would pop from the queue. A continuation whose tile horizon clears
-    /// at its resume time executes inline (its first instruction observes
-    /// exactly the state a queued retry would, by the module-docs
-    /// invariant); one that does not falls back to an ordinary queued
-    /// event of the same priority class. Inline segments wake further
-    /// agents and defer their own re-entries onto the same list, so whole
-    /// producer/consumer handoff chains execute within one event and the
-    /// queue sees only genuine cross-event boundaries.
-    fn drain_continuations(&mut self) -> Result<()> {
-        while !self.continuations.is_empty() {
-            let mut best = 0;
-            for i in 1..self.continuations.len() {
-                let key =
-                    (self.continuations[i].1, self.continuations[i].2, self.continuations[i].3);
-                let best_key = (
-                    self.continuations[best].1,
-                    self.continuations[best].2,
-                    self.continuations[best].3,
-                );
-                if key < best_key {
-                    best = i;
-                }
-            }
-            let (agent, t0, prio, _) = self.continuations.swap_remove(best);
-            self.cont_min =
-                self.continuations.iter().map(|&(_, t1, _, _)| t1).min().unwrap_or(u64::MAX);
-            // The candidate is the minimum-keyed continuation, so the
-            // remaining ones (all later-keyed) are not owed execution
-            // before its first instruction; its *subsequent*
-            // synchronization instructions re-check the horizon — which
-            // counts pending continuations — inside `run_compiled`.
-            let group = self.groups[agent.tile as usize].agent_group(agent);
-            if self.tile_clear_for_resume(agent.tile, group, t0) {
-                self.run_compiled(agent, t0)?;
-            } else {
-                self.enqueue(t0, prio, EventKind::AgentReady(agent));
             }
         }
         Ok(())
@@ -1965,13 +1727,13 @@ impl NodeSim {
         self.tiles
             .iter()
             .enumerate()
-            .flat_map(|(t, tile)| {
+            .flat_map(|(t, _)| {
                 // Report in agent order (cores ascending, control unit
-                // last), not park order: unrelated conflict groups may
-                // park in engine-dependent interleavings, and deadlock
+                // last), not park order: the engines re-park retried
+                // agents under different wake policies, and deadlock
                 // reports must be engine-invariant. The ParkedSet itself
                 // stays in park order — that is the wake contract.
-                let mut entries: Vec<_> = tile.parked.iter().collect();
+                let mut entries: Vec<_> = self.parked[t].iter().collect();
                 entries.sort_by_key(|(a, _, _)| a.core);
                 entries
                     .into_iter()
@@ -2078,7 +1840,7 @@ impl NodeSim {
     /// (the allocation-free counterpart of [`NodeSim::blocked_summary`]
     /// for schedulers that poll quiescence per event).
     pub fn blocked_count(&self) -> usize {
-        self.tiles.iter().map(|t| t.parked.len()).sum()
+        self.parked.iter().map(ParkedSet::len).sum()
     }
 
     /// Records the last observed timestamp as the run's cycle count.
@@ -2102,15 +1864,11 @@ impl NodeSim {
         // cluster; re-resolve it now that this node knows its id.
         self.dead_tile = Self::dead_tile_for(&self.cfg, node_id);
         // Which of the image's sends are local NoC traffic depends on
-        // the node id; refresh the static send graph and the conflict
-        // groups (a same-tile send merges sender and receiver only when
-        // it is local).
+        // the node id; refresh the static send graph.
         let (senders_to, min_direct, min_indirect) = send_graph(&self.timing, &self.tiles, node_id);
         self.senders_to = senders_to;
         self.min_direct = min_direct;
         self.min_indirect = min_indirect;
-        self.groups = conflict_groups(&self.tiles, self.cfg.tile.receive_fifos, node_id);
-        self.group_min = self.groups.iter().map(|g| vec![u64::MAX; g.count as usize + 1]).collect();
     }
 
     /// Sets the external horizon (see the `horizon` field).
@@ -2189,44 +1947,35 @@ impl NodeSim {
     }
 
     /// Executes a whole straight-line run of one agent's pre-decoded
-    /// micro-ops, accumulating time locally, and re-enters the event
-    /// queue only at synchronization points: an upcoming attribute-buffer
-    /// load/store or FIFO send/receive whose tile horizon has not cleared
-    /// (it must observe global tile state at its own timestamp, after
-    /// every earlier event has run) is deferred as a continuation.
-    /// Core-local instructions touch no state another agent can observe,
-    /// so executing them back-to-back inside one event is
+    /// micro-ops, accumulating time locally, up to the next
+    /// synchronization instruction (attribute-buffer load/store, FIFO
+    /// send/receive) that must wait for its turn: one that an event of
+    /// its tile sorts before, or that the tile's cross-tile horizon does
+    /// not clear, is deferred into the tile's list under its own key (it
+    /// must observe tile state at its own timestamp, after every earlier
+    /// event has run). Core-local instructions touch no state another
+    /// agent can observe, so executing them back-to-back is
     /// indistinguishable from the reference per-instruction loop — minus
-    /// its heap traffic. Per-op timing/energy come from precomputed
+    /// its queue traffic. Per-op timing/energy come from precomputed
     /// [`OpCost`]s, and maximal pure-charge runs are accounted as whole
     /// segments under the segment-boundary invariant (module docs).
-    fn run_compiled(&mut self, agent: AgentId, now: u64) -> Result<()> {
-        // Borrow the image for the call without touching its reference
-        // count, which every fork of this simulator shares: take it out
-        // of `self` and put it back on every exit.
-        let image = self.compiled.take().expect("the compiled image is built at construction");
-        let result = self.run_compiled_on(&image, agent, now);
-        self.compiled = Some(image);
-        result
-    }
-
-    /// [`NodeSim::run_compiled`]'s body, over a borrowed image.
-    fn run_compiled_on(&mut self, image: &CompiledImage, agent: AgentId, now: u64) -> Result<()> {
+    fn run_compiled(&mut self, image: &CompiledImage, agent: AgentId, now: u64) -> Result<()> {
         let prog = image.program(
             agent.tile as usize,
             if agent.is_tile_ctl() { None } else { Some(agent.core as usize) },
         );
         let tile = agent.tile;
-        let group = self.groups[tile as usize].agent_group(agent);
+        let priority = agent_priority(tile, agent.core);
         let slot = self.agent_slot(agent);
         // The register-file arena slot; `usize::MAX` for the tile
         // control unit, whose compiled stream can never contain a
         // register micro-op (send/receive/jump/halt only).
-        let reg_slot = if agent.is_tile_ctl() {
-            usize::MAX
-        } else {
-            self.tiles[tile as usize].cores[agent.core as usize].reg_slot as usize
-        };
+        let reg_slot = if agent.is_tile_ctl() { usize::MAX } else { slot - tile as usize };
+        debug_assert!(
+            agent.is_tile_ctl()
+                || reg_slot
+                    == self.tiles[tile as usize].cores[agent.core as usize].reg_slot as usize
+        );
         let mut t = now;
         let mut first = true;
         loop {
@@ -2236,7 +1985,7 @@ impl NodeSim {
                 return Err(self.cycle_cap_error());
             }
             if self.tile_dead(tile, t) {
-                // Same dead-tile halt as the other engines, at the same
+                // Same dead-tile halt as the reference engine, at the same
                 // instruction-start timestamp, which the reference engine
                 // observes as the suppressed dispatch's event time.
                 self.last_time = self.last_time.max(t);
@@ -2351,18 +2100,11 @@ impl NodeSim {
                     return Ok(());
                 }
                 MicroOp::Interp { instr, may_block } => {
-                    if !first && may_block && !self.tile_clear_until(tile, group, t) {
-                        // Synchronization point whose tile could still
-                        // change at or before `t`: defer it as a
-                        // continuation.
-                        let order = self.next_seq();
-                        self.continuations.push((
-                            agent,
-                            t,
-                            agent_priority(tile, agent.core),
-                            order,
-                        ));
-                        self.cont_min = self.cont_min.min(t);
+                    if !first && may_block && !self.take_turn(image, tile, (t, priority))? {
+                        // A synchronization point whose tile could still
+                        // change before it: defer it into the tile's list.
+                        self.sched.deferrals += 1;
+                        self.enqueue(t, priority, EventKind::AgentReady(agent));
                         return Ok(());
                     }
                     self.last_time = self.last_time.max(t);
@@ -2403,73 +2145,73 @@ impl NodeSim {
         }
     }
 
-    /// True if nothing still queued (or still to arrive from outside the
-    /// node) can change tile `tile`'s observable state at or before `t`,
-    /// so the running agent may keep executing synchronization
-    /// instructions locally through `t`. The three checks implement the
-    /// per-tile event-horizon invariant (module docs): the tile's own
-    /// next-event index, the cross-tile NoC slack over the globally
-    /// earliest event, and the external (inter-node) horizon.
-    fn tile_clear_until(&self, tile: u32, group: u16, t: u64) -> bool {
-        // Continuations accumulated this step are pending tile events
-        // too: a woken agent's retry (or a deferred re-entry) at `t0 ≤ t`
-        // must execute before any synchronization at `t` can be trusted.
-        // (All continuations within one step share the stepped tile, so
-        // the cached minimum suffices; it is deliberately not refined by
-        // group — continuations are same-step transients, drained before
-        // the next pop.)
-        if self.cont_min <= t {
-            debug_assert!(self.continuations.iter().all(|&(a, _, _, _)| a.tile == tile));
-            return false;
+    /// Brings an agent of the taken tile `tile` up to a synchronization
+    /// instruction with reference key `key = (time, scheduled priority)`:
+    /// runs, in place, every event of the tile that sorts before it, and
+    /// returns whether the instruction may now run. `false` — an agent
+    /// suspended further out must go first, or the cross-tile horizon
+    /// does not clear — means it must be deferred into the tile's list.
+    ///
+    /// While the events run, the agent waits suspended in its own frame
+    /// (it holds no list entry), so `floor` carries its key down: nested
+    /// agents may run synchronization instructions only below it. Agent
+    /// priorities are unique and above the delivery and wake classes, so
+    /// the class alone decides a same-cycle tie with a queued event.
+    fn take_turn(&mut self, image: &CompiledImage, tile: u32, key: (u64, u64)) -> Result<bool> {
+        if key > self.floor || !self.tile_clear(tile, key.0) {
+            return Ok(false);
         }
-        self.tile_clear_for_resume(tile, group, t)
+        let mut ran = false;
+        while let Some(next) = self.queue.peek(tile) {
+            let time = next.time;
+            if (time, next.prio_seq >> PRIO_SHIFT) > key {
+                break;
+            }
+            if !self.tile_clear(tile, time) {
+                return Ok(false);
+            }
+            let outer = std::mem::replace(&mut self.floor, key);
+            let result = self.dispatch(tile, Some(image));
+            self.floor = outer;
+            result?;
+            ran = true;
+        }
+        // The events that ran may have sent packets that now bound the
+        // horizon; clearing only ever narrows while a tile runs.
+        Ok(!ran || self.tile_clear(tile, key.0))
     }
 
-    /// `NodeSim::tile_clear_until` without the pending-continuation
-    /// term: the eligibility check for *resuming* the minimum-keyed
-    /// continuation, which by construction pops before every other
-    /// pending continuation — only queued events, the cross-tile slack,
-    /// and the external horizon can be owed execution before it.
-    fn tile_clear_for_resume(&self, tile: u32, group: u16, t: u64) -> bool {
+    /// True if nothing queued on another tile, or still to arrive from
+    /// another node, can change tile `tile`'s state at or before `t`:
+    /// the cross-tile horizon of the module docs — the external horizon,
+    /// the direct senders' slack, and the multi-hop floor over the
+    /// globally earliest event.
+    fn tile_clear(&self, tile: u32, t: u64) -> bool {
         if t >= self.horizon {
             return false;
         }
-        // Per-tile term, refined by conflict group (module docs,
-        // word-range horizons): a queued same-tile event only vetoes
-        // when it belongs to the running agent's group — other groups
-        // touch provably disjoint words and FIFOs. The tile-granular
-        // minimum stays the fast path (one load clears the common case).
-        if self.tile_min[tile as usize] <= t
-            && (self.groups[tile as usize].count <= 1
-                || self.group_min[tile as usize][group as usize] <= t)
-        {
-            return false;
-        }
-        // Fast path: if even the cheapest single static send beyond the
-        // globally earliest queued event cannot land by `t`, neither the
-        // per-sender scan nor the multi-hop floor can veto (`m_U ≥ M`
-        // for every sender).
-        let min_any = self.min_direct[tile as usize].min(self.min_indirect[tile as usize]);
-        match self.queue.min_time() {
-            None => return true,
-            Some(m) if m.saturating_add(min_any) > t => {
-                return true;
-            }
-            Some(_) => {}
+        // The taken tile is out of the heap, so this is the earliest
+        // event of every other tile.
+        let Some(m) = self.queue.min_time() else {
+            return true;
+        };
+        // Fast path: if even the cheapest static send beyond the globally
+        // earliest event cannot land by `t`, neither the per-sender scan
+        // nor the multi-hop floor can veto (`m_U ≥ m` for every sender).
+        let t_ = tile as usize;
+        if m.saturating_add(self.min_direct[t_].min(self.min_indirect[t_])) > t {
+            return true;
         }
         // Direct senders: a queued event on static predecessor `U` can
         // deliver into this tile no earlier than `m_U + D`.
-        for &(u, d) in &self.senders_to[tile as usize] {
-            if self.tile_min[u as usize].saturating_add(d) <= t {
+        for &(u, d) in &self.senders_to[t_] {
+            if self.queue.next_time(u).saturating_add(d) <= t {
                 return false;
             }
         }
         // Multi-hop paths: at least two static sends beyond the globally
         // earliest queued event.
-        match self.queue.min_time() {
-            Some(m) => m.saturating_add(self.min_indirect[tile as usize]) > t,
-            None => true,
-        }
+        m.saturating_add(self.min_indirect[t_]) > t
     }
 
     /// Moves as many pending packets as fit into the receive FIFO, in
@@ -2502,7 +2244,7 @@ impl NodeSim {
         if self.changes.is_empty() {
             return;
         }
-        if self.tiles[tile].parked.is_empty() {
+        if self.parked[tile].is_empty() {
             // Nobody to wake on this tile.
             self.changes.clear();
             return;
@@ -2512,41 +2254,26 @@ impl NodeSim {
         match self.engine {
             SimEngine::Reference => {
                 self.changes.clear();
-                self.tiles[tile].parked.drain_all(&mut woken);
+                self.parked[tile].drain_all(&mut woken);
             }
             SimEngine::Compiled => {
-                let changes = std::mem::take(&mut self.changes);
-                for &change in &changes {
-                    self.tiles[tile].parked.take_matching(change, &mut woken);
-                }
-                self.changes = changes;
+                self.parked[tile].take_matching(&self.changes, &mut woken);
                 self.changes.clear();
             }
         }
-        match self.engine {
-            SimEngine::Reference => {
-                for (agent, since) in woken.drain(..) {
-                    self.stats.blocked_cycles += now.saturating_sub(since);
-                    self.enqueue(now, PRIO_WAKE, EventKind::AgentReady(agent));
-                }
-            }
-            SimEngine::Compiled => {
-                for (agent, since) in woken.drain(..) {
-                    self.stats.blocked_cycles += now.saturating_sub(since);
-                    let order = self.next_seq();
-                    self.continuations.push((agent, now, PRIO_WAKE, order));
-                    self.cont_min = self.cont_min.min(now);
-                }
-            }
+        for (agent, since) in woken.drain(..) {
+            self.stats.blocked_cycles += now.saturating_sub(since);
+            self.enqueue(now, PRIO_WAKE, EventKind::AgentReady(agent));
         }
         self.wake_scratch = woken;
     }
 
     /// Parks a blocked agent on its tile (see `blocked_from`).
     fn park(&mut self, agent: AgentId, now: u64, cond: WaitCond) {
+        self.sched.parks += 1;
         let slot = self.agent_slot(agent);
         self.blocked_from[slot] = self.blocked_from[slot].min(now);
-        self.tiles[agent.tile as usize].parked.park(agent, now, cond);
+        self.parked[agent.tile as usize].park(agent, now, cond);
     }
 
     fn set_pc(&mut self, agent: AgentId, pc: u32) {
@@ -3203,9 +2930,9 @@ fn send_graph(
     node_id: u16,
 ) -> (Vec<Vec<(u32, u64)>>, Vec<u64>, Vec<u64>) {
     let mut senders_to: Vec<Vec<(u32, u64)>> = vec![Vec::new(); tiles.len()];
-    // Cheapest incoming edge per tile, self-edges included (any event on
-    // the tile itself is already covered by the direct per-tile check,
-    // but an incoming self-edge still bounds multi-hop paths through it).
+    // Cheapest incoming edge per tile, self-edges included (a self-send
+    // is an event in the tile's own list, but an incoming self-edge still
+    // bounds multi-hop paths through it).
     let mut min_in_edge = vec![u64::MAX; tiles.len()];
     for (src, tile) in tiles.iter().enumerate() {
         for instr in &tile.tile_program.instructions {
@@ -3982,6 +3709,68 @@ halt
                 assert_eq!(runs[0], runs[1], "the next run reuses the image");
             }
         }
+    }
+
+    #[test]
+    fn reference_only_simulators_never_build_the_micro_ops() {
+        let cfg = tiny_config(1);
+        let img = image_with_core_program(&cfg, "set r0 7\nset r1 5\niadd r2 r0 r1\nhalt\n");
+        let mut owner = NodeSim::new(cfg, &img, SimMode::Timing, &NoiseModel::noiseless()).unwrap();
+        owner.set_engine(SimEngine::Reference);
+        let mut fork = owner.fork_replica();
+        owner.run().unwrap();
+        fork.run().unwrap();
+        let cell = Arc::clone(owner.compiled.as_ref().unwrap());
+        assert!(cell.get().is_none(), "a reference run built the micro-ops");
+        fork.set_engine(SimEngine::Compiled);
+        fork.reset();
+        fork.run().unwrap();
+        assert!(cell.get().is_some(), "the fork's compiled run builds them for every fork");
+        assert!(Arc::ptr_eq(fork.compiled.as_ref().unwrap(), &cell));
+    }
+
+    #[test]
+    fn snapshot_restore_matches_rewriting_the_constants() {
+        let cfg = tiny_config(1);
+        let mut img = image_with_core_program(
+            &cfg,
+            "load r0 @0 4\nload r4 @8 4\nmul r8 r0 r4 4\nstore @16 r8 1 4\nhalt\n",
+        );
+        let bind = |name: &str, addr| IoBinding {
+            name: name.into(),
+            tile: TileId::new(0),
+            addr,
+            width: 4,
+            count: 1,
+        };
+        img.inputs.extend([bind("w", 0), bind("x", 8)]);
+        img.outputs.push(bind("y", 16));
+        let w = [0.5f32, -0.25, 1.0, 0.125].map(Fixed::from_f32);
+        let xs: Vec<Vec<f32>> = (0..3).map(|r| vec![0.1 * (r + 1) as f32; 4]).collect();
+        let template = NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless())
+            .unwrap()
+            .fork_lanes(3)
+            .unwrap();
+        let pass = |sim: &mut NodeSim, live: usize, snapshot: bool| {
+            sim.reset_lanes(live).unwrap();
+            if !(snapshot && sim.restore_snapshot("m")) {
+                sim.write_input_fixed("w", &w).unwrap();
+                if snapshot {
+                    sim.save_snapshot("m");
+                }
+            }
+            let lanes: Vec<&[f32]> = xs[..live].iter().map(Vec::as_slice).collect();
+            sim.write_input_lanes("x", &lanes).unwrap();
+            sim.run().unwrap();
+            let outs: Vec<_> = (0..live).map(|l| sim.read_output_lane("y", l).unwrap()).collect();
+            (outs, sim.stats().clone())
+        };
+        let (mut written, mut restored) = (template.fork_replica(), template.fork_replica());
+        assert!(!restored.restore_snapshot("m"), "nothing saved yet");
+        for live in [2, 3, 1, 3] {
+            assert_eq!(pass(&mut written, live, false), pass(&mut restored, live, true), "{live}");
+        }
+        assert!(restored.state_bytes() > written.state_bytes(), "the snapshot is counted");
     }
 
     #[test]

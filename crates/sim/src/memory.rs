@@ -65,6 +65,30 @@ struct MemSlot {
     generation: u64,
 }
 
+/// One lane of a [`MemArena`]'s valid words and their consumer counts
+/// (see [`MemArena::save`]).
+#[derive(Debug, Clone, Default)]
+pub struct MemImage {
+    /// Per tile: the dirty-range length and the change counter.
+    slots: Vec<(usize, u64)>,
+    /// Runs of valid words: `(tile, tile-relative start, length)`.
+    runs: Vec<(u32, u32, u32)>,
+    /// The runs' words, one run after another.
+    data: Vec<Fixed>,
+    /// The runs' consumer counts, likewise.
+    count: Vec<u16>,
+}
+
+impl MemImage {
+    /// Heap bytes held.
+    pub fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<(usize, u64)>()
+            + self.runs.len() * std::mem::size_of::<(u32, u32, u32)>()
+            + self.data.len() * std::mem::size_of::<Fixed>()
+            + self.count.len() * std::mem::size_of::<u16>()
+    }
+}
+
 /// All tiles' shared memories packed into contiguous planes.
 ///
 /// Blocking semantics, error messages, and the dirty-watermark reset are
@@ -166,6 +190,58 @@ impl MemArena {
         self.count[base..base + hi].fill(0);
         slot.hi = 0;
         slot.generation = 0;
+    }
+
+    /// Lane 0 of every tile's valid words with their consumer counts —
+    /// the image [`MemArena::restore`] writes back. Invalid words are not
+    /// saved: on an arena that has only been written since its reset,
+    /// they hold zeros.
+    pub fn save(&self) -> MemImage {
+        let mut image = MemImage::default();
+        for (tile, slot) in self.slots.iter().enumerate() {
+            image.slots.push((slot.hi, slot.generation));
+            let valid = &self.valid[slot.base..slot.base + slot.hi];
+            let mut at = 0;
+            while let Some(start) = Self::first_one(&valid[at..]).map(|i| at + i) {
+                let len =
+                    valid[start..].iter().position(|&v| v == 0).unwrap_or(valid.len() - start);
+                let words = slot.base + start..slot.base + start + len;
+                image.runs.push((tile as u32, start as u32, len as u32));
+                image.data.extend_from_slice(&self.data[words.clone()]);
+                image.count.extend_from_slice(&self.count[words]);
+                at = start + len;
+            }
+        }
+        image
+    }
+
+    /// Resets every tile, then writes `image` into every lane in use:
+    /// the state [`MemArena::save`] saw, provided the arena had only
+    /// been written since its reset, alike in every lane. Only the dirty
+    /// ranges and the saved words are touched.
+    ///
+    /// # Panics
+    ///
+    /// If `image` was saved from an arena of another tile count.
+    pub fn restore(&mut self, image: &MemImage) {
+        assert_eq!(image.slots.len(), self.slots.len(), "image of another arena");
+        for (tile, &(hi, generation)) in image.slots.iter().enumerate() {
+            self.reset_tile(tile);
+            let slot = &mut self.slots[tile];
+            slot.hi = hi;
+            slot.generation = generation;
+        }
+        let mut at = 0;
+        for &(tile, start, len) in &image.runs {
+            let (words, len) = (self.slots[tile as usize].base + start as usize, len as usize);
+            for lane in 0..self.lanes {
+                let first = lane * self.plane + words;
+                self.data[first..first + len].copy_from_slice(&image.data[at..at + len]);
+            }
+            self.valid[words..words + len].fill(1);
+            self.count[words..words + len].copy_from_slice(&image.count[at..at + len]);
+            at += len;
+        }
     }
 
     /// Monotonic change counter for one tile (bumps on successful reads
@@ -670,5 +746,39 @@ mod tests {
             assert_eq!(a.peek(lane, 0, 0, 1).unwrap(), &[Fixed::ZERO]);
             assert_eq!(a.peek(lane, 1, 4, 1).unwrap(), &[Fixed::ZERO]);
         }
+    }
+
+    #[test]
+    fn restore_rebuilds_the_saved_words_in_every_lane() {
+        let poke = |a: &mut MemArena| {
+            a.poke(0, 3, Lanes::one(&[fx(1.0), fx(2.0)]), 2).unwrap();
+            a.poke(1, 0, Lanes::one(&[fx(3.0)]), 1).unwrap();
+            a.poke(1, 6, Lanes::one(&[fx(4.0)]), 5).unwrap();
+        };
+        let mut saved_from = MemArena::with_lanes(2, 8, 1);
+        poke(&mut saved_from);
+        let image = saved_from.save();
+        // A run dirties other words, then a restore into two lanes.
+        let mut a = MemArena::with_lanes(2, 8, 2);
+        a.set_lanes(2);
+        a.try_write(0, 7, Lanes::one(&[fx(9.0)]), 1).unwrap();
+        a.poke(1, 0, Lanes::one(&[fx(8.0)]), 3).unwrap();
+        a.restore(&image);
+        let mut want = MemArena::with_lanes(2, 8, 2);
+        poke(&mut want);
+        for tile in 0..2 {
+            for lane in 0..2 {
+                assert_eq!(a.peek(lane, tile, 0, 8).unwrap(), want.peek(lane, tile, 0, 8).unwrap());
+            }
+            for addr in 0..8 {
+                assert_eq!(a.is_valid(tile, addr).unwrap(), want.is_valid(tile, addr).unwrap());
+            }
+            assert_eq!(a.generation(tile), want.generation(tile));
+        }
+        // Counts came back too: tile 1 word 6 takes five reads.
+        for _ in 0..5 {
+            assert!(matches!(a.try_consume(1, 6, 1).unwrap(), MemOutcome::Done(())));
+        }
+        assert!(matches!(a.try_consume(1, 6, 1).unwrap(), MemOutcome::Blocked(_)));
     }
 }

@@ -8,7 +8,9 @@
 //!   attribute buffer, with one or several consumers per word range;
 //! - NoC transfers (core store → control-unit send → remote receive →
 //!   core load), including **shared FIFOs** that two or more sender tiles
-//!   feed in the same rounds, so same-cycle arrivals race for one FIFO;
+//!   feed in the same rounds, so same-cycle arrivals race for one FIFO,
+//!   and **relays** through a third tile's control unit, which waits
+//!   parked between the hops (a two-hop path);
 //! - direct and register-indexed loads and stores;
 //! - counter-bounded loops (a core may run its rounds as a `brn` loop
 //!   instead of unrolled);
@@ -115,6 +117,9 @@ struct Agent {
     body: Vec<String>,
     /// Second phase of each round (consumes run after produces).
     body_late: Vec<String>,
+    /// Third phase: a control unit forwards what it received. Relays only
+    /// run from lower to higher tiles, so rounds cannot wait in a cycle.
+    relay: Vec<String>,
     post: Vec<String>,
 }
 
@@ -226,6 +231,27 @@ impl Gen {
     }
 }
 
+impl Gen {
+    /// A NoC transfer from `src` relayed by `mid`'s control unit to
+    /// `dst > mid`.
+    fn relay_transfer(&mut self, src: usize, mid: usize, dst: usize) {
+        let width = 1 + self.rng.below(4) as u32;
+        let ctl = self.cores;
+        let (f1, f2) = (8 + self.rng.below(4), 12 + self.rng.below(3));
+        let p = self.rng.below(self.cores);
+        let a = self.alloc(src, width);
+        self.produce(src, p, a, 1, width);
+        self.agents[src][ctl].body.push(format!("send @{a} f{f1} t{mid} {width}"));
+        let b = self.alloc(mid, width);
+        self.agents[mid][ctl].body_late.push(format!("recv @{b} f{f1} 1 {width}"));
+        self.agents[mid][ctl].relay.push(format!("send @{b} f{f2} t{dst} {width}"));
+        let c = self.alloc(dst, width);
+        self.agents[dst][ctl].body_late.push(format!("recv @{c} f{f2} 1 {width}"));
+        let consumer = self.rng.below(self.cores);
+        self.consume(dst, consumer, c, width);
+    }
+}
+
 /// Draws one case from `seed` (see the module docs).
 pub fn random_image(seed: u64) -> FuzzImage {
     let mut rng = Rng::new(seed);
@@ -267,9 +293,15 @@ pub fn random_image(seed: u64) -> FuzzImage {
             g.agents[t][c].pre.push(format!("load r200 @{addr} 4"));
         }
     }
-    for _ in 0..1 + g.rng.below(4) {
-        match g.rng.below(3) {
+    for _ in 0..1 + g.rng.below(5) {
+        match g.rng.below(4) {
             0 => g.local_transfer(),
+            3 => {
+                let mid = g.rng.below(tiles - 1);
+                let dst = mid + 1 + g.rng.below(tiles - mid - 1);
+                let src = g.rng.below(tiles);
+                g.relay_transfer(src, mid, dst);
+            }
             1 => {
                 let src = g.rng.below(tiles);
                 let dst = g.rng.below(tiles);
@@ -331,11 +363,12 @@ pub fn random_image(seed: u64) -> FuzzImage {
         (0..tiles).map(|_| (0..cores).map(|_| rounds > 1 && g.rng.chance(40)).collect()).collect();
     let nodes = if tiles % 2 == 0 { 2 } else { 3 };
     let per_node = tiles / nodes;
-    let program = |t: usize, a: usize, local: bool| -> String {
+    let program = |t: usize, a: usize, whole: bool| -> String {
         let agent = &g.agents[t][a];
         let mut src = String::new();
         let mut lines: Vec<String> = agent.pre.clone();
-        let round: Vec<String> = agent.body.iter().chain(&agent.body_late).cloned().collect();
+        let round: Vec<String> =
+            agent.body.iter().chain(&agent.body_late).chain(&agent.relay).cloned().collect();
         if a < cores && looped[t][a] {
             let (i, n, one) = LOOP_REGS;
             lines.push(format!("set r{i} 0"));
@@ -354,10 +387,9 @@ pub fn random_image(seed: u64) -> FuzzImage {
         lines.push("halt".to_string());
         // Resolve relative `jmp -1` (a self-loop on the line above) and,
         // in a shard, rewrite sends to node-local tile ids.
-        let mut pc = 0usize;
-        for line in lines.iter().flat_map(|l| l.lines()) {
+        for (pc, line) in lines.iter().flat_map(|l| l.lines()).enumerate() {
             let line = if line == "jmp -1" { format!("jmp {}", pc - 1) } else { line.to_string() };
-            let line = match (local, line.strip_prefix("send ")) {
+            let line = match (whole, line.strip_prefix("send ")) {
                 (false, Some(rest)) => {
                     let parts: Vec<&str> = rest.split(' ').collect();
                     let dst: usize = parts[2][1..].parse().expect("generated target");
@@ -374,7 +406,6 @@ pub fn random_image(seed: u64) -> FuzzImage {
             };
             src.push_str(&line);
             src.push('\n');
-            pc += 1;
         }
         src
     };

@@ -422,10 +422,9 @@ pub fn sync_fabric_image(
 
 /// `pairs` independent producer/consumer core pairs per tile, each pair
 /// double-buffering through its **own disjoint word range** of the
-/// tile's attribute buffer — the exact shape the word-range conflict
-/// groups exist for: every pair is its own conflict group, so the
-/// run-ahead scheduler may admit one pair's instructions past another
-/// pair's pending deliveries on the *same tile*. Outputs `t<tile>p<pair>`
+/// tile's attribute buffer: many agents of one tile synchronizing
+/// independently, so the tile scheduler interleaves their turns on the
+/// *same tile*. Outputs `t<tile>p<pair>`
 /// hold each consumer's accumulated sum.
 ///
 /// # Panics
@@ -475,8 +474,8 @@ pub fn disjoint_pairs_image(
 /// tile strictly alternating over **partially overlapping** word ranges.
 /// The ping core produces `[0, width)`; the pong core consumes it and
 /// replies on `[width/2, width/2 + width)` — the upper half of the ping
-/// range is reused by the reply, so both cores share one conflict group
-/// and the word-range horizon must *refuse* run-ahead between them.
+/// range is reused by the reply, so neither core may run a
+/// synchronization instruction past the other's turn.
 /// Alternation is forced by the attribute protocol itself (each store's
 /// precondition only holds after the opposite core's consume), so the
 /// schedule — and therefore outputs and stats — is engine-invariant.

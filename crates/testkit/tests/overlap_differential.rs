@@ -1,15 +1,13 @@
-//! Overlap-differential suite: the word-range run-ahead horizons admit
-//! same-tile run-ahead only when the static read/write ranges of the
-//! tile's agents are **disjoint** — this suite pins both sides of that
-//! contract. Fuzzed disjoint-range producer/consumer pair images (each
-//! pair its own conflict group) must stay **bit-identical** — outputs
+//! Overlap-differential suite: several agents of one tile synchronizing
+//! over the attribute buffer, through **disjoint** and through
+//! **partially overlapping** word ranges. Fuzzed disjoint-range
+//! producer/consumer pair images must stay **bit-identical** — outputs
 //! *and* [`RunStats`] — across [`SimEngine::Reference`] and
-//! [`SimEngine::Compiled`], and the
-//! partially-overlapping ping-pong adversary (one conflict group, where
-//! admitting run-ahead would reorder a store past an unconsumed word)
-//! must too. Each shape also runs under [`ClusterSim`] and
-//! [`PipelineSim`], where the external horizon stacks on top of the
-//! word-range horizons.
+//! [`SimEngine::Compiled`], and so must the partially-overlapping
+//! ping-pong adversary (where running one agent past the other's turn
+//! would reorder a store past an unconsumed word). Each shape also runs
+//! under [`ClusterSim`] and [`PipelineSim`], where the external horizon
+//! stacks on top of the cross-tile horizon.
 
 use proptest::prelude::*;
 use puma_core::config::NodeConfig;
@@ -82,11 +80,10 @@ proptest! {
         prop_assert_eq!(out.len(), tiles * pairs);
     }
 
-    /// The partially-overlapping ping-pong adversary: both cores share
-    /// one conflict group (the reply range reuses the upper half of the
-    /// produced range), so the word-range horizon must refuse run-ahead
-    /// and fall back to delivery order. The attribute protocol forces a
-    /// unique schedule, so all engines must agree exactly.
+    /// The partially-overlapping ping-pong adversary: the reply range
+    /// reuses the upper half of the produced range, so the cores must
+    /// take strict turns. The attribute protocol forces a unique
+    /// schedule, so all engines must agree exactly.
     #[test]
     fn overlapping_pingpong_engines_agree(
         tiles in 1usize..5,
@@ -109,7 +106,7 @@ proptest! {
 
     /// Disjoint pairs sharded across cluster nodes and coupled by a
     /// cross-node token chain: the conservative external horizon stacks
-    /// on the per-tile word-range horizons. Cluster runs must agree
+    /// on the cross-tile horizon. Cluster runs must agree
     /// across engines in both modes.
     #[test]
     fn sharded_pairs_engines_agree(
@@ -147,7 +144,7 @@ proptest! {
 
     /// The sharded pair/chain images served as a pipeline with several
     /// requests in flight: per-request segments and held packets interact
-    /// with the word-range horizons. The full report must agree across
+    /// with the tile scheduler. The full report must agree across
     /// engines.
     #[test]
     fn pipelined_pairs_engines_agree(

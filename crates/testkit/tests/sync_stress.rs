@@ -1,12 +1,11 @@
 //! Synchronization-stress differential suite: hand-assembled images whose
 //! instruction mix is dominated by FIFO send/receive and attribute-buffer
-//! handoffs — exactly the traffic where the run-ahead scheduler's
-//! per-tile event horizons, inline wake continuations, and
-//! condition-indexed wake-ups operate. Every case pins **bit-identical**
-//! outputs *and* [`RunStats`] across [`SimEngine::Reference`] and
-//! [`SimEngine::Compiled`], standalone and — where the external horizon
-//! interacts with the per-tile horizons — under [`ClusterSim`] and
-//! [`PipelineSim`].
+//! handoffs — exactly the traffic where the tile scheduler's ready
+//! lists, cross-tile horizon, and condition-indexed wake-ups operate.
+//! Every case pins **bit-identical** outputs *and* [`RunStats`] across
+//! [`SimEngine::Reference`] and [`SimEngine::Compiled`], standalone and
+//! — where the external horizon interacts with the cross-tile horizon —
+//! under [`ClusterSim`] and [`PipelineSim`].
 
 use proptest::prelude::*;
 use puma_core::config::NodeConfig;

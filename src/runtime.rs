@@ -102,11 +102,28 @@ impl SimBackend {
         }
     }
 
-    fn write_input_fixed(&mut self, name: &str, values: &[Fixed]) -> Result<()> {
+    /// Writes `plan`'s constants into a simulator fresh from a reset. A
+    /// node writes them once and keeps a snapshot of the result under
+    /// `key` (the resident's name on a shared fabric), which later
+    /// passes restore instead: only the dirty words are copied, and the
+    /// statistics come back with the identical off-chip energy charges.
+    fn write_constants(&mut self, plan: &IoPlan, key: &str) -> Result<()> {
         match self {
-            SimBackend::Node(s) => s.write_input_fixed(name, values),
-            SimBackend::Cluster(s) => s.write_input_fixed(name, values),
+            SimBackend::Node(s) => {
+                if !s.restore_snapshot(key) {
+                    for (binding, values) in &plan.consts {
+                        s.write_input_fixed(binding, values)?;
+                    }
+                    s.save_snapshot(key);
+                }
+            }
+            SimBackend::Cluster(s) => {
+                for (binding, values) in &plan.consts {
+                    s.write_input_fixed(binding, values)?;
+                }
+            }
         }
+        Ok(())
     }
 
     /// Writes one request's chunk per live lane (a cluster has one lane).
@@ -308,9 +325,7 @@ fn run_pass<S: AsRef<str>>(
         })?;
         chunks.push(lane);
     }
-    for (binding, values) in &plan.consts {
-        sim.write_input_fixed(binding, values)?;
-    }
+    sim.write_constants(plan, resident.unwrap_or_default())?;
     let mut lanes = Vec::with_capacity(requests.len());
     for (k, &(chunk, _)) in chunks.first().map_or(&[][..], Vec::as_slice).iter().enumerate() {
         lanes.clear();
