@@ -272,11 +272,6 @@ impl ClusterTimingSession {
         self.sim.queue_events()
     }
 
-    /// Every scheduler counter of the last run, summed over nodes.
-    pub fn sched_stats(&self) -> SchedStats {
-        self.sim.sched_stats()
-    }
-
     /// Approximate per-replica mutable state bytes, summed over nodes
     /// (see [`ClusterSim::state_bytes`]).
     pub fn state_bytes(&self) -> usize {

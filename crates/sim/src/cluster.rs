@@ -20,9 +20,7 @@
 //! correctly.
 
 use crate::fifo::Packet;
-use crate::machine::{
-    NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SchedStats, SimEngine, SimMode,
-};
+use crate::machine::{NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SimEngine, SimMode};
 use crate::stats::RunStats;
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
@@ -184,16 +182,6 @@ impl ClusterSim {
     /// [`NodeSim::queue_events`]).
     pub fn queue_events(&self) -> u64 {
         self.nodes.iter().map(NodeSim::queue_events).sum()
-    }
-
-    /// Every node's scheduler counters, summed (see
-    /// [`NodeSim::sched_stats`]).
-    pub fn sched_stats(&self) -> SchedStats {
-        let mut total = SchedStats::default();
-        for node in &self.nodes {
-            total.merge(&node.sched_stats());
-        }
-        total
     }
 
     /// Overrides the runaway-simulation safety cap on every node.

@@ -25,7 +25,7 @@
 //! - **Segments**: maximal straight-line runs of pure-charge ops (ops
 //!   with no observable effect beyond time and energy — timing-mode
 //!   vector/matrix instructions) are charged in one dense walk with a
-//!   single up-front cycle-cap precheck (`seg_check`), bulk-updating the
+//!   single up-front cycle-cap precheck (each charge op's `seg_check`), bulk-updating the
 //!   integer aggregates. Floating-point energy is still added strictly
 //!   per op in program order — f64 addition is non-associative, and the
 //!   engines pin *bit-identical* [`RunStats`].
@@ -87,6 +87,18 @@ pub(crate) enum MicroOp {
     Charge {
         /// End (exclusive pc) of the enclosing pure-charge segment.
         seg_end: u32,
+        /// The summed latency of the segment ops from this pc through
+        /// `seg_end` *excluding the last op* — i.e. the start-time offset
+        /// of the segment's last op, saturated at `u32::MAX`. Bulk
+        /// charging is safe against the cycle cap iff `t + seg_check <=
+        /// max_cycles` (every op in the suffix then *starts* at or under
+        /// the cap, which is exactly the per-instruction check the other
+        /// engine applies); otherwise the engine degrades to per-op
+        /// stepping so the cap fault lands on the same deterministic
+        /// instruction. Saturating only ever sends a run to that exact
+        /// fallback. Kept in the op itself: resuming an agent then reads
+        /// one cold cache line, not two.
+        seg_check: u32,
     },
     /// `set` with a bounds-validated destination.
     Set {
@@ -138,23 +150,15 @@ pub(crate) enum MicroOp {
 }
 
 /// One agent's pre-decoded program: pc-indexed micro-ops with parallel
-/// static costs and per-pc segment suffix sums (a branch back into the
-/// middle of a pure-charge run bulk-charges the remaining suffix).
+/// static costs; a pure-charge op carries its segment suffix sum (a
+/// branch back into the middle of a pure-charge run bulk-charges the
+/// remaining suffix).
 #[derive(Debug)]
 pub(crate) struct CompiledProgram {
     /// Micro-op per pc (same length as the source program).
     pub(crate) ops: Vec<MicroOp>,
     /// Static cost per pc.
     pub(crate) costs: Vec<OpCost>,
-    /// For a pc inside a pure-charge segment: the summed latency of the
-    /// segment ops from this pc through `seg_end` *excluding the last
-    /// op* — i.e. the start-time offset of the segment's last op. Bulk
-    /// charging is safe against the cycle cap iff `t + seg_check[pc] <=
-    /// max_cycles` (every op in the suffix then *starts* at or under the
-    /// cap, which is exactly the per-instruction check the other engines
-    /// apply); otherwise the engine degrades to per-op stepping so the
-    /// cap fault lands on the same deterministic instruction.
-    pub(crate) seg_check: Vec<u64>,
 }
 
 /// A machine image compiled to micro-op segments: one
@@ -234,24 +238,21 @@ impl Builder<'_> {
         // `seg_end = e` and the start-time offset of the run's last op
         // (0 for the last op itself, growing by each latency walking
         // backward).
-        let mut seg_check = vec![0u64; n];
-        let mut run_end: Option<u32> = None;
+        let mut run: Option<(u32, u32)> = None;
         for pc in (0..n).rev() {
-            if matches!(ops[pc], MicroOp::Charge { .. }) {
-                let (end, check) = match run_end {
-                    Some(end) => (end, seg_check[pc + 1] + u64::from(costs[pc].latency)),
+            if let MicroOp::Charge { seg_end, seg_check } = &mut ops[pc] {
+                let (end, check) = match run {
+                    Some((end, next)) => (end, next.saturating_add(costs[pc].latency)),
                     None => (pc as u32 + 1, 0),
                 };
-                if let MicroOp::Charge { seg_end } = &mut ops[pc] {
-                    *seg_end = end;
-                }
-                seg_check[pc] = check;
-                run_end = Some(end);
+                *seg_end = end;
+                *seg_check = check;
+                run = Some((end, check));
             } else {
-                run_end = None;
+                run = None;
             }
         }
-        CompiledProgram { ops, costs, seg_check }
+        CompiledProgram { ops, costs }
     }
 
     fn reg_ok(&self, reg: RegRef) -> bool {
@@ -372,7 +373,7 @@ impl Builder<'_> {
             );
         };
         (
-            MicroOp::Charge { seg_end: 0 },
+            MicroOp::Charge { seg_end: 0, seg_check: 0 },
             OpCost { nj, latency, comp: comp.index() as u8, cat, mvmu },
         )
     }

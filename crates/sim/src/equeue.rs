@@ -142,6 +142,11 @@ pub(crate) struct TileQueue {
     /// [`TileQueue::requeue`] ([`NO_SLOT`] for none). Pushes into it stay
     /// in its list.
     taken: u32,
+    /// Bumped whenever another tile's next event changes while a tile is
+    /// taken — the only way [`TileQueue::min_time`] and the other tiles'
+    /// [`TileQueue::next_time`] can move before the taken tile is
+    /// re-keyed.
+    epoch: u64,
 }
 
 impl TileQueue {
@@ -152,6 +157,7 @@ impl TileQueue {
             heap: Vec::with_capacity(tiles),
             slot: vec![NO_SLOT; tiles],
             taken: NO_SLOT,
+            epoch: 0,
         }
     }
 
@@ -166,6 +172,11 @@ impl TileQueue {
     pub fn min_time(&self) -> Option<u64> {
         let others = if self.taken == NO_SLOT { &self.heap[..] } else { &self.heap[1..] };
         others.iter().take(2).map(|&((time, _), _)| time).min()
+    }
+
+    /// The change counter of the other tiles' next events (see the field).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The time of `tile`'s next event (`u64::MAX` when it has none).
@@ -200,6 +211,7 @@ impl TileQueue {
         if at + 1 == list.len() {
             self.next[t] = key.0;
             if tile != self.taken {
+                self.epoch += 1;
                 match self.slot[t] {
                     NO_SLOT => {
                         self.heap.push((key, tile));

@@ -1,8 +1,9 @@
 //! PUMAsim: the node-level discrete-event simulator.
 //!
 //! Every core and every tile control unit is an *agent* executing its
-//! instruction stream in program order. Agents advance through a global
-//! event queue; blocking instructions (load/store on the attribute buffer,
+//! instruction stream in program order. Agents advance through an event
+//! queue kept per tile (see the scheduler section below); blocking
+//! instructions (load/store on the attribute buffer,
 //! receive on an empty FIFO, send into a full FIFO) park the agent on its
 //! tile's blocked list until a state change wakes it. The simulator
 //! detects deadlock — a nonempty blocked set with an empty event queue —
@@ -686,25 +687,12 @@ pub struct SchedStats {
     /// a straight-line run up to the next synchronization point on the
     /// compiled engine.
     pub dispatches: u64,
-    /// Packet deliveries processed.
-    pub deliveries: u64,
     /// Instructions that blocked and parked their agent.
     pub parks: u64,
     /// Synchronization instructions the compiled engine deferred into
-    /// their tile's list because an earlier event might still change the
-    /// tile.
+    /// their tile's list: an agent suspended further out had to go
+    /// first, or the cross-tile horizon did not clear.
     pub deferrals: u64,
-}
-
-impl SchedStats {
-    /// Adds another node's counts (cluster totals).
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.tile_entries += other.tile_entries;
-        self.dispatches += other.dispatches;
-        self.deliveries += other.deliveries;
-        self.parks += other.parks;
-        self.deferrals += other.deferrals;
-    }
 }
 
 /// Per-segment execution counters for the compiled engine: how many
@@ -1401,17 +1389,16 @@ impl NodeSim {
     /// The order is fixed, so the floating-point sums are reproducible —
     /// and identical across engines and thread counts.
     pub(crate) fn finalize_stats(&mut self) {
-        let blank = vec![AgentEnergy::default(); self.agent_energy.len()];
-        for acc in std::mem::replace(&mut self.agent_energy, blank) {
+        for acc in &mut self.agent_energy {
+            let acc = std::mem::take(acc);
             for (i, &component) in EnergyComponent::ALL.iter().enumerate() {
                 if acc.nj[i] != 0.0 || acc.busy[i] != 0 {
                     self.stats.energy.add(component, acc.nj[i], acc.busy[i]);
                 }
             }
         }
-        let blank = vec![EnergyStats::new(); self.agent_energy_maps.len()];
-        for acc in std::mem::replace(&mut self.agent_energy_maps, blank) {
-            self.stats.energy.merge(&acc);
+        for acc in &mut self.agent_energy_maps {
+            self.stats.energy.merge(&std::mem::take(acc));
         }
         let counts = std::mem::take(&mut self.instr_counts);
         for (i, &n) in counts.iter().enumerate() {
@@ -1673,7 +1660,6 @@ impl NodeSim {
         }
         match event.kind {
             EventKind::Deliver(d) => {
-                self.sched.deliveries += 1;
                 let DeliverEvent { tile, fifo, packet, .. } = *d;
                 if self.tile_dead(tile, now) {
                     // Deliveries addressed to a dead tile are dropped on
@@ -1947,13 +1933,13 @@ impl NodeSim {
     }
 
     /// Executes a whole straight-line run of one agent's pre-decoded
-    /// micro-ops, accumulating time locally, up to the next
-    /// synchronization instruction (attribute-buffer load/store, FIFO
-    /// send/receive) that must wait for its turn: one that an event of
-    /// its tile sorts before, or that the tile's cross-tile horizon does
-    /// not clear, is deferred into the tile's list under its own key (it
-    /// must observe tile state at its own timestamp, after every earlier
-    /// event has run). Core-local instructions touch no state another
+    /// micro-ops, accumulating time locally. Each synchronization
+    /// instruction (attribute-buffer load/store, FIFO send/receive) waits
+    /// for its turn (`NodeSim::take_turn`): it must observe tile state at
+    /// its own timestamp, after every earlier event has run, so those
+    /// events run first, in place — or, when that is not possible yet,
+    /// the instruction is deferred into the tile's list under its own
+    /// key. Core-local instructions touch no state another
     /// agent can observe, so executing them back-to-back is
     /// indistinguishable from the reference per-instruction loop — minus
     /// its queue traffic. Per-op timing/energy come from precomputed
@@ -2002,7 +1988,7 @@ impl NodeSim {
                 unreachable!("compiled micro-ops cover every valid pc");
             };
             match *op {
-                MicroOp::Charge { seg_end } => {
+                MicroOp::Charge { seg_end, seg_check } => {
                     // Bulk-charge the whole pure-charge suffix when every
                     // op in it starts at or under the cap; otherwise take
                     // one op per loop iteration so the cap check above
@@ -2012,7 +1998,7 @@ impl NodeSim {
                     // Last-op start time of the bulk run; it must clear
                     // both the cycle cap and any injected tile death, or
                     // the per-op fallback re-checks each at the loop top.
-                    let horizon = t.saturating_add(prog.seg_check[start]);
+                    let horizon = t.saturating_add(u64::from(seg_check));
                     let end = if horizon <= self.max_cycles
                         && !matches!(self.dead_tile, Some((dead, at)) if dead == tile && horizon >= at)
                     {
@@ -2161,24 +2147,24 @@ impl NodeSim {
         if key > self.floor || !self.tile_clear(tile, key.0) {
             return Ok(false);
         }
-        let mut ran = false;
+        // Clear at `key.0` means clear at every earlier time, until an
+        // event pushed into another tile moves the horizon (`epoch`);
+        // clearing only ever narrows while a tile runs.
+        let cleared = self.queue.epoch();
         while let Some(next) = self.queue.peek(tile) {
             let time = next.time;
             if (time, next.prio_seq >> PRIO_SHIFT) > key {
                 break;
             }
-            if !self.tile_clear(tile, time) {
+            if self.queue.epoch() != cleared && !self.tile_clear(tile, time) {
                 return Ok(false);
             }
             let outer = std::mem::replace(&mut self.floor, key);
             let result = self.dispatch(tile, Some(image));
             self.floor = outer;
             result?;
-            ran = true;
         }
-        // The events that ran may have sent packets that now bound the
-        // horizon; clearing only ever narrows while a tile runs.
-        Ok(!ran || self.tile_clear(tile, key.0))
+        Ok(self.queue.epoch() == cleared || self.tile_clear(tile, key.0))
     }
 
     /// True if nothing queued on another tile, or still to arrive from
@@ -2190,28 +2176,27 @@ impl NodeSim {
         if t >= self.horizon {
             return false;
         }
-        // The taken tile is out of the heap, so this is the earliest
-        // event of every other tile.
+        // The earliest event of every tile but the taken one.
         let Some(m) = self.queue.min_time() else {
             return true;
         };
         // Fast path: if even the cheapest static send beyond the globally
         // earliest event cannot land by `t`, neither the per-sender scan
         // nor the multi-hop floor can veto (`m_U ≥ m` for every sender).
-        let t_ = tile as usize;
-        if m.saturating_add(self.min_direct[t_].min(self.min_indirect[t_])) > t {
+        let to = tile as usize;
+        if m.saturating_add(self.min_direct[to].min(self.min_indirect[to])) > t {
             return true;
         }
         // Direct senders: a queued event on static predecessor `U` can
         // deliver into this tile no earlier than `m_U + D`.
-        for &(u, d) in &self.senders_to[t_] {
+        for &(u, d) in &self.senders_to[to] {
             if self.queue.next_time(u).saturating_add(d) <= t {
                 return false;
             }
         }
         // Multi-hop paths: at least two static sends beyond the globally
         // earliest queued event.
-        m.saturating_add(self.min_indirect[t_]) > t
+        m.saturating_add(self.min_indirect[to]) > t
     }
 
     /// Moves as many pending packets as fit into the receive FIFO, in
@@ -2240,6 +2225,7 @@ impl NodeSim {
     /// same-cycle retries pop in exactly that order. An agent whose retry
     /// fails re-parks at the back. This is the fairness contract the
     /// attribute-buffer protocol tests pin.
+    #[inline]
     fn apply_wakes(&mut self, tile: usize, now: u64) {
         if self.changes.is_empty() {
             return;
@@ -2249,6 +2235,11 @@ impl NodeSim {
             self.changes.clear();
             return;
         }
+        self.wake(tile, now);
+    }
+
+    /// [`NodeSim::apply_wakes`] with parked agents to consider.
+    fn wake(&mut self, tile: usize, now: u64) {
         let mut woken = std::mem::take(&mut self.wake_scratch);
         woken.clear();
         match self.engine {

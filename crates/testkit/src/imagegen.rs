@@ -24,7 +24,7 @@
 //! [`Outcome`]s: no panic, the same `Ok`/`Err` variant, identical outputs
 //! and [`RunStats`] on `Ok`, and identical blocked agents on a deadlock.
 
-use puma_core::config::{FaultPlan, NodeConfig, TileDeath};
+use puma_core::config::{FaultPlan, TileDeath};
 use puma_core::error::PumaError;
 use puma_core::fixed::Fixed;
 use puma_core::ids::{CoreId, TileId};
@@ -67,12 +67,6 @@ pub struct FuzzImage {
     pub tile_death: Option<(u32, u64)>,
     /// Whether inter-node packets are dropped, duplicated and delayed.
     pub packet_faults: bool,
-}
-
-/// The configuration every fuzz case runs on: 16×16 crossbars, up to 4
-/// cores per tile and 16 tiles (the testkit's small node).
-pub fn fuzz_config() -> NodeConfig {
-    crate::harness::small_node_config(16)
 }
 
 /// xorshift64, so a case replays from its seed alone.
@@ -501,7 +495,8 @@ fn run_unguarded(
     topology: Topology,
 ) -> Outcome {
     let noise = NoiseModel::noiseless();
-    let mut cfg = fuzz_config();
+    // 16×16 crossbars, up to 4 cores per tile and 16 tiles.
+    let mut cfg = crate::harness::small_node_config(16);
     let per_node = case.image.tiles.len() / case.shards.len();
     let mut faults = FaultPlan::none();
     if let Some((tile, at_cycle)) = case.tile_death {

@@ -3,20 +3,16 @@
 //! node shards under `ClusterSim`, in both simulation modes. The engines
 //! must agree exactly (see [`engines_agree`]), and neither may panic.
 //!
-//! `PUMA_FUZZ_CASES` sets the number of images (default 300);
-//! `PUMA_FUZZ_SEED` replays one image.
+//! `PUMA_FUZZ_CASES` sets the number of images (default 300). A
+//! failure names its seed; `random_image(seed)` rebuilds that image.
 
 use puma_core::error::PumaError;
 use puma_sim::{SimEngine, SimMode};
 use puma_testkit::imagegen::{engines_agree, random_image, run_case, Outcome, Topology};
 use std::collections::BTreeMap;
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 fn case_count() -> u64 {
-    env_u64("PUMA_FUZZ_CASES").unwrap_or(300)
+    std::env::var("PUMA_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
 }
 
 fn kind(outcome: &Outcome) -> &'static str {
@@ -34,11 +30,7 @@ fn kind(outcome: &Outcome) -> &'static str {
 fn random_images_run_identically_on_both_engines() {
     let mut failures = Vec::new();
     let mut tally: BTreeMap<&str, usize> = BTreeMap::new();
-    let seeds = match env_u64("PUMA_FUZZ_SEED") {
-        Some(seed) => seed..seed + 1,
-        None => 0..case_count(),
-    };
-    for seed in seeds {
+    for seed in 0..case_count() {
         let case = random_image(seed);
         for mode in [SimMode::Functional, SimMode::Timing] {
             for topology in [Topology::Standalone, Topology::Cluster] {
@@ -65,7 +57,7 @@ fn random_images_run_identically_on_both_engines() {
         eprintln!("{}", f.lines().next().unwrap_or_default());
     }
     assert!(failures.is_empty(), "{} disagreements; first: {}", failures.len(), failures[0]);
-    if env_u64("PUMA_FUZZ_SEED").is_none() && case_count() >= 100 {
+    if case_count() >= 100 {
         for k in ["ok", "deadlock", "fault", "cycle cap", "faulted tile"] {
             assert!(tally.contains_key(k), "no run ended as {k}: {tally:?}");
         }
