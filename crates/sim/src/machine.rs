@@ -524,7 +524,7 @@ pub struct NodeSim {
     /// All tiles' receive FIFO rings *and* their per-channel
     /// backpressure queues (formerly a per-(tile, fifo) `HashMap`) in
     /// one arena.
-    fifos: FifoArena,
+    pub(crate) fifos: FifoArena,
     lut: RomLut,
     stats: RunStats,
     /// Energy accumulators, one per agent (per tile: cores, then the tile
@@ -604,6 +604,11 @@ pub struct NodeSim {
     /// event only strictly below it (it could miss the delivery).
     /// `u64::MAX` standalone.
     horizon: u64,
+    /// External stop: the last global cycle this node may run to before
+    /// its scheduler acts on it (a pipeline watchdog's next abort). A
+    /// compiled straight-line run defers itself there. `u64::MAX` unless
+    /// a scheduler sets it.
+    stop: u64,
     /// The pre-decoded micro-op image for [`SimEngine::Compiled`]: built
     /// on the first compiled run of this simulator or any fork of it,
     /// and `Arc`-shared by all of them, so a simulator that only ever
@@ -850,6 +855,7 @@ impl NodeSim {
             interconnect: InterconnectConfig::default(),
             outbox: Vec::new(),
             horizon: u64::MAX,
+            stop: u64::MAX,
             compiled: Some(Arc::default()),
             snapshots: Vec::new(),
             residents: Vec::new(),
@@ -1019,6 +1025,7 @@ impl NodeSim {
             interconnect: self.interconnect,
             outbox: Vec::new(),
             horizon: u64::MAX,
+            stop: u64::MAX,
             compiled: self.compiled.clone(),
             snapshots: Vec::new(),
             residents: self.residents.clone(),
@@ -1287,6 +1294,7 @@ impl NodeSim {
         self.last_time = 0;
         self.run_base = 0;
         self.horizon = u64::MAX;
+        self.stop = u64::MAX;
         self.sched = SchedStats::default();
         self.death_fired = false;
         let mem = &mut self.mem;
@@ -1862,6 +1870,11 @@ impl NodeSim {
         self.horizon = horizon;
     }
 
+    /// Sets the external stop (see the `stop` field).
+    pub(crate) fn set_stop(&mut self, stop: u64) {
+        self.stop = stop;
+    }
+
     /// Latest event/instruction timestamp observed this run.
     pub fn last_time(&self) -> u64 {
         self.last_time
@@ -1964,11 +1977,17 @@ impl NodeSim {
         );
         let mut t = now;
         let mut first = true;
+        let limit = self.max_cycles.min(self.stop);
         loop {
             // Same per-instruction cap check, at the same timestamps, as
-            // the other engines (module docs, boundary rule 2).
-            if t > self.max_cycles {
-                return Err(self.cycle_cap_error());
+            // the other engines (module docs, boundary rule 2); past an
+            // external stop the run resumes later as an ordinary event.
+            if t > limit {
+                if t > self.max_cycles {
+                    return Err(self.cycle_cap_error());
+                }
+                self.enqueue(t, priority, EventKind::AgentReady(agent));
+                return Ok(());
             }
             if self.tile_dead(tile, t) {
                 // Same dead-tile halt as the reference engine, at the same
@@ -1999,7 +2018,7 @@ impl NodeSim {
                     // both the cycle cap and any injected tile death, or
                     // the per-op fallback re-checks each at the loop top.
                     let horizon = t.saturating_add(u64::from(seg_check));
-                    let end = if horizon <= self.max_cycles
+                    let end = if horizon <= limit
                         && !matches!(self.dead_tile, Some((dead, at)) if dead == tile && horizon >= at)
                     {
                         seg_end as usize

@@ -309,7 +309,7 @@ impl PipelineSim {
         }
         let n_nodes = self.nodes.len();
         let lat = self.interconnect.latency_cycles.max(1);
-        let mut state = ServeState::new(requests.len(), n_nodes);
+        let mut state = ServeState::new(requests.len(), n_nodes, deadline);
 
         // What advances next: deliveries outrank segment starts outrank
         // node events outrank arrivals outrank watchdog aborts at equal
@@ -351,6 +351,7 @@ impl PipelineSim {
                     (requests[state.admitted[k]].arrival.saturating_add(d), Action::Abort(k))
                 })
             });
+            let next_abort = t_abort.as_ref().map(|&(at, _)| at);
             let Some((_, action)) =
                 [t_deliver, t_start, t_arrive, t_step, t_abort].into_iter().flatten().min()
             else {
@@ -468,7 +469,13 @@ impl PipelineSim {
                     if let Some(req) = requests.get(state.arr_ptr) {
                         horizon = horizon.min(req.arrival.saturating_add(lat));
                     }
+                    // The watchdog's next abort stops whatever it reclaims
+                    // at its cycle, after that cycle's events.
+                    if let Some(at) = next_abort {
+                        horizon = horizon.min(at.saturating_add(1));
+                    }
                     self.nodes[j].set_external_horizon(horizon);
+                    self.nodes[j].set_stop(next_abort.unwrap_or(u64::MAX));
                     self.nodes[j].step_one()?;
                     let k = state.resident[j].expect("only resident nodes are stepped");
                     for out in self.nodes[j].take_outbox() {
@@ -657,6 +664,11 @@ impl PipelineSim {
         }
         let end = self.nodes[j].last_time();
         let r = state.admitted[k];
+        // A segment that ran past its request's deadline is the
+        // watchdog's to reclaim, as if its last events were still queued.
+        if state.deadline.is_some_and(|d| end > requests[r].arrival.saturating_add(d)) {
+            return Ok(());
+        }
         for name in &self.output_names[j] {
             let values = self.nodes[j].read_output(name)?;
             state.results[r].outputs.insert(name.clone(), values);
@@ -740,10 +752,12 @@ struct ServeState {
     stages: Vec<StageStats>,
     max_concurrent: usize,
     shed: usize,
+    /// The per-request deadline watchdog.
+    deadline: Option<u64>,
 }
 
 impl ServeState {
-    fn new(n_requests: usize, n_nodes: usize) -> Self {
+    fn new(n_requests: usize, n_nodes: usize, deadline: Option<u64>) -> Self {
         ServeState {
             arr_ptr: 0,
             admitted: Vec::new(),
@@ -765,6 +779,7 @@ impl ServeState {
             stages: vec![StageStats::default(); n_nodes],
             max_concurrent: 0,
             shed: 0,
+            deadline,
         }
     }
 }
@@ -959,6 +974,38 @@ mod tests {
                 assert!(what.contains("fifo f3"), "{what}");
             }
             other => panic!("expected pipeline deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unreceived_internode_send_fails_the_pipeline_but_not_the_cluster() {
+        // Node 0 sends to a node 1 that never receives. Run alone, the
+        // cluster completes and leaves the packet in node 1's FIFO; served,
+        // node 1 retires its empty segment first and the send is rejected.
+        let mut images = two_stage_images();
+        images[1] = MachineImage::new(1, 2, 2);
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
+            let mut cluster = ClusterSim::new(
+                tiny_config(),
+                &images,
+                SimMode::Functional,
+                &NoiseModel::noiseless(),
+            )
+            .unwrap();
+            cluster.set_engine(engine);
+            cluster.write_input("x", &[0.5; 4]).unwrap();
+            cluster.run().unwrap();
+            assert_eq!(cluster.stats().internode_words, 4, "{engine:?}");
+            assert_eq!(cluster.nodes()[1].fifos.queued_packets(0), 1, "{engine:?}");
+            match pipeline(&images, engine).serve(&[], &[request(0, 0.5)], None) {
+                Err(PumaError::Execution { what }) => assert_eq!(
+                    what,
+                    "node0 sent a packet for request 0 to node1, which already retired that \
+                     request (un-received send in the sharded program?)",
+                    "{engine:?}"
+                ),
+                other => panic!("{engine:?}: expected the un-received send fault, got {other:?}"),
+            }
         }
     }
 

@@ -24,12 +24,15 @@
 //! [`Outcome`]s: no panic, the same `Ok`/`Err` variant, identical outputs
 //! and [`RunStats`] on `Ok`, and identical blocked agents on a deadlock.
 
+use puma_core::config::NodeConfig;
 use puma_core::config::{FaultPlan, TileDeath};
 use puma_core::error::PumaError;
 use puma_core::fixed::Fixed;
 use puma_core::ids::{CoreId, TileId};
 use puma_isa::{asm, IoBinding, MachineImage, Program};
-use puma_sim::{ClusterSim, NodeSim, RunStats, SimEngine, SimMode};
+use puma_sim::{
+    ClusterSim, NodeSim, PipelineRequest, PipelineSim, RunStats, SimEngine, SimMode, StageStats,
+};
 use puma_xbar::NoiseModel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -67,6 +70,8 @@ pub struct FuzzImage {
     pub tile_death: Option<(u32, u64)>,
     /// Whether inter-node packets are dropped, duplicated and delayed.
     pub packet_faults: bool,
+    /// Transfer rounds per agent.
+    pub rounds: usize,
 }
 
 /// xorshift64, so a case replays from its seed alone.
@@ -442,6 +447,7 @@ pub fn random_image(seed: u64) -> FuzzImage {
         max_cycles,
         tile_death,
         packet_faults,
+        rounds,
     }
 }
 
@@ -480,12 +486,15 @@ pub fn run_case(
     mode: SimMode,
     topology: Topology,
 ) -> std::result::Result<Outcome, String> {
-    catch_unwind(AssertUnwindSafe(|| run_unguarded(case, engine, mode, topology))).map_err(|p| {
-        p.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic".to_string())
-    })
+    catch_unwind(AssertUnwindSafe(|| run_unguarded(case, engine, mode, topology)))
+        .map_err(panic_message)
+}
+
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic".to_string())
 }
 
 fn run_unguarded(
@@ -494,7 +503,13 @@ fn run_unguarded(
     mode: SimMode,
     topology: Topology,
 ) -> Outcome {
-    let noise = NoiseModel::noiseless();
+    run_with(case, &case.inputs, engine, mode, topology)
+}
+
+/// The node configuration `case` runs under in `topology`: the small
+/// test node with the case's tile death (renumbered to its shard) and
+/// packet faults.
+fn case_config(case: &FuzzImage, topology: Topology) -> NodeConfig {
     // 16×16 crossbars, up to 4 cores per tile and 16 tiles.
     let mut cfg = crate::harness::small_node_config(16);
     let per_node = case.image.tiles.len() / case.shards.len();
@@ -517,6 +532,19 @@ fn run_unguarded(
         faults.seed = case.seed;
     }
     cfg.faults = faults;
+    cfg
+}
+
+/// One run of `case` with the host writes `inputs`.
+fn run_with(
+    case: &FuzzImage,
+    inputs: &[(String, Vec<f32>)],
+    engine: SimEngine,
+    mode: SimMode,
+    topology: Topology,
+) -> Outcome {
+    let noise = NoiseModel::noiseless();
+    let cfg = case_config(case, topology);
     let failed = |e: PumaError| Outcome {
         result: Err(e),
         outputs: Vec::new(),
@@ -531,7 +559,7 @@ fn run_unguarded(
             };
             sim.set_engine(engine);
             sim.set_max_cycles(case.max_cycles);
-            for (name, values) in &case.inputs {
+            for (name, values) in inputs {
                 sim.write_input(name, values).expect("generated inputs bind");
             }
             let result = sim.run().map(|_| ());
@@ -557,7 +585,7 @@ fn run_unguarded(
             };
             sim.set_engine(engine);
             sim.set_max_cycles(case.max_cycles);
-            for (name, values) in &case.inputs {
+            for (name, values) in inputs {
                 sim.write_input(name, values).expect("generated inputs bind");
             }
             let result = sim.run().map(|_| ());
@@ -611,6 +639,313 @@ pub fn engines_agree(reference: &Outcome, other: &Outcome) -> std::result::Resul
         }
         (a, b) => Err(format!("results differ: reference {a:?}, other {b:?}")),
     }
+}
+
+/// A request stream to serve one case's shards as under [`PipelineSim`],
+/// drawn from the case's seed: 2–4 requests, the first arriving at cycle
+/// 0 with the case's own inputs, each later one with fresh input values.
+#[derive(Debug, Clone)]
+pub struct Stream {
+    /// The requests, in arrival order.
+    pub requests: Vec<PipelineRequest>,
+    /// The entry queue's depth (`None` = unbounded).
+    pub queue_depth: Option<usize>,
+    /// The per-request deadline watchdog, if any.
+    pub deadline: Option<u64>,
+}
+
+/// Draws the request stream for `case` (see [`Stream`]).
+pub fn random_stream(case: &FuzzImage) -> Stream {
+    let mut rng = Rng::new(!case.seed);
+    let mut requests = Vec::new();
+    let mut arrival = 0;
+    for i in 0..2 + rng.below(3) {
+        let writes = if i == 0 {
+            case.inputs.clone()
+        } else {
+            let mut value = || (rng.below(200) as f32 - 100.0) / 256.0;
+            case.inputs
+                .iter()
+                .map(|(name, v)| (name.clone(), v.iter().map(|_| value()).collect()))
+                .collect()
+        };
+        requests.push(PipelineRequest { arrival, writes });
+        arrival += match rng.below(3) {
+            0 => 0,
+            1 => rng.below(50) as u64,
+            _ => rng.below(1500) as u64,
+        };
+    }
+    let queue_depth = [None, Some(0), Some(1), Some(2)][rng.below(4)];
+    let deadline = rng.chance(50).then(|| 50 + rng.below(3000) as u64);
+    Stream { requests, queue_depth, deadline }
+}
+
+/// The solo [`ClusterSim`] run of one request of a stream: the case's
+/// shards with that request's writes.
+///
+/// # Errors
+///
+/// Returns the panic message when building or running panics.
+pub fn run_solo(
+    case: &FuzzImage,
+    request: &PipelineRequest,
+    engine: SimEngine,
+    mode: SimMode,
+) -> std::result::Result<Outcome, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        run_with(case, &request.writes, engine, mode, Topology::Cluster)
+    }))
+    .map_err(panic_message)
+}
+
+/// One request's part of a pipeline serve.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Served {
+    /// Whether the entry queue admitted it.
+    pub admitted: bool,
+    /// Its outputs, sorted by binding name.
+    pub outputs: Vec<(String, Vec<f32>)>,
+    /// First segment start.
+    pub start: u64,
+    /// Last retirement (or the abort cycle).
+    pub finish: u64,
+    /// Its merged segment statistics.
+    pub stats: RunStats,
+    /// The deadline watchdog's verdict, if it aborted the request.
+    pub error: Option<PumaError>,
+}
+
+/// Everything two engines' serves of one stream must agree on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeReport {
+    /// Per request, in submission order.
+    pub requests: Vec<Served>,
+    /// Per-stage occupancy.
+    pub stages: Vec<StageStats>,
+    /// Most requests resident at once.
+    pub max_concurrent: usize,
+    /// Requests shed at admission.
+    pub shed: usize,
+    /// Last finish.
+    pub makespan: u64,
+}
+
+/// Serves `stream` through a [`PipelineSim`] over the case's shards on
+/// `engine` in `mode`, under the case's faults and cycle cap.
+///
+/// # Errors
+///
+/// Returns the panic message when building or serving panics.
+pub fn serve_case(
+    case: &FuzzImage,
+    stream: &Stream,
+    engine: SimEngine,
+    mode: SimMode,
+) -> std::result::Result<std::result::Result<ServeReport, PumaError>, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let cfg = case_config(case, Topology::Cluster);
+        let mut sim = PipelineSim::new(cfg, &case.shards, mode, &NoiseModel::noiseless())?;
+        sim.set_engine(engine);
+        sim.set_max_cycles(case.max_cycles);
+        let report =
+            sim.serve_with_deadline(&[], &stream.requests, stream.queue_depth, stream.deadline)?;
+        let requests = report
+            .results
+            .into_iter()
+            .map(|r| {
+                let mut outputs: Vec<_> = r.outputs.into_iter().collect();
+                outputs.sort_by(|a, b| a.0.cmp(&b.0));
+                Served {
+                    admitted: r.admitted,
+                    outputs,
+                    start: r.start,
+                    finish: r.finish,
+                    stats: r.stats,
+                    error: r.error,
+                }
+            })
+            .collect();
+        Ok(ServeReport {
+            requests,
+            stages: report.stages,
+            max_concurrent: report.max_concurrent,
+            shed: report.shed,
+            makespan: report.makespan,
+        })
+    }))
+    .map_err(panic_message)
+}
+
+/// Checks one engine's serve of `stream` against the solo runs of its
+/// requests (`solos[k]` is request `k` run alone from cycle 0):
+///
+/// - request 0 arrives at cycle 0 and shares every cycle with its solo
+///   run, so it must equal it in full: outputs, [`RunStats`], the error
+///   kind, and the blocked agents of a stall. A deadline shorter than
+///   the solo run must abort it instead;
+/// - every later completed request must equal its solo run in outputs,
+///   instruction counts and energy. It runs at later global cycles, so
+///   this holds only while nothing is keyed by absolute time: no tile
+///   death, no packet faults, and no cycle cap short enough to matter.
+///   Its segments also start staggered, so outputs (and any failure)
+///   are compared only on images without timing races;
+/// - a serve that fails must be explained by a failing solo run.
+///
+/// Returns how many later requests had their outputs compared.
+///
+/// # Errors
+///
+/// Describes the first disagreement.
+pub fn pipeline_agrees(
+    case: &FuzzImage,
+    stream: &Stream,
+    solos: &[Outcome],
+    served: &std::result::Result<ServeReport, PumaError>,
+) -> std::result::Result<usize, String> {
+    let solo = &solos[0];
+    let shift_invariant =
+        case.tile_death.is_none() && !case.packet_faults && case.intent != Intent::CycleCap;
+    // Staggered segment starts change the relative timing of a request's
+    // agents, so which packet or which round's word an agent takes is only
+    // fixed when each FIFO is fed by one send and each word produced once.
+    let race_free = shift_invariant && case.rounds == 1 && {
+        let mut fed = std::collections::HashSet::new();
+        case.image.tiles.iter().flat_map(|t| &t.program.instructions).all(|i| match i {
+            puma_isa::Instruction::Send { target, fifo, .. } => fed.insert((*target, *fifo)),
+            _ => true,
+        })
+    };
+    let report = match (served, &solo.result) {
+        (Err(e), Err(s)) => {
+            // Request 0 stalls as it did alone; a later request may fail
+            // otherwise when it races or cycles are keyed by absolute time.
+            if race_free && std::mem::discriminant(e) != std::mem::discriminant(s) {
+                return Err(format!("serve failed with {e}, solo run with {s}"));
+            }
+            return if stalled(s) && stalled(e) {
+                names_agents(e, "request0/", &solo.blocked).map(|()| 0)
+            } else {
+                Ok(0)
+            };
+        }
+        (Err(e), Ok(())) => {
+            // A later request may fail where request 0 did not.
+            return if !race_free || solos.iter().any(|o| o.result.is_err()) {
+                Ok(0)
+            } else {
+                Err(format!("serve failed with {e}, though every solo run completed"))
+            };
+        }
+        (Ok(report), _) => report,
+    };
+    let first = &report.requests[0];
+    let cut = stream.deadline.is_some_and(|d| solo.stats.cycles > d);
+    match (&solo.result, &first.error) {
+        (Ok(()), None) => {
+            if first.outputs != sorted_f32(&solo.outputs) {
+                return Err(format!(
+                    "request 0 outputs differ from its solo run:\n  solo     {:?}\n  pipeline {:?}",
+                    solo.outputs, first.outputs
+                ));
+            }
+            if first.stats != solo.stats {
+                return Err(format!(
+                    "request 0 RunStats differ from its solo run:\n  solo     {:?}\n  pipeline {:?}",
+                    solo.stats, first.stats
+                ));
+            }
+        }
+        (_, Some(e)) if cut => {
+            if !matches!(e, PumaError::DeadlineExceeded { .. } | PumaError::FaultedTile { .. }) {
+                return Err(format!("request 0 cut by its deadline ended as {e}"));
+            }
+        }
+        (Err(s), Some(e)) if stalled(s) => {
+            let same_kind = matches!(
+                (s, e),
+                (PumaError::Deadlock { .. }, PumaError::DeadlineExceeded { .. })
+                    | (PumaError::FaultedTile { .. }, PumaError::FaultedTile { .. })
+            );
+            if !same_kind {
+                return Err(format!("request 0 ended as {e}, its solo run as {s}"));
+            }
+            names_agents(e, "", &solo.blocked)?;
+        }
+        (s, e) => {
+            return Err(format!(
+                "request 0 ended as {e:?} (deadline cut: {cut}), its solo run as {s:?}"
+            ))
+        }
+    }
+    if !shift_invariant {
+        return Ok(0);
+    }
+    let mut compared = 0;
+    for (k, (served, solo)) in report.requests.iter().zip(solos).enumerate().skip(1) {
+        if !served.admitted || served.error.is_some() {
+            continue;
+        }
+        compared += usize::from(race_free);
+        let same = match &solo.result {
+            Ok(()) => {
+                (!race_free || served.outputs == sorted_f32(&solo.outputs))
+                    && served.stats.dynamic_instructions == solo.stats.dynamic_instructions
+                    && served.stats.energy == solo.stats.energy
+            }
+            Err(_) => !race_free,
+        };
+        if !same {
+            return Err(format!(
+                "request {k} differs from its solo run:\n  solo     {:?} {:?}\n  pipeline {:?} {:?}",
+                solo.outputs, solo.stats, served.outputs, served.stats
+            ));
+        }
+    }
+    Ok(compared)
+}
+
+fn stalled(e: &PumaError) -> bool {
+    matches!(e, PumaError::Deadlock { .. } | PumaError::FaultedTile { .. })
+}
+
+fn sorted_f32(outputs: &[(String, Vec<Fixed>)]) -> Vec<(String, Vec<f32>)> {
+    let mut out: Vec<_> =
+        outputs.iter().map(|(n, v)| (n.clone(), v.iter().map(|w| w.to_f32()).collect())).collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+/// Checks that a pipeline stall report lists exactly the solo run's
+/// blocked agents, as `node{j}/{tag}{agent}` entries.
+fn names_agents(
+    e: &PumaError,
+    tag: &str,
+    blocked: &[Vec<String>],
+) -> std::result::Result<(), String> {
+    let what = match e {
+        PumaError::Deadlock { what, .. }
+        | PumaError::FaultedTile { what, .. }
+        | PumaError::DeadlineExceeded { what, .. } => what,
+        other => return Err(format!("not a stall: {other}")),
+    };
+    let mut named: Vec<&str> = what
+        .split_once(": ")
+        .map_or("", |(_, list)| list)
+        .split(", ")
+        .filter(|entry| entry.contains(" waiting on ") && entry.contains(&format!("/{tag}")))
+        .collect();
+    let mut want: Vec<String> = blocked
+        .iter()
+        .enumerate()
+        .flat_map(|(j, agents)| agents.iter().map(move |a| format!("node{j}/{tag}{a}")))
+        .collect();
+    named.sort_unstable();
+    want.sort_unstable();
+    if named != want {
+        return Err(format!("stall names {named:?}, the solo run blocked {want:?}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

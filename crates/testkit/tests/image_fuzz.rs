@@ -3,12 +3,21 @@
 //! node shards under `ClusterSim`, in both simulation modes. The engines
 //! must agree exactly (see [`engines_agree`]), and neither may panic.
 //!
+//! The pipeline leg serves each sharded image as a `PipelineSim` stream
+//! of 2–4 requests ([`random_stream`]: random arrivals, queue depth and
+//! deadline). Each request must behave like its solo `ClusterSim` run
+//! (see [`pipeline_agrees`]), and the engines must agree on the whole
+//! serve.
+//!
 //! `PUMA_FUZZ_CASES` sets the number of images (default 300). A
 //! failure names its seed; `random_image(seed)` rebuilds that image.
 
 use puma_core::error::PumaError;
 use puma_sim::{SimEngine, SimMode};
-use puma_testkit::imagegen::{engines_agree, random_image, run_case, Outcome, Topology};
+use puma_testkit::imagegen::{
+    engines_agree, pipeline_agrees, random_image, random_stream, run_case, run_solo, serve_case,
+    Outcome, ServeReport, Topology,
+};
 use std::collections::BTreeMap;
 
 fn case_count() -> u64 {
@@ -60,6 +69,101 @@ fn random_images_run_identically_on_both_engines() {
     if case_count() >= 100 {
         for k in ["ok", "deadlock", "fault", "cycle cap", "faulted tile"] {
             assert!(tally.contains_key(k), "no run ended as {k}: {tally:?}");
+        }
+    }
+}
+
+#[test]
+fn pipelined_streams_serve_like_their_solo_runs() {
+    let mut failures = Vec::new();
+    let mut tally: BTreeMap<&str, usize> = BTreeMap::new();
+    for seed in 0..case_count() {
+        let case = random_image(seed);
+        let stream = random_stream(&case);
+        for mode in [SimMode::Functional, SimMode::Timing] {
+            let mut serves = Vec::new();
+            for engine in [SimEngine::Reference, SimEngine::Compiled] {
+                let solos: Result<Vec<Outcome>, String> =
+                    stream.requests.iter().map(|r| run_solo(&case, r, engine, mode)).collect();
+                let verdict = solos.and_then(|solos| {
+                    let served = serve_case(&case, &stream, engine, mode)?;
+                    let compared = pipeline_agrees(&case, &stream, &solos, &served)?;
+                    Ok((served, compared))
+                });
+                match verdict {
+                    Ok((served, compared)) => {
+                        *tally.entry("later outputs compared").or_default() += compared;
+                        serves.push(served);
+                    }
+                    Err(e) => failures.push(format!(
+                        "seed {seed} {mode:?} {engine:?} ({:?}, depth {:?}, deadline {:?}): {e}\n  \
+                         {stream:?}",
+                        case.intent, stream.queue_depth, stream.deadline
+                    )),
+                }
+            }
+            if let [a, b] = &serves[..] {
+                // Two verdicts depend on when the compiled engine's
+                // run-ahead lets a retirement be processed, not on virtual
+                // time: `max_concurrent` counts residency as each segment
+                // start is processed, and a packet sent to a stage that
+                // already retired its request fails the serve. Execution
+                // faults compare by kind, as in `engines_agree`.
+                let unreceived = |r: &Result<ServeReport, PumaError>| matches!(r, Err(PumaError::Execution { what }) if what.contains("already retired"));
+                let same = match (a, b) {
+                    (Ok(a), Ok(b)) => {
+                        ServeReport { max_concurrent: 0, ..a.clone() }
+                            == ServeReport { max_concurrent: 0, ..b.clone() }
+                    }
+                    _ if unreceived(a) || unreceived(b) => {
+                        *tally.entry("un-received send").or_default() += 1;
+                        true
+                    }
+                    (Err(x @ PumaError::Execution { .. }), Err(y)) => {
+                        std::mem::discriminant(x) == std::mem::discriminant(y)
+                    }
+                    _ => a == b,
+                };
+                if !same {
+                    let diff = match (a, b) {
+                        (Ok(a), Ok(b)) => a
+                            .requests
+                            .iter()
+                            .zip(&b.requests)
+                            .enumerate()
+                            .find(|(_, (x, y))| x != y)
+                            .map_or_else(
+                                || format!("{:?} vs {:?}", a.stages, b.stages),
+                                |(k, (x, y))| format!("request {k}: {x:?} vs {y:?}"),
+                            ),
+                        _ => format!("{a:?} vs {b:?}"),
+                    };
+                    failures.push(format!("seed {seed} {mode:?}: serves differ: {diff}"));
+                }
+                match a {
+                    Ok(report) => {
+                        for r in &report.requests {
+                            let k = match (&r.error, r.admitted) {
+                                (Some(_), _) => "aborted",
+                                (None, true) => "completed",
+                                (None, false) => "shed",
+                            };
+                            *tally.entry(k).or_default() += 1;
+                        }
+                    }
+                    Err(_) => *tally.entry("serve failed").or_default() += 1,
+                }
+            }
+        }
+    }
+    eprintln!("pipeline fuzz outcomes: {tally:?}");
+    for f in &failures {
+        eprintln!("{}", f.lines().next().unwrap_or_default());
+    }
+    assert!(failures.is_empty(), "{} disagreements; first: {}", failures.len(), failures[0]);
+    if case_count() >= 100 {
+        for k in ["completed", "aborted", "shed", "serve failed", "later outputs compared"] {
+            assert!(tally.contains_key(k), "no request ended as {k}: {tally:?}");
         }
     }
 }
