@@ -1,23 +1,35 @@
 //! ClusterSim: N [`NodeSim`]s joined by a chip-to-chip interconnect
-//! (§3.1's node scale-out — models whose weight footprint exceeds one
-//! node's crossbars are sharded across nodes).
+//! (§3.1's node scale-out: a model too large for one node's crossbars is
+//! sharded across nodes), and the co-simulation core that both
+//! [`ClusterSim::run`] and [`crate::PipelineSim`] drive.
 //!
-//! The cluster runs a conservative co-simulation: all nodes share one
-//! global clock, and the scheduler always advances whatever is earliest —
-//! an in-flight inter-node packet or the node with the smallest pending
-//! event. Nodes only interact through packets whose transfer time is at
-//! least one cycle ([`InterconnectConfig::transfer_cycles`]), so executing
-//! the globally earliest work first is exact: nothing a later node does
-//! can reach back before it.
+//! # The co-simulation rule
 //!
-//! The compiled engine's tile scheduler keeps working inside a
-//! cluster. Before stepping a node the scheduler hands it an *external
-//! horizon* — the earliest global cycle at which any inter-node packet
-//! could still arrive (in-flight arrivals, plus every other node's next
-//! event time + link latency). The node may execute synchronization
-//! instructions off-queue only strictly below that horizon; at or past
-//! it, it re-enters its event queue so the delivery interleaves
-//! correctly.
+//! All nodes share one global clock. Each step does the globally earliest
+//! work among the *active* nodes: every node in a cluster run, the stages
+//! holding a request in a pipeline serve.
+//!
+//! - **Tie order.** A delivery goes before a node step at the same cycle
+//!   (and before the node's agent events), the lower node index first,
+//!   and of two packets landing together the earlier send.
+//! - **Horizon.** Packets take at least latency + 1 cycles, so doing the
+//!   earliest work first is exact. The compiled engine may run a node
+//!   ahead, but runs its synchronization instructions and later events
+//!   only below its *external horizon*: the earliest of the next
+//!   in-flight arrival, every other active node's next event plus the
+//!   link latency, and the caller's floor (a pipeline's scheduled segment
+//!   starts and pending arrival, plus the latency). The caller's *stop* (a
+//!   pipeline watchdog's next abort) also ends straight-line runs.
+//! - **Held packets.** Each packet a step sends is routed through the
+//!   caller, which tags it with its request and may hold it: a pipeline
+//!   parks a packet for a stage still on an earlier request, and injects
+//!   it when that stage starts the request.
+//! - **Diagnosis.** A stall names every blocked agent, labelled as the
+//!   caller asks. A tile death fired on a node the caller names makes it
+//!   a [`PumaError::FaultedTile`]; otherwise it is the caller's verdict,
+//!   [`PumaError::Deadlock`] or a pipeline's
+//!   [`PumaError::DeadlineExceeded`]. [`NodeSim::run`] applies the same
+//!   tile-death-first rule ([`stall_verdict`]).
 
 use crate::fifo::Packet;
 use crate::machine::{NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SimEngine, SimMode};
@@ -31,18 +43,26 @@ use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// An inter-node packet in flight on the interconnect.
+/// An inter-node packet in flight, tagged with the request it belongs to
+/// (a pipeline's admitted-order position; 0 in a cluster run).
 #[derive(Debug)]
-struct Flight {
-    arrive_at: u64,
-    /// Global send order; ties in arrival time resolve in send order so
-    /// the co-simulation is deterministic.
+pub(crate) struct Flight {
+    pub(crate) arrive_at: u64,
+    /// Global send order, the tie-break on arrival time.
     seq: u64,
-    dest_node: u16,
+    pub(crate) dest_node: usize,
     dest_tile: u16,
     fifo: u8,
     packet: Packet,
     origin: PacketOrigin,
+    pub(crate) req: usize,
+}
+
+impl Flight {
+    /// Injects the packet into its destination `node` at cycle `at`.
+    pub(crate) fn deliver(self, node: &mut NodeSim, at: u64) -> Result<()> {
+        node.deliver_external(self.dest_tile, self.fifo, self.packet, at, self.origin)
+    }
 }
 
 impl PartialEq for Flight {
@@ -62,6 +82,32 @@ impl Ord for Flight {
     }
 }
 
+/// The co-simulation core's next work ([`ClusterSim::next_work`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Work {
+    /// Deliver the earliest in-flight packet.
+    Deliver,
+    /// Step this node.
+    Step(usize),
+}
+
+/// The tile-death-first stall rule: the first fired tile death among
+/// `deaths` (node index, [`NodeSim::fired_tile_death`]) makes the stall a
+/// [`PumaError::FaultedTile`] naming the dead tile; otherwise it is
+/// `otherwise(what)`.
+pub(crate) fn stall_verdict(
+    deaths: impl IntoIterator<Item = (usize, Option<(u32, u64)>)>,
+    what: String,
+    otherwise: impl FnOnce(String) -> PumaError,
+) -> PumaError {
+    match deaths.into_iter().find_map(|(node, death)| death.map(|d| (node, d))) {
+        Some((node, (tile, cycle))) => {
+            PumaError::FaultedTile { node, tile: tile as usize, cycle, what }
+        }
+        None => otherwise(what),
+    }
+}
+
 /// A cluster of node simulators executing one sharded model.
 ///
 /// Per-name host I/O works exactly as on [`NodeSim`]: every binding name
@@ -74,9 +120,9 @@ impl Ord for Flight {
 /// `puma-testkit` sharded differential suite for end-to-end usage.
 #[derive(Debug)]
 pub struct ClusterSim {
-    nodes: Vec<NodeSim>,
+    pub(crate) nodes: Vec<NodeSim>,
     interconnect: InterconnectConfig,
-    in_flight: BinaryHeap<Reverse<Flight>>,
+    pub(crate) in_flight: BinaryHeap<Reverse<Flight>>,
     flight_seq: u64,
     stats: RunStats,
 }
@@ -98,11 +144,8 @@ impl ClusterSim {
         Self::with_interconnect(cfg, images, mode, noise, InterconnectConfig::default())
     }
 
-    /// [`ClusterSim::new`] with an explicit interconnect model.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSim::new`].
+    /// [`ClusterSim::new`] with an explicit interconnect model (same
+    /// errors).
     pub fn with_interconnect(
         cfg: NodeConfig,
         images: &[MachineImage],
@@ -126,13 +169,17 @@ impl ClusterSim {
             sim.join_cluster(i as u16, images.len() as u16, interconnect);
             nodes.push(sim);
         }
-        Ok(ClusterSim {
+        Ok(Self::from_nodes(nodes, interconnect))
+    }
+
+    fn from_nodes(nodes: Vec<NodeSim>, interconnect: InterconnectConfig) -> Self {
+        ClusterSim {
             nodes,
             interconnect,
             in_flight: BinaryHeap::new(),
             flight_seq: 0,
             stats: RunStats::new(),
-        })
+        }
     }
 
     /// Number of nodes in the cluster.
@@ -152,34 +199,19 @@ impl ClusterSim {
         }
     }
 
-    /// Clones the cluster into a fresh worker replica: every node is
-    /// [`NodeSim::fork_replica`]-forked (programs, programmed
-    /// crossbars, and compiled images `Arc`-shared; state arenas
-    /// fresh), with empty in-flight interconnect traffic.
+    /// Clones the cluster into a fresh worker replica: every node
+    /// [`NodeSim::fork_replica`]-forked, nothing in flight.
     #[must_use]
     pub fn fork_replica(&self) -> ClusterSim {
-        ClusterSim {
-            nodes: self.nodes.iter().map(NodeSim::fork_replica).collect(),
-            interconnect: self.interconnect,
-            in_flight: BinaryHeap::new(),
-            flight_seq: 0,
-            stats: RunStats::new(),
-        }
+        Self::from_nodes(self.nodes.iter().map(NodeSim::fork_replica).collect(), self.interconnect)
     }
 
-    /// The nodes and their interconnect, for [`crate::PipelineSim::from_cluster`].
-    pub(crate) fn into_nodes(self) -> (Vec<NodeSim>, InterconnectConfig) {
-        (self.nodes, self.interconnect)
-    }
-
-    /// Approximate bytes of per-replica mutable state, summed over
-    /// nodes (see [`NodeSim::state_bytes`]).
+    /// [`NodeSim::state_bytes`], summed over nodes.
     pub fn state_bytes(&self) -> usize {
         self.nodes.iter().map(NodeSim::state_bytes).sum()
     }
 
-    /// Event-queue pops since the last reset, summed over nodes (see
-    /// [`NodeSim::queue_events`]).
+    /// [`NodeSim::queue_events`], summed over nodes.
     pub fn queue_events(&self) -> u64 {
         self.nodes.iter().map(NodeSim::queue_events).sum()
     }
@@ -208,8 +240,18 @@ impl ClusterSim {
         self.stats = RunStats::new();
     }
 
-    fn node_owning_input(&mut self, name: &str) -> Option<&mut NodeSim> {
-        self.nodes.iter_mut().find(|n| n.has_input(name))
+    /// [`NodeSim::save_snapshot`] on every node: take it right after
+    /// [`ClusterSim::reset`] and the writes every run starts with.
+    pub fn save_snapshot(&mut self, key: &str) {
+        for node in &mut self.nodes {
+            node.save_snapshot(key);
+        }
+    }
+
+    /// [`NodeSim::restore_snapshot`] on every node of a cluster just
+    /// reset; `false`, changing nothing, when none is saved under `key`.
+    pub fn restore_snapshot(&mut self, key: &str) -> bool {
+        self.nodes.iter_mut().all(|node| node.restore_snapshot(key))
     }
 
     /// Writes a named input vector on whichever node owns the binding.
@@ -219,18 +261,15 @@ impl ClusterSim {
     /// Returns [`PumaError::Execution`] if no node binds the name; wrong
     /// widths propagate from [`NodeSim::write_input`].
     pub fn write_input(&mut self, name: &str, values: &[f32]) -> Result<()> {
-        self.node_owning_input(name)
-            .ok_or_else(|| PumaError::Execution { what: format!("no node binds input {name:?}") })?
-            .write_input(name, values)
+        let fixed: Vec<Fixed> = values.iter().copied().map(Fixed::from_f32).collect();
+        self.write_input_fixed(name, &fixed)
     }
 
-    /// Fixed-point variant of [`ClusterSim::write_input`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSim::write_input`].
+    /// Fixed-point variant of [`ClusterSim::write_input`] (same errors).
     pub fn write_input_fixed(&mut self, name: &str, values: &[Fixed]) -> Result<()> {
-        self.node_owning_input(name)
+        self.nodes
+            .iter_mut()
+            .find(|n| n.has_input(name))
             .ok_or_else(|| PumaError::Execution { what: format!("no node binds input {name:?}") })?
             .write_input_fixed(name, values)
     }
@@ -244,11 +283,7 @@ impl ClusterSim {
         Ok(self.read_output_fixed(name)?.into_iter().map(Fixed::to_f32).collect())
     }
 
-    /// Fixed-point variant of [`ClusterSim::read_output`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSim::read_output`].
+    /// Fixed-point variant of [`ClusterSim::read_output`] (same errors).
     pub fn read_output_fixed(&self, name: &str) -> Result<Vec<Fixed>> {
         self.nodes
             .iter()
@@ -275,19 +310,12 @@ impl ClusterSim {
     /// agents (e.g. a receive whose matching inter-node send never
     /// executes), and propagates per-node execution faults.
     pub fn run(&mut self) -> Result<&RunStats> {
-        let outcome = self.run_loop();
-        for node in &mut self.nodes {
-            node.finalize_stats();
-        }
-        self.collect_stats();
-        outcome?;
-        Ok(&self.stats)
+        let primed = self.nodes.iter_mut().try_for_each(NodeSim::prime);
+        self.run_primed(primed)
     }
 
     /// Registers the resident models of one node's fabric image (see
-    /// [`NodeSim::set_residents`]); resident names must be unique across
-    /// the whole cluster so [`ClusterSim::run_resident`] can route by
-    /// name.
+    /// [`NodeSim::set_residents`]); names are unique cluster-wide.
     ///
     /// # Errors
     ///
@@ -310,10 +338,8 @@ impl ClusterSim {
         self.nodes[node].set_residents(residents)
     }
 
-    /// Runs one resident model to completion on the node that hosts it,
-    /// leaving every other tenant (and node) untouched — the cluster
-    /// counterpart of [`NodeSim::run_resident`]: the returned
-    /// [`RunStats`] are exactly that model's.
+    /// [`NodeSim::run_resident`] on the node that hosts the model, every
+    /// other tenant and node left untouched.
     ///
     /// # Errors
     ///
@@ -327,140 +353,145 @@ impl ClusterSim {
             .ok_or_else(|| PumaError::InvalidConfig {
                 what: format!("no resident model named '{name}' on any node"),
             })?;
-        let mut outcome = Ok(());
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        let primed = self.nodes.iter_mut().enumerate().try_for_each(|(i, node)| {
             if i == owner {
-                outcome = node.prime_resident(name);
-                if outcome.is_err() {
-                    break;
-                }
+                node.prime_resident(name)
             } else {
                 node.prime_idle();
+                Ok(())
             }
+        });
+        self.run_primed(primed)
+    }
+
+    /// Drives the core over the primed nodes, every one active, to global
+    /// quiescence, then merges the statistics in node order; `cycles` is
+    /// the global completion time.
+    fn run_primed(&mut self, primed: Result<()>) -> Result<&RunStats> {
+        let mut outcome = primed;
+        while let (Ok(()), Some((_, work))) = (&outcome, self.next_work(|_| true)) {
+            outcome =
+                self.advance(work, |_| true, u64::MAX, u64::MAX, |_, flight| Ok(Some(flight)));
         }
-        if outcome.is_ok() {
-            outcome = self.run_primed();
+        let completion = self.nodes.iter().map(NodeSim::last_time).max().unwrap_or(0);
+        if outcome.is_ok() && self.nodes.iter().any(|n| n.blocked_count() > 0) {
+            // Global quiescence: any blocked agent now can never be woken.
+            let what = |b: Vec<_>| {
+                format!("cluster quiescent with {} agents blocked: {}", b.len(), b.join(", "))
+            };
+            let deadlock = |what| PumaError::Deadlock { cycle: completion, what };
+            outcome = Err(self.stall(|_| Some(String::new()), |_| true, what, deadlock));
         }
+        let mut stats = RunStats::new();
         for node in &mut self.nodes {
+            if outcome.is_ok() {
+                node.seal_cycles();
+            }
             node.finalize_stats();
+            stats.merge(node.stats());
         }
-        self.collect_stats();
+        stats.cycles = completion;
+        self.stats = stats;
         outcome?;
         Ok(&self.stats)
     }
 
-    fn run_loop(&mut self) -> Result<()> {
-        for node in &mut self.nodes {
-            node.prime()?;
-        }
-        self.run_primed()
+    /// The link latency the horizon adds to a send (at least one cycle).
+    pub(crate) fn link_latency(&self) -> u64 {
+        self.interconnect.latency_cycles.max(1)
     }
 
-    /// The post-prime body of [`ClusterSim::run`]: conservative co-sim
-    /// to global quiescence, deadlock diagnosis, cycle sealing.
-    fn run_primed(&mut self) -> Result<()> {
-        loop {
-            let next_arrival = self.in_flight.peek().map(|Reverse(f)| f.arrive_at);
-            let next_node: Option<(u64, usize)> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter_map(|(i, n)| n.next_event_time().map(|t| (t, i)))
-                .min();
-            match (next_arrival, next_node) {
-                (None, None) => break,
-                (Some(arrival), node) if node.is_none_or(|(t, _)| arrival <= t) => {
-                    // Deliveries win ties: within a node, packet delivery
-                    // events outrank agent events at the same timestamp.
-                    let Reverse(flight) = self.in_flight.pop().expect("peeked above");
-                    self.nodes[flight.dest_node as usize].deliver_external(
-                        flight.dest_tile,
-                        flight.fifo,
-                        flight.packet,
-                        flight.arrive_at,
-                        flight.origin,
-                    )?;
-                }
-                (_, Some((_, i))) => {
-                    // Conservative lookahead for the compiled engine: no
-                    // packet can arrive before any current in-flight
-                    // arrival, nor before another node's next event plus
-                    // the link latency (transfer time is at least
-                    // latency + 1 serialization cycle).
-                    let future_send = self
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .filter_map(|(_, n)| n.next_event_time())
-                        .min()
-                        .map(|t| t.saturating_add(self.interconnect.latency_cycles.max(1)));
-                    let horizon =
-                        [next_arrival, future_send].into_iter().flatten().min().unwrap_or(u64::MAX);
-                    self.nodes[i].set_external_horizon(horizon);
-                    self.nodes[i].step_one()?;
-                    for out in self.nodes[i].take_outbox() {
-                        let OutboundPacket { node, tile, fifo, packet, arrive_at, origin } = out;
-                        self.flight_seq += 1;
-                        self.in_flight.push(Reverse(Flight {
-                            arrive_at,
-                            seq: self.flight_seq,
-                            dest_node: node,
-                            dest_tile: tile,
-                            fifo,
-                            packet,
-                            origin,
-                        }));
-                    }
-                }
-                (Some(_), None) => unreachable!("covered by the delivery arm's guard"),
-            }
-        }
-        // Global quiescence: every queue is empty and nothing is in
-        // flight. Any blocked agent now can never be woken.
-        let blocked: Vec<String> = self
+    /// The earliest work among the in-flight packets and the nodes
+    /// `active` selects, at its cycle (module docs, tie order).
+    pub(crate) fn next_work(&self, active: impl Fn(usize) -> bool) -> Option<(u64, Work)> {
+        let deliver = self.in_flight.peek().map(|Reverse(f)| (f.arrive_at, Work::Deliver));
+        let step = self
             .nodes
             .iter()
             .enumerate()
-            .flat_map(|(i, n)| n.blocked_summary().into_iter().map(move |s| format!("node{i}/{s}")))
-            .collect();
-        let completion = self.nodes.iter().map(|n| n.last_time()).max().unwrap_or(0);
-        if !blocked.is_empty() {
-            let what = format!(
-                "cluster quiescent with {} agents blocked: {}",
-                blocked.len(),
-                blocked.join(", ")
-            );
-            // An injected tile death that fired anywhere in the cluster
-            // converts the stall into a typed fault naming the dead tile.
-            for (i, node) in self.nodes.iter().enumerate() {
-                if let Some((tile, at)) = node.fired_tile_death() {
-                    return Err(PumaError::FaultedTile {
-                        node: i,
-                        tile: tile as usize,
-                        cycle: at,
-                        what,
-                    });
+            .filter(|&(i, _)| active(i))
+            .filter_map(|(i, n)| n.next_event_time().map(|t| (t, Work::Step(i))))
+            .min();
+        [deliver, step].into_iter().flatten().min()
+    }
+
+    /// Does `work` (module docs): a delivery, or a node step under its
+    /// horizon and `stop`, each packet sent routed through
+    /// `route(sender, flight)`, which returns it or `None` to hold it.
+    pub(crate) fn advance(
+        &mut self,
+        work: Work,
+        active: impl Fn(usize) -> bool,
+        floor: u64,
+        stop: u64,
+        mut route: impl FnMut(usize, Flight) -> Result<Option<Flight>>,
+    ) -> Result<()> {
+        let i = match work {
+            Work::Deliver => {
+                let Reverse(flight) = self.in_flight.pop().expect("a packet is in flight");
+                let (node, at) = (flight.dest_node, flight.arrive_at);
+                return flight.deliver(&mut self.nodes[node], at);
+            }
+            Work::Step(i) => i,
+        };
+        let lat = self.link_latency();
+        let mut horizon = self.in_flight.peek().map_or(floor, |Reverse(f)| f.arrive_at.min(floor));
+        for (j, node) in self.nodes.iter().enumerate() {
+            if j != i && active(j) {
+                if let Some(t) = node.next_event_time() {
+                    horizon = horizon.min(t.saturating_add(lat));
                 }
             }
-            return Err(PumaError::Deadlock { cycle: completion, what });
         }
-        for node in &mut self.nodes {
-            node.seal_cycles();
+        let node = &mut self.nodes[i];
+        node.set_external_horizon(horizon.min(stop.saturating_add(1)));
+        node.stop = stop;
+        node.step_one()?;
+        for out in node.take_outbox() {
+            let OutboundPacket { node, tile, fifo, packet, arrive_at, origin } = out;
+            self.flight_seq += 1;
+            let flight = Flight {
+                arrive_at,
+                seq: self.flight_seq,
+                dest_node: node as usize,
+                dest_tile: tile,
+                fifo,
+                packet,
+                origin,
+                req: 0,
+            };
+            if let Some(flight) = route(i, flight)? {
+                self.in_flight.push(Reverse(flight));
+            }
         }
         Ok(())
     }
 
-    /// Merges per-node statistics: counters and energy sum in node order
-    /// (deterministic floating-point totals); `cycles` is the global
-    /// completion time (nodes ran concurrently, not back-to-back).
-    fn collect_stats(&mut self) {
-        let mut stats = RunStats::new();
-        for node in &self.nodes {
-            stats.merge(node.stats());
-        }
-        stats.cycles = self.nodes.iter().map(|n| n.last_time()).max().unwrap_or(0);
-        self.stats = stats;
+    /// Whether a packet is in flight to node `j`.
+    pub(crate) fn inbound(&self, j: usize) -> bool {
+        self.in_flight.iter().any(|Reverse(f)| f.dest_node == j)
+    }
+
+    /// The stall diagnosis (module docs): `what` describes the blocked
+    /// agents of the nodes `label` names, as `node{j}/{label}{agent}`.
+    pub(crate) fn stall(
+        &self,
+        label: impl Fn(usize) -> Option<String>,
+        deaths: impl Fn(usize) -> bool,
+        what: impl FnOnce(Vec<String>) -> String,
+        otherwise: impl FnOnce(String) -> PumaError,
+    ) -> PumaError {
+        let blocked = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(j, n)| label(j).map(|l| (j, n, l)))
+            .flat_map(|(j, n, l)| {
+                n.blocked_summary().into_iter().map(move |s| format!("node{j}/{l}{s}"))
+            })
+            .collect();
+        let fired = self.nodes.iter().enumerate().filter(|&(j, _)| deaths(j));
+        stall_verdict(fired.map(|(j, n)| (j, n.fired_tile_death())), what(blocked), otherwise)
     }
 }
 

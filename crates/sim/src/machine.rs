@@ -104,11 +104,10 @@
 //!    more sends costs at least `min_indirect` beyond the globally
 //!    earliest queued event. Every transit is at least one cycle, so a
 //!    chain starting at `T` itself cannot land by `t`.
-//! 2. **Inter-node packets** bypass the NoC; the external scheduler
-//!    ([`crate::ClusterSim`], [`crate::PipelineSim`]) publishes the
-//!    earliest global cycle at which one could still arrive via
-//!    [`NodeSim::set_external_horizon`], and the tile may only run
-//!    strictly below it.
+//! 2. **Inter-node packets** bypass the NoC; the co-simulation core
+//!    ([`crate::cluster`]) publishes the earliest global cycle one could
+//!    still arrive at via [`NodeSim::set_external_horizon`], and the tile
+//!    may only run strictly below it.
 //!
 //! The first event of a tile entry needs no check: it is the global
 //! minimum. Every event that will ever target `T` therefore lands in `T`'s
@@ -139,6 +138,7 @@
 //!    program faults at the same deterministic instruction on both
 //!    engines.
 
+use crate::cluster::stall_verdict;
 use crate::compiled::{CompiledImage, MicroOp, OpCost, NO_CHARGE};
 use crate::equeue::{
     agent_priority, DeliverEvent, Event, EventKind, TileQueue, PRIO_DELIVER, PRIO_SHIFT, PRIO_WAKE,
@@ -466,11 +466,10 @@ pub struct PacketOrigin {
     pub copy: u8,
 }
 
-/// An inter-node packet produced by a `send` whose destination node is
-/// not this node: a cluster scheduler ([`crate::ClusterSim`],
-/// [`crate::PipelineSim`], or an external driver of the stepping API)
-/// collects these via [`NodeSim::take_outbox`] and delivers them after
-/// the interconnect delay.
+/// An inter-node packet produced by a `send` to another node: the
+/// co-simulation core ([`crate::cluster`]) or another driver of the
+/// stepping API collects these via [`NodeSim::take_outbox`] and delivers
+/// them after the interconnect delay.
 #[derive(Debug)]
 pub struct OutboundPacket {
     /// Destination node index.
@@ -598,17 +597,13 @@ pub struct NodeSim {
     interconnect: InterconnectConfig,
     /// Inter-node packets awaiting pickup by the cluster scheduler.
     outbox: Vec<OutboundPacket>,
-    /// External horizon: the earliest global cycle at which an
-    /// inter-node packet could still arrive. The compiled engine runs a
-    /// tile's events and synchronization instructions past its first
-    /// event only strictly below it (it could miss the delivery).
-    /// `u64::MAX` standalone.
+    /// External horizon: the earliest global cycle an inter-node packet
+    /// could still arrive at. The compiled engine runs a tile's later
+    /// events and synchronization instructions only strictly below it.
     horizon: u64,
-    /// External stop: the last global cycle this node may run to before
-    /// its scheduler acts on it (a pipeline watchdog's next abort). A
-    /// compiled straight-line run defers itself there. `u64::MAX` unless
-    /// a scheduler sets it.
-    stop: u64,
+    /// External stop: no straight-line run goes past it (a pipeline
+    /// watchdog's next abort). Both are `u64::MAX` standalone.
+    pub(crate) stop: u64,
     /// The pre-decoded micro-op image for [`SimEngine::Compiled`]: built
     /// on the first compiled run of this simulator or any fork of it,
     /// and `Arc`-shared by all of them, so a simulator that only ever
@@ -1461,25 +1456,16 @@ impl NodeSim {
         let blocked = self.blocked_summary();
         if !blocked.is_empty() {
             let what = format!("{} agents blocked: {}", blocked.len(), blocked.join(", "));
-            // An injected tile death that fired converts the stall into
-            // a typed fault naming the dead tile, not a plain deadlock.
-            if let Some((tile, at)) = self.fired_tile_death() {
-                return Err(PumaError::FaultedTile {
-                    node: usize::from(self.node_id),
-                    tile: tile as usize,
-                    cycle: at,
-                    what,
-                });
-            }
-            return Err(PumaError::Deadlock { cycle: self.last_time, what });
+            let (deaths, cycle) =
+                ([(self.node_id.into(), self.fired_tile_death())], self.last_time);
+            return Err(stall_verdict(deaths, what, |what| PumaError::Deadlock { cycle, what }));
         }
         self.seal_cycles();
         Ok(())
     }
 
     /// The injected tile death, if it has already suppressed work this
-    /// run: `(tile, at_cycle)`. Drives typed fault diagnosis in the
-    /// cluster and pipeline schedulers.
+    /// run: `(tile, at_cycle)`, for the stall diagnosis.
     pub(crate) fn fired_tile_death(&self) -> Option<(u32, u64)> {
         self.dead_tile.filter(|_| self.death_fired)
     }
@@ -1870,11 +1856,6 @@ impl NodeSim {
         self.horizon = horizon;
     }
 
-    /// Sets the external stop (see the `stop` field).
-    pub(crate) fn set_stop(&mut self, stop: u64) {
-        self.stop = stop;
-    }
-
     /// Latest event/instruction timestamp observed this run.
     pub fn last_time(&self) -> u64 {
         self.last_time
@@ -1979,9 +1960,8 @@ impl NodeSim {
         let mut first = true;
         let limit = self.max_cycles.min(self.stop);
         loop {
-            // Same per-instruction cap check, at the same timestamps, as
-            // the other engines (module docs, boundary rule 2); past an
-            // external stop the run resumes later as an ordinary event.
+            // The other engines' per-instruction cap check (module docs,
+            // rule 2); past the stop, the run resumes later as an event.
             if t > limit {
                 if t > self.max_cycles {
                     return Err(self.cycle_cap_error());

@@ -1,51 +1,31 @@
 //! PipelineSim: *pipeline sharding* over the nodes of one sharded model.
 //!
-//! [`crate::ClusterSim`] co-simulates N nodes serving **one** request at a
-//! time: the whole cluster is occupied for the full latency of each
-//! inference. This module keeps the same per-node machines and the same
-//! conservative co-simulation invariants, but lets **different requests be
-//! simultaneously resident on different nodes** — node 0 starts request
-//! r+1 the moment it finishes its shard of request r, while nodes 1..N are
-//! still working on r (and possibly r-1). That is the serving-throughput
-//! story for models too large for one node: the pipeline's steady-state
-//! throughput is set by the slowest *stage*, not by the end-to-end
-//! latency.
+//! Where [`ClusterSim`] runs one request at a time across all its nodes,
+//! [`PipelineSim`] serves a request *stream* with **different requests
+//! resident on different nodes**: node 0 starts request r+1 once it
+//! retires its shard of request r, while later stages still work on r, so
+//! throughput is set by the slowest *stage*, not the end-to-end latency.
 //!
-//! Mechanics:
+//! The request model: requests arrive at given cycles, in arrival order,
+//! and wait in a bounded queue for the *entry stage* (node 0), or are
+//! **shed** — rejected without executing — when it is full. Every stage
+//! serves the admitted requests in admission order, one *segment* each
+//! ([`NodeSim::begin_segment`]: state resets, the clock stays global), and
+//! retires it once quiescent, reading its outputs then. An optional
+//! deadline watchdog aborts a request still unfinished `deadline` cycles
+//! after its arrival and reclaims its stages.
 //!
-//! - Each node executes per-request *segments* via
-//!   [`NodeSim::begin_segment`]: machine state resets between requests,
-//!   but the clock is global and monotonic, so all latencies are measured
-//!   on one shared simulated timeline.
-//! - Inter-node packets are tagged with the request their sender was
-//!   executing. A packet addressed to a node still working on an earlier
-//!   request is *held* and injected when the destination node starts that
-//!   request — sharded execution is a pure renumbering of the single-node
-//!   program, so a request's packets are only ever consumed by the same
-//!   request's segments, and outputs stay bit-identical to sequential
-//!   execution.
-//! - The scheduler always advances the globally earliest work and hands
-//!   each node a conservative external horizon (in-flight packets,
-//!   other resident nodes' next events, scheduled segment starts, and
-//!   pending arrivals, each plus the link latency), exactly generalizing
-//!   the [`crate::ClusterSim`] lookahead rule.
-//!
-//! Admission follows the serving queue model: requests arrive at given
-//! cycles (in arrival order), wait in a bounded queue for the *entry
-//! stage* (node 0), and are **shed** — rejected without executing — when
-//! the queue is full at their arrival.
+//! The stepping is the co-simulation core of [`crate::cluster`].
 
-use crate::cluster::ClusterSim;
-use crate::fifo::Packet;
-use crate::machine::{NodeSim, PacketOrigin, SimEngine, SimMode};
+use crate::cluster::{ClusterSim, Flight, Work};
+use crate::machine::{NodeSim, SimEngine, SimMode};
 use crate::stats::RunStats;
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
 use puma_core::timing::InterconnectConfig;
 use puma_isa::MachineImage;
 use puma_xbar::NoiseModel;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// One request submitted to [`PipelineSim::serve`].
 #[derive(Debug, Clone)]
@@ -53,10 +33,9 @@ pub struct PipelineRequest {
     /// Simulated cycle at which the request arrives at the queue.
     pub arrival: u64,
     /// Host writes performed when a node starts this request's segment:
-    /// `(input-binding name, values)`, routed to whichever node owns the
-    /// binding. Writes shared by every request (model constants) go in
-    /// [`PipelineSim::serve`]'s `common_writes` instead, so they are not
-    /// duplicated per request.
+    /// `(input-binding name, values)`, routed to the node that owns the
+    /// binding. Writes every request shares (model constants) go in
+    /// [`PipelineSim::serve`]'s `common_writes` instead.
     pub writes: Vec<(String, Vec<f32>)>,
 }
 
@@ -76,9 +55,8 @@ pub struct PipelineResult {
     /// Merged per-node segment statistics (node order, deterministic);
     /// `cycles` is the residency span `finish − start`.
     pub stats: RunStats,
-    /// The typed fault that aborted this request, when a deadline
-    /// watchdog fired for it ([`PipelineSim::serve_with_deadline`]).
-    /// `None` for completed or shed requests.
+    /// The typed fault of a deadline abort
+    /// ([`PipelineSim::serve_with_deadline`]); `None` otherwise.
     pub error: Option<PumaError>,
 }
 
@@ -90,8 +68,8 @@ pub struct StageStats {
     /// Total cycles a request was resident on this stage (busy or
     /// blocked on synchronization).
     pub occupied_cycles: u64,
-    /// Of the occupied cycles, how many an agent spent parked on
-    /// synchronization (waiting for packets from neighbouring stages).
+    /// Agent-cycles parked on synchronization while resident (waiting
+    /// for packets from neighbouring stages).
     pub blocked_cycles: u64,
     /// Cycle this stage retired its last request.
     pub last_retire: u64,
@@ -104,57 +82,13 @@ pub struct PipelineReport {
     pub results: Vec<PipelineResult>,
     /// Per-stage occupancy, indexed by node.
     pub stages: Vec<StageStats>,
-    /// Maximum number of distinct requests simultaneously resident across
-    /// the stages — `> 1` proves the pipeline actually overlapped
-    /// requests.
+    /// Most distinct requests resident across the stages at once — `> 1`
+    /// proves the pipeline overlapped requests.
     pub max_concurrent: usize,
     /// Requests shed at admission.
     pub shed: usize,
     /// Cycle the last admitted request finished (0 if none).
     pub makespan: u64,
-}
-
-/// An inter-node packet in flight, tagged with the admitted-order
-/// position of the request it belongs to.
-#[derive(Debug)]
-struct Flight {
-    arrive_at: u64,
-    seq: u64,
-    dest_node: usize,
-    dest_tile: u16,
-    fifo: u8,
-    packet: Packet,
-    origin: PacketOrigin,
-    req: usize,
-}
-
-impl PartialEq for Flight {
-    fn eq(&self, other: &Self) -> bool {
-        (self.arrive_at, self.seq) == (other.arrive_at, other.seq)
-    }
-}
-impl Eq for Flight {}
-impl PartialOrd for Flight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Flight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrive_at, self.seq).cmp(&(other.arrive_at, other.seq))
-    }
-}
-
-/// A packet waiting for its destination node to start the request it
-/// belongs to.
-#[derive(Debug)]
-struct HeldPacket {
-    arrive_at: u64,
-    seq: u64,
-    tile: u16,
-    fifo: u8,
-    packet: Packet,
-    origin: PacketOrigin,
 }
 
 /// A cluster of node simulators serving a *stream* of requests with
@@ -166,21 +100,12 @@ struct HeldPacket {
 /// usage against compiled sharded models.
 #[derive(Debug)]
 pub struct PipelineSim {
-    nodes: Vec<NodeSim>,
-    interconnect: InterconnectConfig,
-    /// Input-binding name → owning node.
-    input_owner: HashMap<String, usize>,
-    /// Output-binding names per node.
-    output_names: Vec<Vec<String>>,
+    cluster: ClusterSim,
 }
 
 impl PipelineSim {
-    /// Builds one simulator per image over the default interconnect
-    /// (see [`ClusterSim::new`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSim::new`].
+    /// Builds one simulator per image over the default interconnect, as
+    /// [`ClusterSim::new`] does (same errors).
     pub fn new(
         cfg: NodeConfig,
         images: &[MachineImage],
@@ -190,11 +115,8 @@ impl PipelineSim {
         Self::with_interconnect(cfg, images, mode, noise, InterconnectConfig::default())
     }
 
-    /// [`PipelineSim::new`] with an explicit interconnect model.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSim::new`].
+    /// [`PipelineSim::new`] with an explicit interconnect model (same
+    /// errors).
     pub fn with_interconnect(
         cfg: NodeConfig,
         images: &[MachineImage],
@@ -206,63 +128,43 @@ impl PipelineSim {
             .map(Self::from_cluster)
     }
 
-    /// Serves a cluster's nodes as pipeline stages. The nodes keep
-    /// everything they share with the cluster's other forks — programs,
-    /// programmed crossbars and the compiled micro-op build — so a
-    /// pipeline over [`ClusterSim::fork_replica`] costs no rebuild.
+    /// Serves a cluster's nodes as pipeline stages. A pipeline over
+    /// [`ClusterSim::fork_replica`] shares the programs, programmed
+    /// crossbars and compiled micro-op build, so it costs no rebuild.
     pub fn from_cluster(cluster: ClusterSim) -> PipelineSim {
-        let (nodes, interconnect) = cluster.into_nodes();
-        let mut input_owner = HashMap::new();
-        let mut output_names = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            for name in node.input_names() {
-                input_owner.insert(name.to_string(), i);
-            }
-            output_names.push(node.output_names().iter().map(|s| s.to_string()).collect());
-        }
-        PipelineSim { nodes, interconnect, input_owner, output_names }
+        PipelineSim { cluster }
     }
 
     /// Number of pipeline stages (nodes).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.cluster.node_count()
     }
 
     /// Selects the execution engine on every node.
     pub fn set_engine(&mut self, engine: SimEngine) {
-        for node in &mut self.nodes {
-            node.set_engine(engine);
-        }
+        self.cluster.set_engine(engine);
     }
 
-    /// Overrides the runaway-simulation safety cap on every node. The cap
-    /// is measured on the *global* pipeline clock, shared by all requests
-    /// of a serve call.
+    /// Overrides the runaway-simulation safety cap on every node, on the
+    /// *global* clock all requests of a serve call share.
     pub fn set_max_cycles(&mut self, max_cycles: u64) {
-        for node in &mut self.nodes {
-            node.set_max_cycles(max_cycles);
-        }
+        self.cluster.set_max_cycles(max_cycles);
     }
 
     /// Serves a stream of requests through the pipeline and returns
     /// per-request outcomes plus per-stage occupancy.
     ///
-    /// `common_writes` are input-binding writes performed at the start of
-    /// *every* request's segment before the request's own writes — model
-    /// constants, shared across requests so callers need not duplicate
-    /// them per request. `requests` must be sorted by non-decreasing
-    /// `arrival` (the submission queue is arrival-ordered); `queue_depth`
-    /// bounds the entry queue (`None` = unbounded, `Some(0)` = admit only
-    /// when the entry stage is idle). Every call starts from a clean
-    /// machine state at cycle 0 and is fully deterministic.
+    /// `common_writes` start *every* request's segment, before its own
+    /// writes. `requests` are sorted by arrival; `queue_depth` bounds the
+    /// entry queue (`None` = unbounded, `Some(0)` = admit only to an idle
+    /// entry stage). Each call starts clean at cycle 0, deterministically.
     ///
     /// # Errors
     ///
     /// Returns [`PumaError::InvalidConfig`] for unsorted arrivals,
     /// [`PumaError::Deadlock`] when the pipeline quiesces with requests
-    /// still in flight (the message names each blocked node/tile/agent
-    /// and the FIFO or memory word it waits on), and propagates per-node
-    /// execution faults.
+    /// still in flight (naming each blocked node/tile/agent and what it
+    /// waits on), and propagates per-node execution faults.
     pub fn serve(
         &mut self,
         common_writes: &[(String, Vec<f32>)],
@@ -274,19 +176,14 @@ impl PipelineSim {
 
     /// [`PipelineSim::serve`] with a per-request virtual-time deadline
     /// watchdog: an admitted request still unfinished `deadline` cycles
-    /// after its arrival is aborted at exactly `arrival + deadline` on
-    /// the shared clock. Its stages are reclaimed (free for the next
-    /// request from the abort cycle), its in-flight and held packets are
-    /// dropped, and its [`PipelineResult::error`] records the typed
-    /// fault — [`PumaError::FaultedTile`] when an injected tile death
-    /// fired on a stage serving it, [`PumaError::DeadlineExceeded`]
-    /// otherwise, each naming the stalled node/tile/agent via the
-    /// blocked-agent summary. The serve call itself still succeeds:
-    /// watchdog aborts degrade single requests, not the whole stream.
-    ///
-    /// The abort cycle and the reclaimed stages' free times are virtual
-    /// times, so deadline-aborted serves replay bit-identically across
-    /// engines (same-cycle progress is processed before the abort).
+    /// after its arrival is aborted at exactly `arrival + deadline`, after
+    /// every stage's work up to that cycle and before any past it. Its
+    /// stages free at the abort cycle, its in-flight and held packets are
+    /// dropped, and its [`PipelineResult::error`] is a
+    /// [`PumaError::FaultedTile`] when an injected tile death fired on a
+    /// stage serving it, else [`PumaError::DeadlineExceeded`], naming the
+    /// stalled agents. The serve itself still succeeds, and replays
+    /// bit-identically across engines.
     ///
     /// # Errors
     ///
@@ -304,79 +201,115 @@ impl PipelineSim {
                 what: "pipeline requests must be sorted by arrival time".to_string(),
             });
         }
-        for node in &mut self.nodes {
-            node.reset();
-        }
-        let n_nodes = self.nodes.len();
-        let lat = self.interconnect.latency_cycles.max(1);
-        let mut state = ServeState::new(requests.len(), n_nodes, deadline);
+        self.cluster.reset();
+        let n_nodes = self.cluster.node_count();
+        let lat = self.cluster.link_latency();
+        let mut state = ServeState {
+            resident: vec![None; n_nodes],
+            seg_start: vec![0; n_nodes],
+            free_at: vec![0; n_nodes],
+            next_k: vec![0; n_nodes],
+            start_sched: vec![None; n_nodes],
+            results: vec![PipelineResult::default(); requests.len()],
+            stages: vec![StageStats::default(); n_nodes],
+            deadline,
+            ..ServeState::default()
+        };
 
-        // What advances next: deliveries outrank segment starts outrank
-        // node events outrank arrivals outrank watchdog aborts at equal
-        // times, then lower node index — a fixed total order, so the
-        // co-simulation replays identically. Node events precede
-        // same-cycle arrivals so that a departure at cycle T is visible
-        // to a request arriving at T (matching the virtual-time schedule
-        // of the replicated pool); aborts come last so a request that
-        // finishes exactly at its deadline completes.
+        // The next action, by (cycle, rank, node): deliveries, segment
+        // starts, node steps, arrivals, then aborts. Steps precede
+        // same-cycle arrivals, so a departure at T is visible to an arrival
+        // at T; aborts come last, so a request finishing at its deadline
+        // completes.
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         enum Action {
-            Deliver,
+            Core(Work),
             Start(usize),
-            Step(usize),
             Arrive,
             Abort(usize),
         }
 
         loop {
-            let t_deliver = state.flights.peek().map(|Reverse(f)| (f.arrive_at, Action::Deliver));
+            let t_core = self
+                .cluster
+                .next_work(|j| state.resident[j].is_some())
+                .map(|(t, w)| (t, if w == Work::Deliver { 0 } else { 2 }, Action::Core(w)));
             let t_start = state
                 .start_sched
                 .iter()
                 .enumerate()
-                .filter_map(|(j, s)| s.map(|s| (s, Action::Start(j))))
+                .filter_map(|(j, s)| s.map(|s| (s, 1, Action::Start(j))))
                 .min();
-            let t_arrive = requests.get(state.arr_ptr).map(|r| (r.arrival, Action::Arrive));
-            let t_step = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| state.resident[j].is_some())
-                .filter_map(|(j, n)| n.next_event_time().map(|t| (t, Action::Step(j))))
-                .min();
-            // Admitted requests are in arrival order, so the first
-            // unfinished one carries the earliest deadline.
+            let t_arrive = requests.get(state.arr_ptr).map(|r| (r.arrival, 3, Action::Arrive));
+            // Requests finish in admission order, so the first unfinished
+            // one has the earliest deadline.
             let t_abort = deadline.and_then(|d| {
-                (0..state.admitted.len()).find(|&k| state.retired_nodes[k] < n_nodes).map(|k| {
-                    (requests[state.admitted[k]].arrival.saturating_add(d), Action::Abort(k))
-                })
+                let k = state.admitted.iter().position(|a| a.retired < n_nodes)?;
+                Some((
+                    requests[state.admitted[k].index].arrival.saturating_add(d),
+                    4,
+                    Action::Abort(k),
+                ))
             });
-            let next_abort = t_abort.as_ref().map(|&(at, _)| at);
-            let Some((_, action)) =
-                [t_deliver, t_start, t_arrive, t_step, t_abort].into_iter().flatten().min()
+            let stop = t_abort.as_ref().map_or(u64::MAX, |&(at, _, _)| at);
+            let Some((_, _, action)) =
+                [t_core, t_start, t_arrive, t_abort].into_iter().flatten().min()
             else {
                 break;
             };
             match action {
-                Action::Deliver => {
-                    let Reverse(flight) = state.flights.pop().expect("peeked above");
-                    debug_assert_eq!(state.resident[flight.dest_node], Some(flight.req));
-                    self.nodes[flight.dest_node].deliver_external(
-                        flight.dest_tile,
-                        flight.fifo,
-                        flight.packet,
-                        flight.arrive_at,
-                        flight.origin,
-                    )?;
+                Action::Core(work) => {
+                    // A scheduled start or the next arrival can send from
+                    // latency + 1 cycles after it.
+                    let floor = state
+                        .start_sched
+                        .iter()
+                        .flatten()
+                        .chain(requests.get(state.arr_ptr).map(|r| &r.arrival))
+                        .min()
+                        .map_or(u64::MAX, |t| t.saturating_add(lat));
+                    let route = |j: usize, mut flight: Flight| {
+                        let k = state.resident[j].expect("only resident nodes are stepped");
+                        let dest = flight.dest_node;
+                        if state.next_k[dest] > k {
+                            return Err(PumaError::Execution {
+                                what: format!(
+                                    "node{j} sent a packet for request {} to node{dest}, which \
+                                     already retired that request (un-received send in the \
+                                     sharded program?)",
+                                    state.admitted[k].index
+                                ),
+                            });
+                        }
+                        flight.req = k;
+                        if state.resident[dest] == Some(k) {
+                            return Ok(Some(flight));
+                        }
+                        state.held.entry((dest, k)).or_default().push(flight);
+                        Ok(None)
+                    };
+                    let active = |j: usize| state.resident[j].is_some();
+                    self.cluster.advance(work, active, floor, stop, route)?;
+                    if let Work::Step(j) = work {
+                        self.retire_if_quiescent(j, &mut state, requests)?;
+                    }
                 }
                 Action::Start(j) => {
                     let s = state.start_sched[j].take().expect("selected above");
                     let k = state.next_k[j];
-                    let r = state.admitted[k];
-                    self.nodes[j].begin_segment(s)?;
+                    let r = state.admitted[k].index;
+                    let node = &mut self.cluster.nodes[j];
+                    node.begin_segment(s)?;
                     for (name, values) in common_writes.iter().chain(&requests[r].writes) {
-                        if self.input_owner.get(name.as_str()) == Some(&j) {
-                            self.nodes[j].write_input(name, values)?;
+                        if node.has_input(name) {
+                            node.write_input(name, values)?;
+                        }
+                    }
+                    if let Some(mut packets) = state.held.remove(&(j, k)) {
+                        packets.sort();
+                        for p in packets {
+                            let at = p.arrive_at.max(s);
+                            p.deliver(node, at)?;
                         }
                     }
                     state.resident[j] = Some(k);
@@ -384,28 +317,13 @@ impl PipelineSim {
                     if j == 0 {
                         state.entry_started += 1;
                     }
-                    state.first_start[k] = state.first_start[k].min(s);
-                    if let Some(mut packets) = state.held.remove(&(j, k)) {
-                        packets.sort_by_key(|p| (p.arrive_at, p.seq));
-                        for p in packets {
-                            self.nodes[j].deliver_external(
-                                p.tile,
-                                p.fifo,
-                                p.packet,
-                                p.arrive_at.max(s),
-                                p.origin,
-                            )?;
-                        }
-                    }
-                    let concurrent = state
-                        .resident
-                        .iter()
-                        .flatten()
-                        .collect::<std::collections::HashSet<_>>()
-                        .len();
+                    state.admitted[k].first_start = state.admitted[k].first_start.min(s);
+                    let resident = &state.resident;
+                    let concurrent = (0..n_nodes)
+                        .filter(|&i| resident[i].is_some() && !resident[..i].contains(&resident[i]))
+                        .count();
                     state.max_concurrent = state.max_concurrent.max(concurrent);
-                    // A stage with no work for this request (e.g. an idle
-                    // shard) quiesces instantly.
+                    // A stage with no work for this request quiesces at once.
                     self.retire_if_quiescent(j, &mut state, requests)?;
                 }
                 Action::Arrive => {
@@ -413,11 +331,9 @@ impl PipelineSim {
                     state.arr_ptr += 1;
                     let t = requests[r].arrival;
                     let waiting = state.admitted.len() - state.entry_started;
-                    // The entry worker counts as idle only once its last
-                    // segment's span has elapsed (`free_at`): the scheduler may
-                    // *process* a retirement early, but the stage is still
-                    // busy until its simulated completion time — admission
-                    // must not depend on the engine's processing order.
+                    // The entry stage is idle only once its last segment's
+                    // span has elapsed (`free_at`), however early the
+                    // engine processed the retirement.
                     let entry_idle = state.resident[0].is_none()
                         && state.start_sched[0].is_none()
                         && state.free_at[0] <= t;
@@ -430,211 +346,85 @@ impl PipelineSim {
                         continue;
                     }
                     let k = state.admitted.len();
-                    state.admitted.push(r);
+                    state.admitted.push(Admitted {
+                        index: r,
+                        first_start: u64::MAX,
+                        segments: vec![None; n_nodes],
+                        ..Admitted::default()
+                    });
                     state.results[r].admitted = true;
-                    state.first_start.push(u64::MAX);
-                    state.finish.push(0);
-                    state.retired_nodes.push(0);
-                    state.aborted.push(false);
-                    state.seg_stats.push(vec![None; n_nodes]);
                     for j in 0..n_nodes {
-                        if state.next_k[j] == k
-                            && state.resident[j].is_none()
-                            && state.start_sched[j].is_none()
-                        {
-                            state.start_sched[j] = Some(t.max(state.free_at[j]));
+                        if state.next_k[j] == k && state.idle(j) {
+                            state.schedule(j, requests, 0);
                         }
                     }
-                }
-                Action::Step(j) => {
-                    // Conservative external horizon: the earliest cycle
-                    // any external packet could still reach this node —
-                    // through an in-flight packet, a send from another
-                    // resident node's next event, a segment that is
-                    // scheduled to start, or a request that has not even
-                    // arrived yet (each send needs ≥ latency + 1 cycles
-                    // to land).
-                    let mut horizon =
-                        state.flights.peek().map_or(u64::MAX, |Reverse(f)| f.arrive_at);
-                    for (j2, node) in self.nodes.iter().enumerate() {
-                        if j2 != j && state.resident[j2].is_some() {
-                            if let Some(t) = node.next_event_time() {
-                                horizon = horizon.min(t.saturating_add(lat));
-                            }
-                        }
-                    }
-                    for s in state.start_sched.iter().flatten() {
-                        horizon = horizon.min(s.saturating_add(lat));
-                    }
-                    if let Some(req) = requests.get(state.arr_ptr) {
-                        horizon = horizon.min(req.arrival.saturating_add(lat));
-                    }
-                    // The watchdog's next abort stops whatever it reclaims
-                    // at its cycle, after that cycle's events.
-                    if let Some(at) = next_abort {
-                        horizon = horizon.min(at.saturating_add(1));
-                    }
-                    self.nodes[j].set_external_horizon(horizon);
-                    self.nodes[j].set_stop(next_abort.unwrap_or(u64::MAX));
-                    self.nodes[j].step_one()?;
-                    let k = state.resident[j].expect("only resident nodes are stepped");
-                    for out in self.nodes[j].take_outbox() {
-                        let dest = out.node as usize;
-                        if state.next_k[dest] > k {
-                            return Err(PumaError::Execution {
-                                what: format!(
-                                    "node{j} sent a packet for request {} to node{dest}, which \
-                                     already retired that request (un-received send in the \
-                                     sharded program?)",
-                                    state.admitted[k]
-                                ),
-                            });
-                        }
-                        state.flight_seq += 1;
-                        if state.resident[dest] == Some(k) {
-                            state.flights.push(Reverse(Flight {
-                                arrive_at: out.arrive_at,
-                                seq: state.flight_seq,
-                                dest_node: dest,
-                                dest_tile: out.tile,
-                                fifo: out.fifo,
-                                packet: out.packet,
-                                origin: out.origin,
-                                req: k,
-                            }));
-                        } else {
-                            state.held.entry((dest, k)).or_default().push(HeldPacket {
-                                arrive_at: out.arrive_at,
-                                seq: state.flight_seq,
-                                tile: out.tile,
-                                fifo: out.fifo,
-                                packet: out.packet,
-                                origin: out.origin,
-                            });
-                        }
-                    }
-                    self.retire_if_quiescent(j, &mut state, requests)?;
                 }
                 Action::Abort(k) => {
                     let d = deadline.expect("abort scheduled only under a deadline");
-                    let r = state.admitted[k];
+                    let r = state.admitted[k].index;
                     let at = requests[r].arrival.saturating_add(d);
-                    // Typed diagnosis: a fired tile death on a stage
-                    // serving this request outranks the generic deadline.
-                    let stalls: Vec<String> = self
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| state.resident[j] == Some(k))
-                        .flat_map(|(j, n)| {
-                            n.blocked_summary().into_iter().map(move |s| format!("node{j}/{s}"))
-                        })
-                        .collect();
-                    let what = if stalls.is_empty() {
-                        format!("request {r} still executing at its {d}-cycle deadline")
-                    } else {
-                        format!(
-                            "request {r} stalled at its {d}-cycle deadline: {}",
-                            stalls.join(", ")
-                        )
-                    };
-                    let death = self
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| state.resident[j] == Some(k))
-                        .find_map(|(j, n)| {
-                            n.fired_tile_death().map(|(tile, cycle)| (j, tile, cycle))
-                        });
-                    state.results[r].error = Some(match death {
-                        Some((node, tile, cycle)) => {
-                            PumaError::FaultedTile { node, tile: tile as usize, cycle, what }
+                    let on_k = |j: usize| state.resident[j] == Some(k);
+                    let what = |stalls: Vec<String>| match stalls.join(", ") {
+                        s if s.is_empty() => {
+                            format!("request {r} still executing at its {d}-cycle deadline")
                         }
-                        None => PumaError::DeadlineExceeded { cycle: at, what },
-                    });
-                    // Reclaim the request's stages and packets. A stage
-                    // it occupied frees at the abort cycle; a stage that
-                    // never reached it skips straight past (the entry
-                    // stage counts it started for admission accounting).
+                        s => format!("request {r} stalled at its {d}-cycle deadline: {s}"),
+                    };
+                    let exceeded = |what| PumaError::DeadlineExceeded { cycle: at, what };
+                    let label = |j: usize| on_k(j).then(String::new);
+                    state.results[r].error = Some(self.cluster.stall(label, on_k, what, exceeded));
+                    // Reclaim its stages (freed at the abort cycle; the
+                    // entry stage counts it started) and its packets.
                     if state.resident[0] != Some(k) && state.next_k[0] <= k {
                         state.entry_started += 1;
                     }
-                    state.flights.retain(|Reverse(f)| f.req != k);
+                    self.cluster.in_flight.retain(|f| f.0.req != k);
                     state.held.retain(|&(_, kk), _| kk != k);
                     for j in 0..n_nodes {
                         if state.next_k[j] == k {
                             state.start_sched[j] = None;
                         }
                         if state.resident[j] == Some(k) {
-                            // Discard the partial segment; the machine
-                            // itself is wiped by its next begin_segment.
-                            let _ = self.nodes[j].take_segment_stats();
+                            // The next begin_segment wipes the machine.
+                            let _ = self.cluster.nodes[j].take_segment_stats();
                             state.resident[j] = None;
                             state.free_at[j] = state.free_at[j].max(at);
                             state.next_k[j] += 1;
                         } else if state.next_k[j] == k {
                             state.next_k[j] += 1;
                         }
-                        if state.resident[j].is_none()
-                            && state.start_sched[j].is_none()
-                            && state.next_k[j] < state.admitted.len()
-                        {
-                            let next_arrival = requests[state.admitted[state.next_k[j]]].arrival;
-                            // Never before the abort: the watchdog only
-                            // frees the stage at the deadline cycle.
-                            state.start_sched[j] = Some(state.free_at[j].max(next_arrival).max(at));
+                        if state.idle(j) {
+                            state.schedule(j, requests, at);
                         }
                     }
-                    state.aborted[k] = true;
-                    state.retired_nodes[k] = n_nodes;
-                    state.finish[k] = at;
+                    let a = &mut state.admitted[k];
+                    (a.aborted, a.retired, a.finish) = (true, n_nodes, at);
                     state.results[r].start =
-                        if state.first_start[k] == u64::MAX { 0 } else { state.first_start[k] };
+                        if a.first_start == u64::MAX { 0 } else { a.first_start };
                     state.results[r].finish = at;
                 }
             }
         }
 
-        // Quiescent. Any admitted request not retired everywhere is a
-        // pipeline deadlock; name every stalled synchronization (and any
-        // packets still parked, in case nothing is blocked — a defensive
-        // diagnostic for malformed programs).
-        if state.retired_nodes.iter().any(|&n| n < n_nodes) {
-            let mut blocked: Vec<String> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| state.resident[j].is_some())
-                .flat_map(|(j, n)| {
-                    let req = state.admitted[state.resident[j].expect("filtered")];
-                    n.blocked_summary()
-                        .into_iter()
-                        .map(move |s| format!("node{j}/request{req}/{s}"))
-                })
-                .collect();
+        // Quiescent with an admitted request not retired everywhere: a
+        // pipeline deadlock (packets still held are named too).
+        if state.admitted.iter().any(|a| a.retired < n_nodes) {
             let parked: usize = state.held.values().map(Vec::len).sum();
-            if parked > 0 {
-                blocked.push(format!("{parked} packets held for requests that never started"));
-            }
-            let cycle = self.nodes.iter().map(NodeSim::last_time).max().unwrap_or(0);
-            let what =
-                format!("pipeline quiescent with {} stalls: {}", blocked.len(), blocked.join(", "));
-            // An injected tile death that fired on any stage converts
-            // the stall into a typed fault naming the dead tile.
-            for (j, node) in self.nodes.iter().enumerate() {
-                if let Some((tile, at)) = node.fired_tile_death() {
-                    return Err(PumaError::FaultedTile {
-                        node: j,
-                        tile: tile as usize,
-                        cycle: at,
-                        what,
-                    });
+            let cycle = self.cluster.nodes.iter().map(NodeSim::last_time).max().unwrap_or(0);
+            let label = |j: usize| {
+                state.resident[j].map(|k| format!("request{}/", state.admitted[k].index))
+            };
+            let what = |mut stalls: Vec<String>| {
+                if parked > 0 {
+                    stalls.push(format!("{parked} packets held for requests that never started"));
                 }
-            }
-            return Err(PumaError::Deadlock { cycle, what });
+                format!("pipeline quiescent with {} stalls: {}", stalls.len(), stalls.join(", "))
+            };
+            let deadlock = |what| PumaError::Deadlock { cycle, what };
+            return Err(self.cluster.stall(label, |_| true, what, deadlock));
         }
 
-        let makespan = state.finish.iter().copied().max().unwrap_or(0);
+        let makespan = state.admitted.iter().map(|a| a.finish).max().unwrap_or(0);
         Ok(PipelineReport {
             results: state.results,
             stages: state.stages,
@@ -644,11 +434,9 @@ impl PipelineSim {
         })
     }
 
-    /// Retires node `j`'s segment if it has quiesced for its resident
-    /// request: no queued events, no blocked agents, and no in-flight
-    /// packets still addressed to it. Reads the node's outputs *before*
-    /// the machine is reused, folds its segment statistics into the
-    /// request, and schedules the node's next segment.
+    /// Retires node `j`'s segment once it is quiescent (no queued events,
+    /// no blocked agents, no packet in flight to it): reads its outputs,
+    /// folds its statistics into the request, schedules its next segment.
     fn retire_if_quiescent(
         &mut self,
         j: usize,
@@ -656,130 +444,110 @@ impl PipelineSim {
         requests: &[PipelineRequest],
     ) -> Result<()> {
         let Some(k) = state.resident[j] else { return Ok(()) };
-        if self.nodes[j].next_event_time().is_some()
-            || self.nodes[j].blocked_count() > 0
-            || state.flights.iter().any(|Reverse(f)| f.dest_node == j)
-        {
+        let node = &self.cluster.nodes[j];
+        if node.next_event_time().is_some() || node.blocked_count() > 0 || self.cluster.inbound(j) {
             return Ok(());
         }
-        let end = self.nodes[j].last_time();
-        let r = state.admitted[k];
+        let end = node.last_time();
+        let r = state.admitted[k].index;
         // A segment that ran past its request's deadline is the
         // watchdog's to reclaim, as if its last events were still queued.
         if state.deadline.is_some_and(|d| end > requests[r].arrival.saturating_add(d)) {
             return Ok(());
         }
-        for name in &self.output_names[j] {
-            let values = self.nodes[j].read_output(name)?;
-            state.results[r].outputs.insert(name.clone(), values);
+        for name in node.output_names() {
+            let values = node.read_output(name)?;
+            state.results[r].outputs.insert(name.to_string(), values);
         }
-        let seg = self.nodes[j].take_segment_stats();
-        state.stages[j].requests += 1;
-        state.stages[j].occupied_cycles += end - state.seg_start[j];
-        state.stages[j].blocked_cycles += seg.blocked_cycles;
-        state.stages[j].last_retire = end;
-        state.seg_stats[k][j] = Some(seg);
+        let seg = self.cluster.nodes[j].take_segment_stats();
+        let stage = &mut state.stages[j];
+        stage.requests += 1;
+        stage.occupied_cycles += end - state.seg_start[j];
+        stage.blocked_cycles += seg.blocked_cycles;
+        stage.last_retire = end;
         state.resident[j] = None;
         state.free_at[j] = end;
         state.next_k[j] += 1;
-        // Skip admitted positions the deadline watchdog aborted: their
-        // segments must never start (admission accounting for them was
-        // settled at the abort).
-        while state.next_k[j] < state.admitted.len() && state.aborted[state.next_k[j]] {
+        // Requests the watchdog aborted never start.
+        while state.admitted.get(state.next_k[j]).is_some_and(|a| a.aborted) {
             state.next_k[j] += 1;
         }
-        state.retired_nodes[k] += 1;
-        state.finish[k] = state.finish[k].max(end);
-        if state.retired_nodes[k] == self.nodes.len() {
+        let a = &mut state.admitted[k];
+        a.segments[j] = Some(seg);
+        a.retired += 1;
+        a.finish = a.finish.max(end);
+        if a.retired == self.cluster.node_count() {
             let mut stats = RunStats::new();
-            for seg in state.seg_stats[k].iter().flatten() {
+            for seg in a.segments.iter().flatten() {
                 stats.merge(seg);
             }
-            stats.cycles = state.finish[k] - state.first_start[k];
-            state.results[r].start = state.first_start[k];
-            state.results[r].finish = state.finish[k];
-            state.results[r].stats = stats;
+            stats.cycles = a.finish - a.first_start;
+            let result = &mut state.results[r];
+            (result.start, result.finish, result.stats) = (a.first_start, a.finish, stats);
         }
-        if state.next_k[j] < state.admitted.len() {
-            let next_arrival = requests[state.admitted[state.next_k[j]]].arrival;
-            state.start_sched[j] = Some(state.free_at[j].max(next_arrival));
-        }
+        state.schedule(j, requests, 0);
         Ok(())
     }
 }
 
-/// Mutable state of one [`PipelineSim::serve`] call, bundled so the
-/// serve loop and [`PipelineSim::retire_if_quiescent`] share it without
-/// threading a dozen loose parameters.
-#[derive(Debug)]
+/// One admitted request's progress through the stages.
+#[derive(Debug, Default)]
+struct Admitted {
+    /// Index into the submitted requests.
+    index: usize,
+    /// Earliest segment start across stages.
+    first_start: u64,
+    /// Latest retirement across stages.
+    finish: u64,
+    /// Stages that have retired it.
+    retired: usize,
+    /// Aborted by the deadline watchdog.
+    aborted: bool,
+    /// Per-stage segment statistics.
+    segments: Vec<Option<RunStats>>,
+}
+
+/// Mutable state of one [`PipelineSim::serve`] call. Per-node vectors
+/// are indexed by stage; `k` is an admitted position.
+#[derive(Debug, Default)]
 struct ServeState {
     /// Next unprocessed arrival (index into the request slice).
     arr_ptr: usize,
-    /// Admitted pos `k` → request index.
-    admitted: Vec<usize>,
-    /// Admitted requests whose entry-stage (node 0) segment has started.
+    admitted: Vec<Admitted>,
+    /// Admitted requests whose entry-stage segment has started.
     entry_started: usize,
-    /// Per node: the admitted pos currently resident (`None` = free).
+    /// The `k` resident on each node (`None` = free).
     resident: Vec<Option<usize>>,
-    /// Per node: start cycle of the current segment.
+    /// Start cycle of each node's current segment.
     seg_start: Vec<u64>,
-    /// Per node: completion cycle of the last retired segment.
+    /// Completion cycle of each node's last segment.
     free_at: Vec<u64>,
-    /// Per node: the admitted pos it serves next (stages process every
-    /// admitted request in admission order).
+    /// The `k` each node serves next (admission order).
     next_k: Vec<usize>,
-    /// Per node: the scheduled start cycle of its next segment.
+    /// The scheduled start cycle of each node's next segment.
     start_sched: Vec<Option<u64>>,
-    /// Per admitted pos: earliest segment start across nodes.
-    first_start: Vec<u64>,
-    /// Per admitted pos: latest retirement across nodes.
-    finish: Vec<u64>,
-    /// Per admitted pos: nodes that have retired it.
-    retired_nodes: Vec<usize>,
-    /// Per admitted pos: aborted by the deadline watchdog (stages skip
-    /// it when advancing).
-    aborted: Vec<bool>,
-    /// Per admitted pos: per-node segment statistics.
-    seg_stats: Vec<Vec<Option<RunStats>>>,
-    /// In-flight inter-node packets (destination resident on the match).
-    flights: BinaryHeap<Reverse<Flight>>,
-    flight_seq: u64,
-    /// Packets parked until `(node, admitted pos)` starts.
-    held: HashMap<(usize, usize), Vec<HeldPacket>>,
-    /// Per-request outcomes under construction (by request index).
+    /// Packets parked until `(node, k)` starts.
+    held: HashMap<(usize, usize), Vec<Flight>>,
+    /// Per-request outcomes, by request index.
     results: Vec<PipelineResult>,
-    /// Per-stage occupancy under construction.
     stages: Vec<StageStats>,
     max_concurrent: usize,
     shed: usize,
-    /// The per-request deadline watchdog.
     deadline: Option<u64>,
 }
 
 impl ServeState {
-    fn new(n_requests: usize, n_nodes: usize, deadline: Option<u64>) -> Self {
-        ServeState {
-            arr_ptr: 0,
-            admitted: Vec::new(),
-            entry_started: 0,
-            resident: vec![None; n_nodes],
-            seg_start: vec![0; n_nodes],
-            free_at: vec![0; n_nodes],
-            next_k: vec![0; n_nodes],
-            start_sched: vec![None; n_nodes],
-            first_start: Vec::new(),
-            finish: Vec::new(),
-            retired_nodes: Vec::new(),
-            aborted: Vec::new(),
-            seg_stats: Vec::new(),
-            flights: BinaryHeap::new(),
-            flight_seq: 0,
-            held: HashMap::new(),
-            results: vec![PipelineResult::default(); n_requests],
-            stages: vec![StageStats::default(); n_nodes],
-            max_concurrent: 0,
-            shed: 0,
-            deadline,
+    /// Whether node `j` neither holds a request nor has a start scheduled.
+    fn idle(&self, j: usize) -> bool {
+        self.resident[j].is_none() && self.start_sched[j].is_none()
+    }
+
+    /// Schedules node `j`'s next segment, if it has one, once the node is
+    /// free, the request has arrived, and `not_before` has passed.
+    fn schedule(&mut self, j: usize, requests: &[PipelineRequest], not_before: u64) {
+        if let Some(next) = self.admitted.get(self.next_k[j]) {
+            let from = self.free_at[j].max(requests[next.index].arrival);
+            self.start_sched[j] = Some(from.max(not_before));
         }
     }
 }
@@ -922,7 +690,7 @@ mod tests {
         )
         .unwrap();
         let mut sim = PipelineSim::from_cluster(cluster.fork_replica());
-        for (a, b) in cluster.nodes().iter().zip(&sim.nodes) {
+        for (a, b) in cluster.nodes().iter().zip(sim.cluster.nodes()) {
             let (a, b) = (a.compiled.as_ref().unwrap(), b.compiled.as_ref().unwrap());
             assert!(std::sync::Arc::ptr_eq(a, b), "the pipeline must share the build");
         }
