@@ -127,6 +127,9 @@ pub fn run_timing_with_engine(
     Ok(session.run()?.clone())
 }
 
+/// The snapshot key of a session's constants and zero inputs.
+const SESSION_SNAPSHOT: &str = "session";
+
 /// A reusable timing-mode simulation session: the simulator is built once
 /// (crossbar configuration is write-once, §3.2.5) and the workload is
 /// replayed per [`TimingSession::run`] call after a state reset — so
@@ -161,18 +164,23 @@ impl TimingSession {
         Ok(TimingSession { sim, const_data, input_chunks })
     }
 
-    /// Resets machine state, rewrites inputs (zeros), and re-runs.
+    /// Resets machine state and re-runs: the first run writes the
+    /// constants and zero inputs and snapshots the result, later runs
+    /// restore the snapshot (identical [`RunStats`]).
     ///
     /// # Errors
     ///
     /// Propagates simulation failures.
     pub fn run(&mut self) -> Result<&RunStats> {
         self.sim.reset();
-        for (name, values) in &self.const_data {
-            self.sim.write_input(name, values)?;
-        }
-        for (chunk, w) in &self.input_chunks {
-            self.sim.write_input(chunk, &vec![0.0; *w])?;
+        if !self.sim.restore_snapshot(SESSION_SNAPSHOT) {
+            for (name, values) in &self.const_data {
+                self.sim.write_input(name, values)?;
+            }
+            for (chunk, w) in &self.input_chunks {
+                self.sim.write_input(chunk, &vec![0.0; *w])?;
+            }
+            self.sim.save_snapshot(SESSION_SNAPSHOT);
         }
         self.sim.run()?;
         Ok(self.sim.stats())
@@ -249,18 +257,22 @@ impl ClusterTimingSession {
         self.sim.node_count()
     }
 
-    /// Resets cluster state, rewrites inputs (zeros), and re-runs.
+    /// Resets cluster state and re-runs, restoring the first run's writes
+    /// from a snapshot as [`TimingSession::run`] does.
     ///
     /// # Errors
     ///
     /// Propagates simulation failures.
     pub fn run(&mut self) -> Result<&RunStats> {
         self.sim.reset();
-        for (name, values) in &self.const_data {
-            self.sim.write_input(name, values)?;
-        }
-        for (chunk, w) in &self.input_chunks {
-            self.sim.write_input(chunk, &vec![0.0; *w])?;
+        if !self.sim.restore_snapshot(SESSION_SNAPSHOT) {
+            for (name, values) in &self.const_data {
+                self.sim.write_input(name, values)?;
+            }
+            for (chunk, w) in &self.input_chunks {
+                self.sim.write_input(chunk, &vec![0.0; *w])?;
+            }
+            self.sim.save_snapshot(SESSION_SNAPSHOT);
         }
         self.sim.run()?;
         Ok(self.sim.stats())

@@ -3761,6 +3761,41 @@ halt
             assert_eq!(pass(&mut written, live, false), pass(&mut restored, live, true), "{live}");
         }
         assert!(restored.state_bytes() > written.state_bytes(), "the snapshot is counted");
+
+        // A cluster snapshots every node: each of two nodes holds a
+        // constant and computes its own output.
+        let mut img1 = img.clone();
+        for b in img1.inputs.iter_mut().chain(&mut img1.outputs) {
+            b.name.push('1');
+        }
+        let cluster = crate::ClusterSim::new(
+            cfg,
+            &[img, img1],
+            SimMode::Functional,
+            &NoiseModel::noiseless(),
+        )
+        .unwrap();
+        let cluster_pass = |sim: &mut crate::ClusterSim, x: f32, snapshot: bool| {
+            sim.reset();
+            if !(snapshot && sim.restore_snapshot("m")) {
+                sim.write_input_fixed("w", &w).unwrap();
+                sim.write_input_fixed("w1", &w).unwrap();
+                if snapshot {
+                    sim.save_snapshot("m");
+                }
+            }
+            sim.write_input("x", &[x; 4]).unwrap();
+            sim.write_input("x1", &[-x; 4]).unwrap();
+            sim.run().unwrap();
+            (sim.read_output("y").unwrap(), sim.read_output("y1").unwrap(), sim.stats().clone())
+        };
+        let (mut written, mut restored) = (cluster.fork_replica(), cluster.fork_replica());
+        assert!(!restored.restore_snapshot("m"), "nothing saved yet");
+        for x in [0.1, 0.2, 0.3] {
+            let want = cluster_pass(&mut written, x, false);
+            assert_eq!(want, cluster_pass(&mut restored, x, true), "{x}");
+            assert_ne!(want.1, vec![0.0; 4], "node 1 computed its output");
+        }
     }
 
     #[test]

@@ -102,26 +102,29 @@ impl SimBackend {
         }
     }
 
-    /// Writes `plan`'s constants into a simulator fresh from a reset. A
-    /// node writes them once and keeps a snapshot of the result under
-    /// `key` (the resident's name on a shared fabric), which later
-    /// passes restore instead: only the dirty words are copied, and the
-    /// statistics come back with the identical off-chip energy charges.
+    /// Writes `plan`'s constants into a simulator fresh from a reset,
+    /// once: the first pass writes them and keeps a snapshot of the
+    /// result under `key` (the resident's name on a shared fabric), which
+    /// later passes restore instead — only the dirty words are copied,
+    /// and the statistics come back with the identical off-chip energy
+    /// charges. A cluster snapshots every node.
     fn write_constants(&mut self, plan: &IoPlan, key: &str) -> Result<()> {
+        let restored = match self {
+            SimBackend::Node(s) => s.restore_snapshot(key),
+            SimBackend::Cluster(s) => s.restore_snapshot(key),
+        };
+        if restored {
+            return Ok(());
+        }
+        for (binding, values) in &plan.consts {
+            match self {
+                SimBackend::Node(s) => s.write_input_fixed(binding, values)?,
+                SimBackend::Cluster(s) => s.write_input_fixed(binding, values)?,
+            }
+        }
         match self {
-            SimBackend::Node(s) => {
-                if !s.restore_snapshot(key) {
-                    for (binding, values) in &plan.consts {
-                        s.write_input_fixed(binding, values)?;
-                    }
-                    s.save_snapshot(key);
-                }
-            }
-            SimBackend::Cluster(s) => {
-                for (binding, values) in &plan.consts {
-                    s.write_input_fixed(binding, values)?;
-                }
-            }
+            SimBackend::Node(s) => s.save_snapshot(key),
+            SimBackend::Cluster(s) => s.save_snapshot(key),
         }
         Ok(())
     }
