@@ -17,9 +17,10 @@
 //!   ahead, but runs its synchronization instructions and later events
 //!   only below its *external horizon*: the earliest of the next
 //!   in-flight arrival, every other active node's next event plus the
-//!   link latency, and the caller's floor (a pipeline's scheduled segment
-//!   starts and pending arrival, plus the latency). The caller's *stop* (a
-//!   pipeline watchdog's next abort) also ends straight-line runs.
+//!   link latency, its own next event plus a round trip, and the caller's
+//!   floor (a pipeline's scheduled starts and pending arrival, plus the
+//!   latency). The caller's *stop* (a pipeline watchdog's next abort)
+//!   also ends straight-line runs.
 //! - **Held packets.** Each packet a step sends is routed through the
 //!   caller, which tags it with its request and may hold it: a pipeline
 //!   parks a packet for a stage still on an earlier request, and injects
@@ -437,10 +438,9 @@ impl ClusterSim {
         let lat = self.link_latency();
         let mut horizon = self.in_flight.peek().map_or(floor, |Reverse(f)| f.arrive_at.min(floor));
         for (j, node) in self.nodes.iter().enumerate() {
-            if j != i && active(j) {
-                if let Some(t) = node.next_event_time() {
-                    horizon = horizon.min(t.saturating_add(lat));
-                }
+            if let Some(t) = node.next_event_time().filter(|_| active(j)) {
+                // This node's own sends come back a round trip later.
+                horizon = horizon.min(t.saturating_add(if j == i { 2 * lat } else { lat }));
             }
         }
         let node = &mut self.nodes[i];

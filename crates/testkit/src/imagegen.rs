@@ -18,7 +18,8 @@
 //!   cycle cap, and optional tile deaths and inter-node packet faults.
 //!
 //! The image is also cut into contiguous node shards, so the same traffic
-//! runs under [`ClusterSim`] with inter-node sends. [`run_case`] runs one
+//! runs under [`ClusterSim`] with inter-node sends, over a link whose
+//! latency is drawn from the seed ([`link_for`]). [`run_case`] runs one
 //! image on one engine inside `catch_unwind` and returns everything the
 //! engines must agree on; [`engines_agree`] compares the two engines'
 //! [`Outcome`]s: no panic, the same `Ok`/`Err` variant, identical outputs
@@ -29,6 +30,7 @@ use puma_core::config::{FaultPlan, TileDeath};
 use puma_core::error::PumaError;
 use puma_core::fixed::Fixed;
 use puma_core::ids::{CoreId, TileId};
+use puma_core::timing::InterconnectConfig;
 use puma_isa::{asm, IoBinding, MachineImage, Program};
 use puma_sim::{
     ClusterSim, NodeSim, PipelineRequest, PipelineSim, RunStats, SimEngine, SimMode, StageStats,
@@ -503,7 +505,22 @@ fn run_unguarded(
     mode: SimMode,
     topology: Topology,
 ) -> Outcome {
-    run_with(case, &case.inputs, engine, mode, topology)
+    run_with(case, &case.inputs, engine, mode, topology, link_for(case))
+}
+
+/// The link a case's shards run over under [`run_case`]: the default
+/// one, a short one (1–24 cycles) or a middling one (25–324 cycles), a
+/// third of the seeds each, so the co-simulation's horizon terms bind
+/// within these small images.
+pub fn link_for(case: &FuzzImage) -> InterconnectConfig {
+    let mut rng = Rng::new(case.seed.rotate_left(29));
+    let mut link = InterconnectConfig::default();
+    link.latency_cycles = match rng.below(3) {
+        0 => link.latency_cycles,
+        1 => 1 + rng.below(24) as u64,
+        _ => 25 + rng.below(300) as u64,
+    };
+    link
 }
 
 /// The node configuration `case` runs under in `topology`: the small
@@ -535,13 +552,15 @@ fn case_config(case: &FuzzImage, topology: Topology) -> NodeConfig {
     cfg
 }
 
-/// One run of `case` with the host writes `inputs`.
+/// One run of `case` with the host writes `inputs`, its shards joined
+/// by `link`.
 fn run_with(
     case: &FuzzImage,
     inputs: &[(String, Vec<f32>)],
     engine: SimEngine,
     mode: SimMode,
     topology: Topology,
+    link: InterconnectConfig,
 ) -> Outcome {
     let noise = NoiseModel::noiseless();
     let cfg = case_config(case, topology);
@@ -579,7 +598,8 @@ fn run_with(
             }
         }
         Topology::Cluster => {
-            let mut sim = match ClusterSim::new(cfg, &case.shards, mode, &noise) {
+            let mut sim = match ClusterSim::with_interconnect(cfg, &case.shards, mode, &noise, link)
+            {
                 Ok(sim) => sim,
                 Err(e) => return failed(e),
             };
@@ -682,7 +702,7 @@ pub fn random_stream(case: &FuzzImage) -> Stream {
 }
 
 /// The solo [`ClusterSim`] run of one request of a stream: the case's
-/// shards with that request's writes.
+/// shards, joined by `link`, with that request's writes.
 ///
 /// # Errors
 ///
@@ -692,9 +712,10 @@ pub fn run_solo(
     request: &PipelineRequest,
     engine: SimEngine,
     mode: SimMode,
+    link: InterconnectConfig,
 ) -> std::result::Result<Outcome, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        run_with(case, &request.writes, engine, mode, Topology::Cluster)
+        run_with(case, &request.writes, engine, mode, Topology::Cluster, link)
     }))
     .map_err(panic_message)
 }
@@ -731,8 +752,9 @@ pub struct ServeReport {
     pub makespan: u64,
 }
 
-/// Serves `stream` through a [`PipelineSim`] over the case's shards on
-/// `engine` in `mode`, under the case's faults and cycle cap.
+/// Serves `stream` through a [`PipelineSim`] over the case's shards,
+/// joined by `link`, on `engine` in `mode`, under the case's faults and
+/// cycle cap.
 ///
 /// # Errors
 ///
@@ -742,10 +764,11 @@ pub fn serve_case(
     stream: &Stream,
     engine: SimEngine,
     mode: SimMode,
+    link: InterconnectConfig,
 ) -> std::result::Result<std::result::Result<ServeReport, PumaError>, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        let cfg = case_config(case, Topology::Cluster);
-        let mut sim = PipelineSim::new(cfg, &case.shards, mode, &NoiseModel::noiseless())?;
+        let (cfg, noise) = (case_config(case, Topology::Cluster), NoiseModel::noiseless());
+        let mut sim = PipelineSim::with_interconnect(cfg, &case.shards, mode, &noise, link)?;
         sim.set_engine(engine);
         sim.set_max_cycles(case.max_cycles);
         let report =

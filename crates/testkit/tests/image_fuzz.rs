@@ -5,7 +5,7 @@
 //!
 //! The pipeline leg serves each sharded image as a `PipelineSim` stream
 //! of 2–4 requests ([`random_stream`]: random arrivals, queue depth and
-//! deadline). Each request must behave like its solo `ClusterSim` run
+//! deadline), over the default link and over the image's drawn link. Each request must behave like its solo `ClusterSim` run
 //! (see [`pipeline_agrees`]), and the engines must agree on the whole
 //! serve.
 //!
@@ -13,10 +13,11 @@
 //! failure names its seed; `random_image(seed)` rebuilds that image.
 
 use puma_core::error::PumaError;
+use puma_core::timing::InterconnectConfig;
 use puma_sim::{SimEngine, SimMode};
 use puma_testkit::imagegen::{
-    engines_agree, pipeline_agrees, random_image, random_stream, run_case, run_solo, serve_case,
-    Outcome, ServeReport, Topology,
+    engines_agree, link_for, pipeline_agrees, random_image, random_stream, run_case, run_solo,
+    serve_case, Outcome, ServeReport, Topology,
 };
 use std::collections::BTreeMap;
 
@@ -80,13 +81,21 @@ fn pipelined_streams_serve_like_their_solo_runs() {
     for seed in 0..case_count() {
         let case = random_image(seed);
         let stream = random_stream(&case);
-        for mode in [SimMode::Functional, SimMode::Timing] {
+        // The default link, and the cluster leg's link when it differs.
+        let mut links = vec![InterconnectConfig::default()];
+        links.extend(Some(link_for(&case)).filter(|l| l.latency_cycles != links[0].latency_cycles));
+        let modes = [SimMode::Functional, SimMode::Timing];
+        for (mode, link) in modes.into_iter().flat_map(|m| links.iter().map(move |&l| (m, l))) {
+            let lat = link.latency_cycles;
             let mut serves = Vec::new();
             for engine in [SimEngine::Reference, SimEngine::Compiled] {
-                let solos: Result<Vec<Outcome>, String> =
-                    stream.requests.iter().map(|r| run_solo(&case, r, engine, mode)).collect();
+                let solos: Result<Vec<Outcome>, String> = stream
+                    .requests
+                    .iter()
+                    .map(|r| run_solo(&case, r, engine, mode, link))
+                    .collect();
                 let verdict = solos.and_then(|solos| {
-                    let served = serve_case(&case, &stream, engine, mode)?;
+                    let served = serve_case(&case, &stream, engine, mode, link)?;
                     let compared = pipeline_agrees(&case, &stream, &solos, &served)?;
                     Ok((served, compared))
                 });
@@ -96,7 +105,8 @@ fn pipelined_streams_serve_like_their_solo_runs() {
                         serves.push(served);
                     }
                     Err(e) => failures.push(format!(
-                        "seed {seed} {mode:?} {engine:?} ({:?}, depth {:?}, deadline {:?}): {e}\n  \
+                        "seed {seed} {mode:?} {engine:?} link {lat} ({:?}, depth {:?}, deadline \
+                         {:?}): {e}\n  \
                          {stream:?}",
                         case.intent, stream.queue_depth, stream.deadline
                     )),
@@ -138,7 +148,8 @@ fn pipelined_streams_serve_like_their_solo_runs() {
                             ),
                         _ => format!("{a:?} vs {b:?}"),
                     };
-                    failures.push(format!("seed {seed} {mode:?}: serves differ: {diff}"));
+                    failures
+                        .push(format!("seed {seed} {mode:?} link {lat}: serves differ: {diff}"));
                 }
                 match a {
                     Ok(report) => {
