@@ -30,7 +30,7 @@
 //!   a [`PumaError::FaultedTile`]; otherwise it is the caller's verdict,
 //!   [`PumaError::Deadlock`] or a pipeline's
 //!   [`PumaError::DeadlineExceeded`]. [`NodeSim::run`] applies the same
-//!   tile-death-first rule ([`stall_verdict`]).
+//!   tile-death-first rule (`stall_verdict`).
 
 use crate::fifo::Packet;
 use crate::machine::{NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SimEngine, SimMode};

@@ -24,6 +24,9 @@
 //! engines must agree on; [`engines_agree`] compares the two engines'
 //! [`Outcome`]s: no panic, the same `Ok`/`Err` variant, identical outputs
 //! and [`RunStats`] on `Ok`, and identical blocked agents on a deadlock.
+//! For the pipeline leg, [`random_stream`] draws a request stream,
+//! [`serve_case`] serves it under [`PipelineSim`], and [`pipeline_agrees`]
+//! checks each request against its [`run_solo`] cluster run.
 
 use puma_core::config::NodeConfig;
 use puma_core::config::{FaultPlan, TileDeath};
