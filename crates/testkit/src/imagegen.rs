@@ -491,8 +491,10 @@ pub fn run_case(
     mode: SimMode,
     topology: Topology,
 ) -> std::result::Result<Outcome, String> {
-    catch_unwind(AssertUnwindSafe(|| run_unguarded(case, engine, mode, topology)))
-        .map_err(panic_message)
+    catch_unwind(AssertUnwindSafe(|| {
+        run_with(case, &case.inputs, engine, mode, topology, link_for(case))
+    }))
+    .map_err(panic_message)
 }
 
 fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
@@ -500,15 +502,6 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
         .cloned()
         .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "non-string panic".to_string())
-}
-
-fn run_unguarded(
-    case: &FuzzImage,
-    engine: SimEngine,
-    mode: SimMode,
-    topology: Topology,
-) -> Outcome {
-    run_with(case, &case.inputs, engine, mode, topology, link_for(case))
 }
 
 /// The link a case's shards run over under [`run_case`]: the default
