@@ -8,7 +8,7 @@
 //! and inter-tile sends, the worst case for the run-ahead scheduler) and
 //! looped CNN / dense MLP images (long straight-line scalar/branch runs,
 //! the best case — and the regime where the compiled engine's
-//! whole-segment O(1) charging pays off).
+//! whole-segment charging pays off).
 //!
 //! Emits machine-readable `BENCH_sim_throughput.json` (CI uploads it as
 //! an artifact so the performance trajectory is recorded per commit) and

@@ -60,7 +60,7 @@ const DEFAULT_SPEEDUP_FLOOR: f64 = 1.5;
 /// vs the reference event loop. The CNN / MLP rows measure 4.15–4.5× on
 /// a 1-CPU host, including heavily noise-degraded runs (pre-decoded
 /// segments skip fetch/decode/operand resolution and charge whole
-/// straight-line runs in O(1); the planar attribute planes raised the
+/// straight-line runs in one dense walk; the planar attribute planes raised the
 /// ratio further by cheapening the reference-visible memory protocol
 /// less than the compiled hot loop). The floor sits ~15% under the
 /// worst observed ratio, and a real segment-builder regression

@@ -18,9 +18,12 @@
 //!   only below its *external horizon*: the earliest of the next
 //!   in-flight arrival, every other active node's next event plus the
 //!   link latency, its own next event plus a round trip, and the caller's
-//!   floor (a pipeline's scheduled starts and pending arrival, plus the
-//!   latency). The caller's *stop* (a pipeline watchdog's next abort)
-//!   also ends straight-line runs.
+//!   floor (a pipeline's scheduled starts plus the latency). A pending
+//!   arrival needs no term: a packet reaches a stage only while it holds
+//!   the sender's request (it is held until then), no stage holds a
+//!   request before its arrival is processed, and from then on the
+//!   request's scheduled starts bound it. The caller's *stop* (a
+//!   pipeline watchdog's next abort) also ends straight-line runs.
 //! - **Held packets.** Each packet a step sends is routed through the
 //!   caller, which tags it with its request and may hold it: a pipeline
 //!   parks a packet for a stage still on an earlier request, and injects
@@ -366,8 +369,8 @@ impl ClusterSim {
     }
 
     /// Drives the core over the primed nodes, every one active, to global
-    /// quiescence, then merges the statistics in node order; `cycles` is
-    /// the global completion time.
+    /// quiescence, then sums the nodes' statistics; `cycles` is the
+    /// global completion time.
     fn run_primed(&mut self, primed: Result<()>) -> Result<&RunStats> {
         let mut outcome = primed;
         while let (Ok(()), Some((_, work))) = (&outcome, self.next_work(|_| true)) {

@@ -25,10 +25,10 @@
 //! - **Segments**: maximal straight-line runs of pure-charge ops (ops
 //!   with no observable effect beyond time and energy — timing-mode
 //!   vector/matrix instructions) are charged in one dense walk with a
-//!   single up-front cycle-cap precheck (each charge op's `seg_check`), bulk-updating the
-//!   integer aggregates. Floating-point energy is still added strictly
-//!   per op in program order — f64 addition is non-associative, and the
-//!   engines pin *bit-identical* [`RunStats`].
+//!   single up-front cycle-cap precheck (each charge op's `seg_check`).
+//!   Energy is whole attojoules, quantized here from the same f64
+//!   expression the interpreter rounds, so both engines add the same
+//!   integers and their [`RunStats`] are bit-identical by construction.
 //!
 //! Segment boundaries fall exactly at the synchronization points the
 //! scheduler already knows: attribute-buffer load/store, FIFO
@@ -43,7 +43,7 @@
 
 use crate::machine::SimMode;
 use crate::regfile::CoreRegisters;
-use crate::stats::EnergyComponent;
+use crate::stats::{nj_to_aj, EnergyComponent};
 use puma_core::config::NodeConfig;
 use puma_core::timing::TimingModel;
 use puma_isa::{BranchCond, Instruction, Program, RegRef, ScalarOp};
@@ -54,11 +54,12 @@ pub(crate) const NO_CHARGE: u8 = u8::MAX;
 
 /// The precomputed static cost of one instruction: everything the
 /// execution engine needs to account an op without consulting the timing
-/// model. 24 bytes, walked densely during segment charging.
+/// model. 16 bytes, walked densely during segment charging.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OpCost {
-    /// Energy charged to `comp` (precomputed from the timing model).
-    pub(crate) nj: f64,
+    /// Energy charged to `comp` in attojoules (precomputed from the timing
+    /// model).
+    pub(crate) aj: u64,
     /// Instruction latency in cycles (equals the busy cycles charged).
     pub(crate) latency: u32,
     /// [`EnergyComponent::index`] to charge, or [`NO_CHARGE`].
@@ -69,9 +70,12 @@ pub(crate) struct OpCost {
     pub(crate) mvmu: u8,
 }
 
+// Pins the size the segment walk's density depends on.
+const _: () = assert!(std::mem::size_of::<OpCost>() == 16);
+
 impl OpCost {
     fn uncharged(cat: u8, latency: u32) -> Self {
-        OpCost { nj: 0.0, latency, comp: NO_CHARGE, cat, mvmu: 0 }
+        OpCost { aj: 0, latency, comp: NO_CHARGE, cat, mvmu: 0 }
     }
 }
 
@@ -347,7 +351,7 @@ impl Builder<'_> {
 
     fn sfu_cost(&self, cat: u8) -> OpCost {
         OpCost {
-            nj: self.timing.sfu_energy_nj(),
+            aj: nj_to_aj(self.timing.sfu_energy_nj()),
             latency: self.timing.sfu_cycles() as u32,
             comp: EnergyComponent::Sfu.index() as u8,
             cat,
@@ -374,7 +378,7 @@ impl Builder<'_> {
         };
         (
             MicroOp::Charge { seg_end: 0, seg_check: 0 },
-            OpCost { nj, latency, comp: comp.index() as u8, cat, mvmu },
+            OpCost { aj: nj_to_aj(nj), latency, comp: comp.index() as u8, cat, mvmu },
         )
     }
 }

@@ -72,5 +72,7 @@ pub use cluster::ClusterSim;
 pub use machine::{
     NodeSim, OutboundPacket, PacketOrigin, ResidentModel, SchedStats, SimEngine, SimMode,
 };
-pub use pipeline::{PipelineReport, PipelineRequest, PipelineResult, PipelineSim, StageStats};
+pub use pipeline::{
+    max_concurrent, PipelineReport, PipelineRequest, PipelineResult, PipelineSim, StageStats,
+};
 pub use stats::{EnergyComponent, EnergyStats, RunStats};

@@ -148,7 +148,7 @@ use crate::lanes::Lanes;
 use crate::lut::RomLut;
 use crate::memory::{MemArena, MemImage, MemOutcome};
 use crate::regfile::RegArena;
-use crate::stats::{EnergyComponent, EnergyStats, RunStats};
+use crate::stats::{nj_to_aj, EnergyComponent, EnergyStats, RunStats};
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
 use puma_core::fixed::Fixed;
@@ -399,18 +399,6 @@ impl ParkedSet {
     }
 }
 
-/// Per-agent energy accumulator: flat arrays indexed by
-/// [`EnergyComponent::index`], merged into [`RunStats`] in deterministic
-/// agent order when a run finishes. Keeping every agent's floating-point
-/// sums in program order (instead of global event order) makes the energy
-/// totals bit-identical across [`SimEngine`]s, whose event interleavings
-/// differ.
-#[derive(Debug, Clone, Default)]
-struct AgentEnergy {
-    nj: [f64; EnergyComponent::ALL.len()],
-    busy: [u64; EnergyComponent::ALL.len()],
-}
-
 /// A node's host I/O bindings with a name → binding index over each
 /// list. Built once per image; replicas share it. When a name is bound
 /// more than once the first binding wins, as a front-to-back search
@@ -492,10 +480,11 @@ pub struct OutboundPacket {
 pub struct NodeSim {
     cfg: NodeConfig,
     timing: TimingModel,
-    /// Cached `timing.fetch_decode_energy_nj()` — charged on every single
-    /// executed instruction, so the area/power model walk is hoisted out
-    /// of the hot loop.
-    fd_energy_nj: f64,
+    /// Cached `timing.fetch_decode_energy_nj()` in attojoules: one
+    /// instruction's fetch/decode, which [`NodeSim::finalize_stats`]
+    /// charges per instruction the compiled engine counted, keeping the
+    /// area/power model walk out of the hot loop.
+    fd_energy_aj: u64,
     mode: SimMode,
     engine: SimEngine,
     /// Data lanes allocated: the most requests one run serves side by
@@ -528,14 +517,7 @@ pub struct NodeSim {
     stats: RunStats,
     /// Energy accumulators, one per agent (per tile: cores, then the tile
     /// control unit), merged into `stats` by [`NodeSim::finalize_stats`].
-    /// The compiled engine uses the flat arrays; the reference engine
-    /// uses seed-style [`EnergyStats`] maps (`agent_energy_maps`) with the
-    /// identical per-agent add sequence, so the merged totals are
-    /// bit-identical while the reference keeps the seed's per-instruction
-    /// accounting cost.
-    agent_energy: Vec<AgentEnergy>,
-    /// Reference-engine accumulators (see `agent_energy`).
-    agent_energy_maps: Vec<EnergyStats>,
+    agent_energy: Vec<EnergyStats>,
     /// First agent slot of each tile (prefix sums over cores+ctl), plus
     /// the agent count. A core's register-file slot follows from it: the
     /// slots before tile `t` hold `t` control units, which have none.
@@ -815,7 +797,7 @@ impl NodeSim {
         let tile_count = tiles.len();
         let (senders_to, min_direct, min_indirect) = send_graph(&timing, &tiles, 0);
         Ok(NodeSim {
-            fd_energy_nj: timing.fetch_decode_energy_nj(),
+            fd_energy_aj: nj_to_aj(timing.fetch_decode_energy_nj()),
             senders_to,
             min_direct,
             min_indirect,
@@ -832,8 +814,7 @@ impl NodeSim {
             tiles,
             lut: RomLut::new(),
             stats: RunStats::new(),
-            agent_energy: vec![AgentEnergy::default(); agents],
-            agent_energy_maps: vec![EnergyStats::new(); agents],
+            agent_energy: vec![EnergyStats::new(); agents],
             agent_offsets,
             parked: (0..tile_count).map(|_| ParkedSet::default()).collect(),
             blocked_from: vec![u64::MAX; agents],
@@ -983,7 +964,7 @@ impl NodeSim {
         NodeSim {
             cfg: self.cfg,
             timing: self.timing.clone(),
-            fd_energy_nj: self.fd_energy_nj,
+            fd_energy_aj: self.fd_energy_aj,
             mode: self.mode,
             engine: self.engine,
             lanes,
@@ -999,8 +980,7 @@ impl NodeSim {
             tiles,
             lut: self.lut.clone(),
             stats: RunStats::new(),
-            agent_energy: vec![AgentEnergy::default(); self.agent_energy.len()],
-            agent_energy_maps: vec![EnergyStats::new(); self.agent_energy_maps.len()],
+            agent_energy: vec![EnergyStats::new(); self.agent_energy.len()],
             agent_offsets: self.agent_offsets.clone(),
             parked: (0..tile_count).map(|_| ParkedSet::default()).collect(),
             blocked_from: vec![u64::MAX; self.blocked_from.len()],
@@ -1047,8 +1027,7 @@ impl NodeSim {
             + self.mem.state_bytes()
             + self.regs.state_bytes()
             + self.fifos.state_bytes()
-            + self.agent_energy.len() * std::mem::size_of::<AgentEnergy>()
-            + self.agent_energy_maps.len() * std::mem::size_of::<EnergyStats>()
+            + self.agent_energy.len() * std::mem::size_of::<EnergyStats>()
             + self.tiles.len() * std::mem::size_of::<TileState>()
             + self
                 .tiles
@@ -1318,12 +1297,7 @@ impl NodeSim {
         for parked in &mut self.parked {
             parked.clear();
         }
-        for acc in &mut self.agent_energy {
-            *acc = AgentEnergy::default();
-        }
-        for acc in &mut self.agent_energy_maps {
-            *acc = EnergyStats::new();
-        }
+        self.agent_energy.fill(EnergyStats::new());
         self.instr_counts = [0; puma_isa::InstructionCategory::ALL.len()];
         self.seq = 0;
     }
@@ -1346,11 +1320,11 @@ impl NodeSim {
 
     /// On a simulator just reset with [`NodeSim::reset`] or
     /// [`NodeSim::reset_lanes`]: restores the snapshot saved under `key`
-    /// into every live lane, with its statistics — the off-chip energy
-    /// its writes charged, added in the same order, so the run's
-    /// [`RunStats`] are bit-identical to repeating the writes. Only the
-    /// dirty word ranges are copied. Returns `false`, changing nothing,
-    /// when no snapshot is saved under `key`.
+    /// into every live lane, with its statistics (the off-chip energy its
+    /// writes charged), so the run's [`RunStats`] equal those of
+    /// repeating the writes. Only the dirty word ranges are copied.
+    /// Returns `false`, changing nothing, when no snapshot is saved under
+    /// `key`.
     pub fn restore_snapshot(&mut self, key: &str) -> bool {
         let Some(snapshot) = self.snapshots.iter().find(|s| s.key == key) else {
             return false;
@@ -1371,39 +1345,27 @@ impl NodeSim {
         }
     }
 
-    /// Attributes energy and busy cycles to one agent's accumulator. The
-    /// per-agent add sequence is identical on both engines; only the
-    /// backing data structure differs (seed-style maps vs. flat arrays),
-    /// so the merged floating-point totals are bit-identical.
+    /// Attributes energy (rounded to whole attojoules) and busy cycles to
+    /// one agent's accumulator.
     #[inline]
     fn charge(&mut self, agent: AgentId, component: EnergyComponent, nj: f64, cycles: u64) {
         let slot = self.agent_slot(agent);
-        match self.engine {
-            SimEngine::Reference => self.agent_energy_maps[slot].add(component, nj, cycles),
-            SimEngine::Compiled => {
-                let acc = &mut self.agent_energy[slot];
-                acc.nj[component.index()] += nj;
-                acc.busy[component.index()] += cycles;
-            }
-        }
+        self.agent_energy[slot].add(component, nj, cycles);
     }
 
-    /// Folds the per-agent accumulators into `stats` in agent-slot order.
-    /// The order is fixed, so the floating-point sums are reproducible —
-    /// and identical across engines and thread counts.
+    /// Folds the per-agent accumulators and the compiled engine's
+    /// instruction counts into `stats`. Each counted instruction pays one
+    /// fetch/decode, charged here in one product. Energy is exact integer
+    /// attojoules, so the totals are identical across engines and thread
+    /// counts, whatever order the agents ran in.
     pub(crate) fn finalize_stats(&mut self) {
         for acc in &mut self.agent_energy {
-            let acc = std::mem::take(acc);
-            for (i, &component) in EnergyComponent::ALL.iter().enumerate() {
-                if acc.nj[i] != 0.0 || acc.busy[i] != 0 {
-                    self.stats.energy.add(component, acc.nj[i], acc.busy[i]);
-                }
-            }
-        }
-        for acc in &mut self.agent_energy_maps {
             self.stats.energy.merge(&std::mem::take(acc));
         }
         let counts = std::mem::take(&mut self.instr_counts);
+        let executed: u64 = counts.iter().sum();
+        let fd_aj = u128::from(self.fd_energy_aj) * u128::from(executed);
+        self.stats.energy.add_aj(EnergyComponent::FetchDecode.index(), fd_aj, executed);
         for (i, &n) in counts.iter().enumerate() {
             if n > 0 {
                 let category = puma_isa::InstructionCategory::ALL[i];
@@ -1909,20 +1871,16 @@ impl NodeSim {
     }
 
     /// Charges one precomputed [`OpCost`] to an agent slot: component
-    /// energy (if any), the hoisted fetch/decode energy, and the dynamic
-    /// instruction count — the compiled engine's counterpart of
-    /// `execute_instr`'s charge + accounting sequence, with identical
-    /// per-component, per-agent f64 add order.
+    /// energy (if any) and the dynamic instruction count, whose
+    /// fetch/decode energy [`NodeSim::finalize_stats`] charges — the
+    /// compiled engine's counterpart of `execute_instr`'s charge +
+    /// accounting sequence, adding the same integers.
     #[inline]
     fn charge_cost(&mut self, slot: usize, cost: &OpCost) {
-        let fd_idx = EnergyComponent::FetchDecode.index();
-        let acc = &mut self.agent_energy[slot];
         if cost.comp != NO_CHARGE {
-            acc.nj[cost.comp as usize] += cost.nj;
-            acc.busy[cost.comp as usize] += u64::from(cost.latency);
+            let cycles = u64::from(cost.latency);
+            self.agent_energy[slot].add_aj(cost.comp as usize, cost.aj.into(), cycles);
         }
-        acc.nj[fd_idx] += self.fd_energy_nj;
-        acc.busy[fd_idx] += 1;
         self.instr_counts[cost.cat as usize] += 1;
     }
 
@@ -2008,19 +1966,11 @@ impl NodeSim {
                     if let Some(profile) = self.profile.as_deref_mut() {
                         *profile.counts.entry((tile, agent.core, pc)).or_insert(0) += 1;
                     }
-                    let fd_idx = EnergyComponent::FetchDecode.index();
-                    let fd = self.fd_energy_nj;
                     let mut last_start = t;
                     let mut mvmu_acts = 0u64;
                     let acc = &mut self.agent_energy[slot];
                     for cost in &prog.costs[start..end] {
-                        // Per-op f64 adds in program order (bit-identity
-                        // with the per-instruction engines); integer
-                        // aggregates are bulk either way.
-                        acc.nj[cost.comp as usize] += cost.nj;
-                        acc.busy[cost.comp as usize] += u64::from(cost.latency);
-                        acc.nj[fd_idx] += fd;
-                        acc.busy[fd_idx] += 1;
+                        acc.add_aj(cost.comp as usize, cost.aj.into(), u64::from(cost.latency));
                         self.instr_counts[cost.cat as usize] += 1;
                         mvmu_acts += u64::from(cost.mvmu);
                         last_start = t;
@@ -2371,7 +2321,6 @@ impl NodeSim {
         pc: u32,
         now: u64,
     ) -> Result<Step> {
-        let fd_energy = self.fd_energy_nj;
         let outcome = if agent.is_tile_ctl() {
             self.step_tile_ctl(agent, instr, now)?
         } else {
@@ -2393,17 +2342,15 @@ impl NodeSim {
                 // the original event loop did — benchmarking against it
                 // therefore measures the real distance from the seed
                 // implementation. Results are identical either way: the
-                // u64 counts sum commutatively and the recomputed energy
-                // value equals the hoisted constant bit-for-bit.
+                // counts are integers, and the recomputed energy rounds to
+                // the hoisted attojoule constant `finalize_stats` charges
+                // per counted instruction.
                 SimEngine::Reference => {
                     self.stats.count_instruction(instr.category());
                     let fd = self.timing.fetch_decode_energy_nj();
                     self.charge(agent, EnergyComponent::FetchDecode, fd, 1);
                 }
-                SimEngine::Compiled => {
-                    self.instr_counts[instr.category().index()] += 1;
-                    self.charge(agent, EnergyComponent::FetchDecode, fd_energy, 1);
-                }
+                SimEngine::Compiled => self.instr_counts[instr.category().index()] += 1,
             }
         }
         Ok(outcome)

@@ -52,8 +52,8 @@ pub struct PipelineResult {
     pub start: u64,
     /// Cycle the last node retired this request.
     pub finish: u64,
-    /// Merged per-node segment statistics (node order, deterministic);
-    /// `cycles` is the residency span `finish − start`.
+    /// Summed per-node segment statistics; `cycles` is the residency span
+    /// `finish − start`.
     pub stats: RunStats,
     /// The typed fault of a deadline abort
     /// ([`PipelineSim::serve_with_deadline`]); `None` otherwise.
@@ -82,8 +82,9 @@ pub struct PipelineReport {
     pub results: Vec<PipelineResult>,
     /// Per-stage occupancy, indexed by node.
     pub stages: Vec<StageStats>,
-    /// Most distinct requests resident across the stages at once — `> 1`
-    /// proves the pipeline overlapped requests.
+    /// Most completed requests in service at once, by [`max_concurrent`]
+    /// over their `[start, finish)` windows — `> 1` proves the pipeline
+    /// overlapped requests.
     pub max_concurrent: usize,
     /// Requests shed at admission.
     pub shed: usize,
@@ -259,13 +260,12 @@ impl PipelineSim {
             };
             match action {
                 Action::Core(work) => {
-                    // A scheduled start or the next arrival can send from
-                    // latency + 1 cycles after it.
+                    // A scheduled start can send from latency + 1 cycles
+                    // after it.
                     let floor = state
                         .start_sched
                         .iter()
                         .flatten()
-                        .chain(requests.get(state.arr_ptr).map(|r| &r.arrival))
                         .min()
                         .map_or(u64::MAX, |t| t.saturating_add(lat));
                     let route = |j: usize, mut flight: Flight| {
@@ -318,11 +318,6 @@ impl PipelineSim {
                         state.entry_started += 1;
                     }
                     state.admitted[k].first_start = state.admitted[k].first_start.min(s);
-                    let resident = &state.resident;
-                    let concurrent = (0..n_nodes)
-                        .filter(|&i| resident[i].is_some() && !resident[..i].contains(&resident[i]))
-                        .count();
-                    state.max_concurrent = state.max_concurrent.max(concurrent);
                     // A stage with no work for this request quiesces at once.
                     self.retire_if_quiescent(j, &mut state, requests)?;
                 }
@@ -425,10 +420,12 @@ impl PipelineSim {
         }
 
         let makespan = state.admitted.iter().map(|a| a.finish).max().unwrap_or(0);
+        let completed = state.results.iter().filter(|r| r.admitted && r.error.is_none());
+        let max_concurrent = max_concurrent(completed.map(|r| (r.start, r.finish)));
         Ok(PipelineReport {
             results: state.results,
             stages: state.stages,
-            max_concurrent: state.max_concurrent,
+            max_concurrent,
             shed: state.shed,
             makespan,
         })
@@ -490,6 +487,21 @@ impl PipelineSim {
     }
 }
 
+/// Most requests in service at once, over each one's `[start, finish)`
+/// window in virtual time (a window closing at a cycle ends before one
+/// opening there).
+pub fn max_concurrent(windows: impl IntoIterator<Item = (u64, u64)>) -> usize {
+    let mut edges: Vec<(u64, i64)> =
+        windows.into_iter().flat_map(|(start, finish)| [(start, 1), (finish, -1)]).collect();
+    edges.sort_unstable();
+    let (mut open, mut max) = (0i64, 0i64);
+    for (_, delta) in edges {
+        open += delta;
+        max = max.max(open);
+    }
+    max as usize
+}
+
 /// One admitted request's progress through the stages.
 #[derive(Debug, Default)]
 struct Admitted {
@@ -531,7 +543,6 @@ struct ServeState {
     /// Per-request outcomes, by request index.
     results: Vec<PipelineResult>,
     stages: Vec<StageStats>,
-    max_concurrent: usize,
     shed: usize,
     deadline: Option<u64>,
 }

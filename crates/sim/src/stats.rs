@@ -76,11 +76,30 @@ impl EnergyComponent {
     }
 }
 
-/// Accumulated energy and busy-time per component.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Attojoules per nanojoule: [`EnergyStats`] keeps energy in whole aJ.
+const AJ_PER_NJ: f64 = 1e9;
+
+/// Quantizes one energy cost in nJ to whole attojoules, rounding to the
+/// nearest (halves up). Every cost is a Table 3 power (a short decimal in
+/// mW) times whole cycles or words, so this drops only the f64
+/// representation error. The cast saturates: a negative or NaN `nj`
+/// gives 0, and anything past `u64::MAX` aJ (18.4 J) gives `u64::MAX`.
+/// Adding one half and truncating keeps the rounding inline on targets
+/// without a rounding instruction, where `f64::round` is a libm call.
+pub(crate) fn nj_to_aj(nj: f64) -> u64 {
+    (nj * AJ_PER_NJ + 0.5) as u64
+}
+
+/// Accumulated energy and busy time per component, indexed by
+/// [`EnergyComponent::index`]. Energy is an exact integer count of
+/// attojoules, so sums and merges give the same result in any order and
+/// grouping. Energy is `u128` because a `u64` would overflow: one serve
+/// merging every completed request passes 2^64 aJ (18.4 J) after about
+/// 24,000 NMTL3 requests.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnergyStats {
-    nj: BTreeMap<EnergyComponent, f64>,
-    busy_cycles: BTreeMap<EnergyComponent, u64>,
+    aj: [u128; EnergyComponent::ALL.len()],
+    busy_cycles: [u64; EnergyComponent::ALL.len()],
 }
 
 impl EnergyStats {
@@ -89,25 +108,35 @@ impl EnergyStats {
         EnergyStats::default()
     }
 
-    /// Adds `nj` nanojoules and `cycles` busy cycles to a component.
+    /// Adds `nj` nanojoules and `cycles` busy cycles to a component. The
+    /// energy is rounded to the nearest attojoule first; a negative or
+    /// NaN `nj` adds no energy (the cycles still count), and an `nj` of
+    /// +∞ or past 18.4 J adds `u64::MAX` aJ.
     pub fn add(&mut self, component: EnergyComponent, nj: f64, cycles: u64) {
-        *self.nj.entry(component).or_insert(0.0) += nj;
-        *self.busy_cycles.entry(component).or_insert(0) += cycles;
+        self.add_aj(component.index(), nj_to_aj(nj).into(), cycles);
+    }
+
+    /// Adds `aj` attojoules and `cycles` busy cycles to the component at
+    /// `index` ([`EnergyComponent::index`]).
+    #[inline]
+    pub(crate) fn add_aj(&mut self, index: usize, aj: u128, cycles: u64) {
+        self.aj[index] += aj;
+        self.busy_cycles[index] += cycles;
     }
 
     /// Energy attributed to one component, in nJ.
     pub fn component_nj(&self, component: EnergyComponent) -> f64 {
-        self.nj.get(&component).copied().unwrap_or(0.0)
+        self.aj[component.index()] as f64 / AJ_PER_NJ
     }
 
     /// Busy cycles attributed to one component.
     pub fn component_busy(&self, component: EnergyComponent) -> u64 {
-        self.busy_cycles.get(&component).copied().unwrap_or(0)
+        self.busy_cycles[component.index()]
     }
 
     /// Total energy across components, in nJ.
     pub fn total_nj(&self) -> f64 {
-        self.nj.values().sum()
+        self.aj.iter().sum::<u128>() as f64 / AJ_PER_NJ
     }
 
     /// Total energy in millijoules.
@@ -117,11 +146,11 @@ impl EnergyStats {
 
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &EnergyStats) {
-        for (&c, &e) in &other.nj {
-            *self.nj.entry(c).or_insert(0.0) += e;
+        for (a, b) in self.aj.iter_mut().zip(&other.aj) {
+            *a += b;
         }
-        for (&c, &b) in &other.busy_cycles {
-            *self.busy_cycles.entry(c).or_insert(0) += b;
+        for (a, b) in self.busy_cycles.iter_mut().zip(&other.busy_cycles) {
+            *a += b;
         }
     }
 }
@@ -273,6 +302,107 @@ mod tests {
         a.merge(&b);
         assert!((a.component_nj(EnergyComponent::Sfu) - 3.0).abs() < 1e-12);
         assert!((a.component_nj(EnergyComponent::Network) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn add_rounds_to_whole_attojoules_and_saturates() {
+        let mut e = EnergyStats::new();
+        // SFU: 0.055 mW for one cycle is 55,000 aJ, whatever f64 error
+        // the product carries.
+        e.add(EnergyComponent::Sfu, 0.055 * 1e-3, 1);
+        assert_eq!(e.aj[EnergyComponent::Sfu.index()], 55_000);
+        // Negative and NaN energies add nothing; their cycles still count.
+        e.add(EnergyComponent::Vfu, -1.0, 2);
+        e.add(EnergyComponent::Vfu, f64::NAN, 3);
+        e.add(EnergyComponent::Vfu, f64::NEG_INFINITY, 4);
+        assert_eq!(e.aj[EnergyComponent::Vfu.index()], 0);
+        assert_eq!(e.component_busy(EnergyComponent::Vfu), 9);
+        // +∞ and anything past u64::MAX aJ clamp to u64::MAX aJ per add.
+        e.add(EnergyComponent::Mvmu, f64::INFINITY, 0);
+        e.add(EnergyComponent::Mvmu, 1e30, 0);
+        assert_eq!(e.aj[EnergyComponent::Mvmu.index()], 2 * u128::from(u64::MAX));
+    }
+
+    #[test]
+    fn merging_past_two_to_the_64_attojoules_stays_exact() {
+        // One NMTL3-sized request (~775 µJ, mostly MVMU), merged 30,000
+        // times: 2.3e19 aJ, past u64::MAX.
+        let mut one = EnergyStats::new();
+        one.add(EnergyComponent::Mvmu, 701_234.567_891, 15_948_288);
+        one.add(EnergyComponent::FetchDecode, 41_020.304_05, 71_113);
+        one.add(EnergyComponent::SharedMemory, 21_777.000_123, 90_210);
+        one.add(EnergyComponent::OffChip, 11_315.077_7, 3_072);
+        let mut total = EnergyStats::new();
+        for _ in 0..30_000 {
+            total.merge(&one);
+        }
+        assert!(total.aj.iter().sum::<u128>() > u128::from(u64::MAX));
+        for i in 0..EnergyComponent::ALL.len() {
+            assert_eq!(total.aj[i], 30_000 * one.aj[i]);
+            assert_eq!(total.busy_cycles[i], 30_000 * one.busy_cycles[i]);
+        }
+        assert_eq!(total.total_nj(), (30_000 * one.aj.iter().sum::<u128>()) as f64 / 1e9);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Integer energy merges identically in any order and grouping.
+        #[test]
+        fn merge_is_order_and_grouping_independent(
+            adds in proptest::collection::vec(
+                proptest::collection::vec((0usize..9, 0.0f64..1e6, 0u64..100_000), 0..6),
+                1..40,
+            ),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let parts: Vec<EnergyStats> = adds
+                .iter()
+                .map(|list| {
+                    let mut e = EnergyStats::new();
+                    for &(c, nj, cycles) in list {
+                        e.add(EnergyComponent::ALL[c], nj, cycles);
+                    }
+                    e
+                })
+                .collect();
+            let merged = |order: &[usize]| {
+                let mut total = EnergyStats::new();
+                for &i in order {
+                    total.merge(&parts[i]);
+                }
+                total
+            };
+            let forward: Vec<usize> = (0..parts.len()).collect();
+            let expected = merged(&forward);
+            let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+            proptest::prop_assert_eq!(&merged(&reversed), &expected);
+            // A seeded Fisher–Yates shuffle.
+            let mut shuffled = forward.clone();
+            let mut x = seed | 1;
+            for i in (1..shuffled.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            proptest::prop_assert_eq!(&merged(&shuffled), &expected);
+            // Pairwise tree grouping: ((p0 p1) (p2 p3)) ...
+            let mut level = parts.clone();
+            while level.len() > 1 {
+                level = level
+                    .chunks(2)
+                    .map(|pair| {
+                        let mut e = pair[0].clone();
+                        if let Some(b) = pair.get(1) {
+                            e.merge(b);
+                        }
+                        e
+                    })
+                    .collect();
+            }
+            proptest::prop_assert_eq!(&level[0], &expected);
+        }
     }
 
     #[test]

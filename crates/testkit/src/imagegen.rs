@@ -740,7 +740,7 @@ pub struct ServeReport {
     pub requests: Vec<Served>,
     /// Per-stage occupancy.
     pub stages: Vec<StageStats>,
-    /// Most requests resident at once.
+    /// Most completed requests in service at once.
     pub max_concurrent: usize,
     /// Requests shed at admission.
     pub shed: usize,

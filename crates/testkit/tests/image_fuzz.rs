@@ -113,18 +113,14 @@ fn pipelined_streams_serve_like_their_solo_runs() {
                 }
             }
             if let [a, b] = &serves[..] {
-                // Two verdicts depend on when the compiled engine's
+                // One verdict depends on when the compiled engine's
                 // run-ahead lets a retirement be processed, not on virtual
-                // time: `max_concurrent` counts residency as each segment
-                // start is processed, and a packet sent to a stage that
-                // already retired its request fails the serve. Execution
-                // faults compare by kind, as in `engines_agree`.
+                // time: a packet sent to a stage that already retired its
+                // request fails the serve. Execution faults compare by
+                // kind, as in `engines_agree`.
                 let unreceived = |r: &Result<ServeReport, PumaError>| matches!(r, Err(PumaError::Execution { what }) if what.contains("already retired"));
                 let same = match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        ServeReport { max_concurrent: 0, ..a.clone() }
-                            == ServeReport { max_concurrent: 0, ..b.clone() }
-                    }
+                    (Ok(a), Ok(b)) => a == b,
                     _ if unreceived(a) || unreceived(b) => {
                         *tally.entry("un-received send").or_default() += 1;
                         true

@@ -8,8 +8,10 @@
 //!
 //! The suite also pins the conservation law `NoC words + interconnect
 //! words (sharded) = NoC words (single-node)` — every cross-tile transfer
-//! rides exactly one of the two networks — and that timing-mode sharded
-//! runs account nonzero inter-node transfer cycles and energy.
+//! rides exactly one of the two networks — exactly equal energy and busy
+//! cycles in every component but those two networks, and that
+//! timing-mode sharded runs account nonzero inter-node transfer cycles
+//! and energy.
 
 use proptest::prelude::*;
 use puma_compiler::CompilerOptions;
@@ -42,6 +44,23 @@ fn assert_sharded_matches_single(case: &modelgen::ModelCase, nodes: usize, mode:
         sharded_stats.network_words + sharded_stats.internode_words,
         "every cross-tile word rides exactly one network"
     );
+    // Energy is exact integer attojoules, so every component the shard
+    // boundary does not move sums to exactly the same value.
+    for c in EnergyComponent::ALL {
+        if matches!(c, EnergyComponent::Network | EnergyComponent::Interconnect) {
+            continue;
+        }
+        assert_eq!(
+            single_stats.energy.component_nj(c),
+            sharded_stats.energy.component_nj(c),
+            "{nodes}-node {c:?} energy"
+        );
+        assert_eq!(
+            single_stats.energy.component_busy(c),
+            sharded_stats.energy.component_busy(c),
+            "{nodes}-node {c:?} busy cycles"
+        );
+    }
 }
 
 proptest! {

@@ -106,8 +106,8 @@ impl SimBackend {
     /// once: the first pass writes them and keeps a snapshot of the
     /// result under `key` (the resident's name on a shared fabric), which
     /// later passes restore instead — only the dirty words are copied,
-    /// and the statistics come back with the identical off-chip energy
-    /// charges. A cluster snapshots every node.
+    /// and the statistics come back with the off-chip energy the writes
+    /// charged. A cluster snapshots every node.
     fn write_constants(&mut self, plan: &IoPlan, key: &str) -> Result<()> {
         let restored = match self {
             SimBackend::Node(s) => s.restore_snapshot(key),
@@ -688,6 +688,9 @@ impl From<RequestError> for PumaError {
 }
 
 /// What happened to one served request.
+// Most records are `Completed`, so boxing its result would add one
+// allocation per request to shrink only the shed and failed records.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Disposition {
     /// The request executed to completion.
@@ -776,10 +779,9 @@ pub struct ServeOutcome {
     /// Per-request records, in submission order (independent of which
     /// simulated worker served each request).
     pub results: Vec<ServedRequest>,
-    /// Aggregate statistics over the completed requests, merged in
-    /// submission order — deterministic for any worker or host-thread
-    /// count. `cycles` is serial-equivalent simulated latency (see
-    /// [`RunStats::merge`]).
+    /// Aggregate statistics over the completed requests — deterministic
+    /// for any worker or host-thread count. `cycles` is serial-equivalent
+    /// simulated latency (see [`RunStats::merge`]).
     pub stats: RunStats,
     /// Latency percentiles over the completed requests, in cycles.
     pub latency: LatencySummary,
@@ -795,7 +797,8 @@ pub struct ServeOutcome {
     pub host_threads: usize,
     /// Cycle the last completed request finished (0 if none completed).
     pub makespan_cycles: u64,
-    /// Maximum number of requests simultaneously in service.
+    /// Most completed requests in service at once, by
+    /// [`puma_sim::max_concurrent`] over their `[start, finish)` windows.
     pub max_concurrent: usize,
     /// Per-stage occupancy when serving pipelined (`None` otherwise).
     pub stages: Option<Vec<StageStats>>,
@@ -829,9 +832,9 @@ pub struct BatchOutcome {
     /// Per-request results, in request order (independent of which worker
     /// served each request).
     pub results: Vec<Result<RequestResult>>,
-    /// Aggregate statistics over the successful requests, merged in
-    /// request order — deterministic for any thread count. `cycles` is
-    /// serial-equivalent simulated latency (see [`RunStats::merge`]).
+    /// Aggregate statistics over the successful requests — deterministic
+    /// for any thread count. `cycles` is serial-equivalent simulated
+    /// latency (see [`RunStats::merge`]).
     pub stats: RunStats,
     /// Worker threads actually used.
     pub threads: usize,
@@ -1307,8 +1310,7 @@ impl ServeRunner {
         })?;
         let tally =
             settle_stream(arrivals, checks, &schedule, 0, exec, &|i| format!("request {i}"));
-        let max_concurrent = max_concurrent(&tally.results);
-        Ok(tally.into_serve_outcome(self.workers, host_threads, max_concurrent, None))
+        Ok(tally.into_serve_outcome(self.workers, host_threads, None))
     }
 
     /// Pipelined serving over a sharded model (see the type docs).
@@ -1374,7 +1376,7 @@ impl ServeRunner {
             };
             tally.push(arrivals[i], disposition);
         }
-        Ok(tally.into_serve_outcome(1, 1, report.max_concurrent, Some(report.stages)))
+        Ok(tally.into_serve_outcome(1, 1, Some(report.stages)))
     }
 
     /// Takes the cached pipeline instance or forks one from the
@@ -1404,8 +1406,7 @@ fn internal(what: String) -> Disposition {
 
 /// One request stream's served records and the totals over them — the
 /// one outcome assembly behind [`ServeOutcome`] and
-/// [`TenantModelOutcome`]. Records are pushed in submission order, so the
-/// merged floating-point energy totals never depend on scheduling.
+/// [`TenantModelOutcome`]. Records are pushed in submission order.
 #[derive(Debug, Default)]
 struct Tally {
     results: Vec<ServedRequest>,
@@ -1437,10 +1438,14 @@ impl Tally {
         self,
         workers: usize,
         host_threads: usize,
-        max_concurrent: usize,
         stages: Option<Vec<StageStats>>,
     ) -> ServeOutcome {
+        let windows = self.results.iter().filter_map(|r| match r.disposition {
+            Disposition::Completed { start, finish, .. } => Some((start, finish)),
+            _ => None,
+        });
         ServeOutcome {
+            max_concurrent: puma_sim::max_concurrent(windows),
             results: self.results,
             stats: self.stats,
             latency: LatencySummary::from_latencies(self.latencies),
@@ -1449,7 +1454,6 @@ impl Tally {
             workers,
             host_threads,
             makespan_cycles: self.makespan,
-            max_concurrent,
             stages,
             wall_seconds: 0.0,
         }
@@ -1508,25 +1512,6 @@ fn settle_stream(
         tally.push(arrivals[i], disposition);
     }
     tally
-}
-
-/// Most completed requests in service at once (a window closing at a
-/// cycle ends before one opening there); timed-out and failed work is
-/// excluded.
-fn max_concurrent(results: &[ServedRequest]) -> usize {
-    let mut edges: Vec<(u64, i64)> = Vec::new();
-    for r in results {
-        if let Disposition::Completed { start, finish, .. } = r.disposition {
-            edges.extend([(start, 1), (finish, -1)]);
-        }
-    }
-    edges.sort_unstable();
-    let (mut open, mut max) = (0i64, 0i64);
-    for (_, delta) in edges {
-        open += delta;
-        max = max.max(open);
-    }
-    max as usize
 }
 
 /// Batched inference over worker threads — a thin wrapper over
@@ -1915,8 +1900,8 @@ pub struct TenantModelOutcome {
     pub model: String,
     /// Per-request records, in submission order.
     pub results: Vec<ServedRequest>,
-    /// Aggregate statistics over this model's completed requests, merged
-    /// in submission order (see [`RunStats::merge`]). Because a tenant
+    /// Aggregate statistics over this model's completed requests (see
+    /// [`RunStats::merge`]). Because a tenant
     /// request runs only the resident's own tiles, these statistics are
     /// attributed to this model exactly — nothing from a co-resident
     /// leaks in.
@@ -3040,23 +3025,13 @@ mod tests {
         Some(Verdict::Served { start, finish })
     }
 
-    /// [`max_concurrent`] over the served requests of a schedule.
+    /// [`puma_sim::max_concurrent`] over the served requests of a
+    /// schedule.
     fn overlap(schedule: &[Option<Verdict>]) -> usize {
-        let results: Vec<ServedRequest> = schedule
-            .iter()
-            .filter_map(|v| match *v {
-                Some(Verdict::Served { start, finish }) => Some(ServedRequest {
-                    arrival: start,
-                    disposition: Disposition::Completed {
-                        result: RequestResult { outputs: HashMap::new(), stats: RunStats::new() },
-                        start,
-                        finish,
-                    },
-                }),
-                _ => None,
-            })
-            .collect();
-        max_concurrent(&results)
+        puma_sim::max_concurrent(schedule.iter().filter_map(|v| match *v {
+            Some(Verdict::Served { start, finish }) => Some((start, finish)),
+            _ => None,
+        }))
     }
 
     #[test]
