@@ -28,6 +28,7 @@ use puma_bench::{
 use puma_compiler::{CompilerOptions, Partitioning};
 use puma_core::config::{FaultPlan, MvmuConfig, NodeConfig, NonIdealityConfig, TileDeath};
 use puma_core::timing::TrafficPattern;
+use puma_isa::MachineImage;
 use puma_nn::accuracy::frontier_accuracy;
 use puma_nn::data::{split, synthetic_clusters};
 use puma_nn::spec::{Activation, LayerSpec, WorkloadClass, WorkloadSpec};
@@ -644,18 +645,39 @@ fn best_of(runs: usize, mut body: impl FnMut()) -> f64 {
     best
 }
 
+/// Times `runs` rounds of one repetition per engine (after one warm-up
+/// each), alternating the engines within every round, and returns each
+/// engine's best single-repetition wall time. Alternating keeps a change
+/// in host speed from landing on one engine only, which would move the
+/// speedup by itself.
+fn best_of_engines<S>(runs: usize, subjects: &mut [S], mut body: impl FnMut(&mut S)) -> Vec<f64> {
+    subjects.iter_mut().for_each(&mut body);
+    let mut best = vec![f64::INFINITY; subjects.len()];
+    for _ in 0..runs {
+        for (subject, best) in subjects.iter_mut().zip(&mut best) {
+            let started = Instant::now();
+            body(subject);
+            *best = best.min(started.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
 /// Engine comparison on a graph-compiled zoo workload.
 fn bench_graph_workload(name: &str, cfg: &NodeConfig, runs: usize) -> Vec<EngineRow> {
     let compiled = compile_workload(name, cfg, &CompilerOptions::timing_only(), sim_seq_len(name))
         .expect("workload compiles")
         .expect("workload is graph-compilable");
+    let mut sessions = ENGINES
+        .map(|(_, engine)| TimingSession::new(&compiled, cfg, engine).expect("session builds"));
+    let best = best_of_engines(runs, &mut sessions, |session| {
+        session.run().expect("timed run");
+    });
     ENGINES
         .iter()
-        .map(|&(label, engine)| {
-            let mut session = TimingSession::new(&compiled, cfg, engine).expect("session builds");
-            let best = best_of(runs, || {
-                session.run().expect("timed run");
-            });
+        .zip(&mut sessions)
+        .zip(best)
+        .map(|((&(label, _), session), best)| {
             let stats = session.run().expect("stats run").clone();
             EngineRow {
                 workload: name.to_string(),
@@ -666,6 +688,34 @@ fn bench_graph_workload(name: &str, cfg: &NodeConfig, runs: usize) -> Vec<Engine
                 sched: session.sched_stats(),
                 best_seconds: best,
             }
+        })
+        .collect()
+}
+
+/// One timing-mode simulator of `image` per engine.
+fn engine_sims(cfg: &NodeConfig, image: &MachineImage) -> [NodeSim; 2] {
+    ENGINES.map(|(_, engine)| {
+        let mut sim = NodeSim::new(*cfg, image, SimMode::Timing, &NoiseModel::noiseless())
+            .expect("sim builds");
+        sim.set_engine(engine);
+        sim
+    })
+}
+
+/// One row per engine from each engine's simulator after its last run.
+fn engine_rows(workload: &str, runs: usize, sims: &[NodeSim], best: Vec<f64>) -> Vec<EngineRow> {
+    ENGINES
+        .iter()
+        .zip(sims)
+        .zip(best)
+        .map(|((&(label, _), sim), best)| EngineRow {
+            workload: workload.to_string(),
+            engine: label,
+            runs,
+            instructions: sim.stats().total_instructions(),
+            cycles: sim.stats().cycles,
+            sched: sim.sched_stats(),
+            best_seconds: best,
         })
         .collect()
 }
@@ -681,27 +731,12 @@ fn bench_sync_workload(runs: usize) -> Vec<EngineRow> {
     let (tiles, consumers, rounds, width) = (12usize, 2usize, 150usize, 8usize);
     let image = puma_testkit::modelgen::sync_fabric_image(tiles, consumers, rounds, width);
     let cfg = puma_testkit::harness::small_node_config(16);
-    ENGINES
-        .iter()
-        .map(|&(label, engine)| {
-            let mut sim = NodeSim::new(cfg, &image, SimMode::Timing, &NoiseModel::noiseless())
-                .expect("sim builds");
-            sim.set_engine(engine);
-            let best = best_of(runs, || {
-                sim.reset();
-                sim.run().expect("timed run");
-            });
-            EngineRow {
-                workload: format!("SyncFanout-{tiles}x{consumers}x{rounds}"),
-                engine: label,
-                runs,
-                instructions: sim.stats().total_instructions(),
-                cycles: sim.stats().cycles,
-                sched: sim.sched_stats(),
-                best_seconds: best,
-            }
-        })
-        .collect()
+    let mut sims = engine_sims(&cfg, &image);
+    let best = best_of_engines(runs, &mut sims, |sim| {
+        sim.reset();
+        sim.run().expect("timed run");
+    });
+    engine_rows(&format!("SyncFanout-{tiles}x{consumers}x{rounds}"), runs, &sims, best)
 }
 
 /// A LeNet-class convolution spec small enough for the default node
@@ -726,28 +761,13 @@ fn bench_cnn_workload(cfg: &NodeConfig, runs: usize) -> Vec<EngineRow> {
     let cnn = puma_nn::cnn::build_cnn(&spec, cfg, true, 7).expect("CNN builds");
     let (c, h, w) = cnn.input_shape;
     let zeros = vec![0.0f32; c * h * w];
-    ENGINES
-        .iter()
-        .map(|&(label, engine)| {
-            let mut sim = NodeSim::new(*cfg, &cnn.image, SimMode::Timing, &NoiseModel::noiseless())
-                .expect("sim builds");
-            sim.set_engine(engine);
-            let best = best_of(runs, || {
-                sim.reset();
-                sim.write_input(&cnn.input_name, &zeros).expect("input");
-                sim.run().expect("timed run");
-            });
-            EngineRow {
-                workload: spec.name.clone(),
-                engine: label,
-                runs,
-                instructions: sim.stats().total_instructions(),
-                cycles: sim.stats().cycles,
-                sched: sim.sched_stats(),
-                best_seconds: best,
-            }
-        })
-        .collect()
+    let mut sims = engine_sims(cfg, &cnn.image);
+    let best = best_of_engines(runs, &mut sims, |sim| {
+        sim.reset();
+        sim.write_input(&cnn.input_name, &zeros).expect("input");
+        sim.run().expect("timed run");
+    });
+    engine_rows(&spec.name, runs, &sims, best)
 }
 
 /// Sharded scaling: the same LSTM workload compiled across 1/2/4 nodes

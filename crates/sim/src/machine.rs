@@ -125,12 +125,15 @@
 //!
 //! 1. **A segment never crosses a synchronization point.** Only
 //!    pure-charge ops — no register, memory, FIFO, or control-flow
-//!    effect — are bulk-charged; every instruction that can observe or
-//!    mutate shared tile state executes through the interpreter and, when
-//!    it [`may block`](Instruction::may_block), re-checks its tile's
-//!    order and horizon. A segment is therefore invisible to
-//!    every other agent, and charging it in one step is
-//!    indistinguishable from per-instruction execution.
+//!    effect — are bulk-charged. Every instruction that can observe or
+//!    mutate shared tile state — a typed `Load`/`Store`/`Send`/`Recv`
+//!    micro-op, or an interpreted instruction that
+//!    [`may block`](Instruction::may_block) — ends the segment, waits for
+//!    its tile's turn (order and horizon), and then runs its Fig. 6 or
+//!    FIFO transition through the same helper the reference engine
+//!    calls. A segment is therefore invisible to every other agent, and
+//!    charging it in one step is indistinguishable from per-instruction
+//!    execution.
 //! 2. **A segment never crosses the cycle cap.** Bulk charging is gated
 //!    on `t + seg_check ≤ max_cycles` (`seg_check` being the start-time
 //!    offset of the segment's last op); past that, execution degrades to
@@ -148,7 +151,7 @@ use crate::lanes::Lanes;
 use crate::lut::RomLut;
 use crate::memory::{MemArena, MemImage, MemOutcome};
 use crate::regfile::RegArena;
-use crate::stats::{nj_to_aj, EnergyComponent, EnergyStats, RunStats};
+use crate::stats::{nj_to_aj, EnergyComponent, RunStats};
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
 use puma_core::fixed::Fixed;
@@ -279,6 +282,37 @@ enum Step {
     Blocked(WaitCond),
     /// The stream terminated.
     Halted,
+}
+
+/// What a completed synchronizing instruction charges: its latency as
+/// busy cycles, and its energy in whole attojoules. The
+/// reference engine computes it per execution from the timing model; the
+/// compiled engine reads it from the micro-op build's [`OpCost`], which
+/// rounded the same f64 expression.
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    cycles: u64,
+    aj: u64,
+}
+
+/// Where a `send` puts its packet: the destination node, tile and FIFO,
+/// and the cycles from the send to the landing — the NoC transit for a
+/// node-local send, the link transfer time otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    node: u16,
+    tile: u16,
+    fifo: u8,
+    transit: u64,
+}
+
+/// The step of a synchronizing instruction at `pc` whose transition
+/// blocked on `blocked`, or completed paying `charge`.
+fn sync_step(blocked: Option<WaitCond>, pc: u32, charge: Charge) -> Step {
+    match blocked {
+        Some(cond) => Step::Blocked(cond),
+        None => Step::Advance { next_pc: pc + 1, latency: charge.cycles },
+    }
 }
 
 /// Why a blocked agent is parked: the precise state transition that can
@@ -515,9 +549,6 @@ pub struct NodeSim {
     pub(crate) fifos: FifoArena,
     lut: RomLut,
     stats: RunStats,
-    /// Energy accumulators, one per agent (per tile: cores, then the tile
-    /// control unit), merged into `stats` by [`NodeSim::finalize_stats`].
-    agent_energy: Vec<EnergyStats>,
     /// First agent slot of each tile (prefix sums over cores+ctl), plus
     /// the agent count. A core's register-file slot follows from it: the
     /// slots before tile `t` hold `t` control units, which have none.
@@ -814,7 +845,6 @@ impl NodeSim {
             tiles,
             lut: RomLut::new(),
             stats: RunStats::new(),
-            agent_energy: vec![EnergyStats::new(); agents],
             agent_offsets,
             parked: (0..tile_count).map(|_| ParkedSet::default()).collect(),
             blocked_from: vec![u64::MAX; agents],
@@ -980,7 +1010,6 @@ impl NodeSim {
             tiles,
             lut: self.lut.clone(),
             stats: RunStats::new(),
-            agent_energy: vec![EnergyStats::new(); self.agent_energy.len()],
             agent_offsets: self.agent_offsets.clone(),
             parked: (0..tile_count).map(|_| ParkedSet::default()).collect(),
             blocked_from: vec![u64::MAX; self.blocked_from.len()],
@@ -1017,17 +1046,15 @@ impl NodeSim {
     }
 
     /// Approximate bytes of *per-replica mutable state*: the three state
-    /// arenas (every data lane included) plus per-agent accumulators and
-    /// control state. Everything `Arc`-shared across replicas — programs,
-    /// programmed crossbars, the compiled micro-op image — is excluded:
-    /// this is the marginal footprint of one more worker in a serving
-    /// pool.
+    /// arenas (every data lane included) plus per-agent control state.
+    /// Everything `Arc`-shared across replicas — programs, programmed
+    /// crossbars, the compiled micro-op image — is excluded: this is the
+    /// marginal footprint of one more worker in a serving pool.
     pub fn state_bytes(&self) -> usize {
         self.snapshots.iter().map(|s| s.mem.bytes()).sum::<usize>()
             + self.mem.state_bytes()
             + self.regs.state_bytes()
             + self.fifos.state_bytes()
-            + self.agent_energy.len() * std::mem::size_of::<EnergyStats>()
             + self.tiles.len() * std::mem::size_of::<TileState>()
             + self
                 .tiles
@@ -1297,7 +1324,6 @@ impl NodeSim {
         for parked in &mut self.parked {
             parked.clear();
         }
-        self.agent_energy.fill(EnergyStats::new());
         self.instr_counts = [0; puma_isa::InstructionCategory::ALL.len()];
         self.seq = 0;
     }
@@ -1334,8 +1360,8 @@ impl NodeSim {
         true
     }
 
-    /// The energy-accumulator slot of an agent (per tile: cores in index
-    /// order, then the tile control unit).
+    /// The slot of an agent in the per-agent arrays (per tile: cores in
+    /// index order, then the tile control unit).
     fn agent_slot(&self, agent: AgentId) -> usize {
         let t = agent.tile as usize;
         if agent.is_tile_ctl() {
@@ -1345,23 +1371,19 @@ impl NodeSim {
         }
     }
 
-    /// Attributes energy (rounded to whole attojoules) and busy cycles to
-    /// one agent's accumulator.
+    /// Adds energy (rounded to whole attojoules) and busy cycles to the
+    /// run's accumulator.
     #[inline]
-    fn charge(&mut self, agent: AgentId, component: EnergyComponent, nj: f64, cycles: u64) {
-        let slot = self.agent_slot(agent);
-        self.agent_energy[slot].add(component, nj, cycles);
+    fn charge(&mut self, component: EnergyComponent, nj: f64, cycles: u64) {
+        self.stats.energy.add(component, nj, cycles);
     }
 
-    /// Folds the per-agent accumulators and the compiled engine's
-    /// instruction counts into `stats`. Each counted instruction pays one
-    /// fetch/decode, charged here in one product. Energy is exact integer
-    /// attojoules, so the totals are identical across engines and thread
-    /// counts, whatever order the agents ran in.
+    /// Folds the compiled engine's instruction counts into `stats`. Each
+    /// counted instruction pays one fetch/decode, charged here in one
+    /// product. Every other charge goes straight into `stats.energy`:
+    /// energy is exact integer attojoules, so the totals are identical
+    /// across engines and thread counts, whatever order the agents ran in.
     pub(crate) fn finalize_stats(&mut self) {
-        for acc in &mut self.agent_energy {
-            self.stats.energy.merge(&std::mem::take(acc));
-        }
         let counts = std::mem::take(&mut self.instr_counts);
         let executed: u64 = counts.iter().sum();
         let fd_aj = u128::from(self.fd_energy_aj) * u128::from(executed);
@@ -1870,16 +1892,16 @@ impl NodeSim {
         }
     }
 
-    /// Charges one precomputed [`OpCost`] to an agent slot: component
-    /// energy (if any) and the dynamic instruction count, whose
-    /// fetch/decode energy [`NodeSim::finalize_stats`] charges — the
-    /// compiled engine's counterpart of `execute_instr`'s charge +
-    /// accounting sequence, adding the same integers.
+    /// Charges one precomputed [`OpCost`]: component energy (if any) and
+    /// the dynamic instruction count, whose fetch/decode energy
+    /// [`NodeSim::finalize_stats`] charges — the compiled engine's
+    /// counterpart of `execute_instr`'s charge + accounting sequence,
+    /// adding the same integers.
     #[inline]
-    fn charge_cost(&mut self, slot: usize, cost: &OpCost) {
+    fn charge_cost(&mut self, cost: &OpCost) {
         if cost.comp != NO_CHARGE {
             let cycles = u64::from(cost.latency);
-            self.agent_energy[slot].add_aj(cost.comp as usize, cost.aj.into(), cycles);
+            self.stats.energy.add_aj(cost.comp as usize, cost.aj.into(), cycles);
         }
         self.instr_counts[cost.cat as usize] += 1;
     }
@@ -1968,7 +1990,7 @@ impl NodeSim {
                     }
                     let mut last_start = t;
                     let mut mvmu_acts = 0u64;
-                    let acc = &mut self.agent_energy[slot];
+                    let acc = &mut self.stats.energy;
                     for cost in &prog.costs[start..end] {
                         acc.add_aj(cost.comp as usize, cost.aj.into(), u64::from(cost.latency));
                         self.instr_counts[cost.cat as usize] += 1;
@@ -1986,7 +2008,7 @@ impl NodeSim {
                         .write_all(reg_slot, dest, Fixed::from_bits(imm))
                         .expect("bounds proven at compile time");
                     let cost = prog.costs[pc as usize];
-                    self.charge_cost(slot, &cost);
+                    self.charge_cost(&cost);
                     t += u64::from(cost.latency);
                     self.set_pc(agent, pc + 1);
                 }
@@ -1995,7 +2017,7 @@ impl NodeSim {
                     alu_int(&mut self.regs, reg_slot, op, dest, src1, src2)
                         .expect("bounds proven at compile time");
                     let cost = prog.costs[pc as usize];
-                    self.charge_cost(slot, &cost);
+                    self.charge_cost(&cost);
                     t += u64::from(cost.latency);
                     self.set_pc(agent, pc + 1);
                 }
@@ -2013,14 +2035,14 @@ impl NodeSim {
                         .to_bits();
                     let next = if cond.eval(a, b) { target } else { pc + 1 };
                     let cost = prog.costs[pc as usize];
-                    self.charge_cost(slot, &cost);
+                    self.charge_cost(&cost);
                     t += u64::from(cost.latency);
                     self.set_pc(agent, next);
                 }
                 MicroOp::Jump { target } => {
                     self.last_time = self.last_time.max(t);
                     let cost = prog.costs[pc as usize];
-                    self.charge_cost(slot, &cost);
+                    self.charge_cost(&cost);
                     t += u64::from(cost.latency);
                     self.set_pc(agent, target);
                 }
@@ -2030,11 +2052,12 @@ impl NodeSim {
                     // fetch/decode, exactly as `execute_instr` accounts
                     // a `Step::Halted` outcome.
                     let cost = prog.costs[pc as usize];
-                    self.charge_cost(slot, &cost);
+                    self.charge_cost(&cost);
                     self.set_halted(agent);
                     return Ok(());
                 }
-                MicroOp::Interp { instr, may_block } => {
+                op => {
+                    let may_block = !matches!(op, MicroOp::Interp { may_block: false, .. });
                     if !first && may_block && !self.take_turn(image, tile, (t, priority))? {
                         // A synchronization point whose tile could still
                         // change before it: defer it into the tile's list.
@@ -2043,7 +2066,7 @@ impl NodeSim {
                         return Ok(());
                     }
                     self.last_time = self.last_time.max(t);
-                    match self.execute_instr(agent, instr, pc, t)? {
+                    match self.step_sync(op, &prog.costs[pc as usize], agent, pc, t)? {
                         Step::Advance { next_pc, latency } => {
                             self.set_pc(agent, next_pc);
                             t += latency;
@@ -2061,6 +2084,54 @@ impl NodeSim {
             }
             first = false;
         }
+    }
+
+    /// Runs one micro-op that may touch its tile's shared state at `t`: a
+    /// typed `Load`/`Store`/`Send`/`Recv` through its transition helper
+    /// with the precomputed `cost`, or an interpreter fallback (including
+    /// a `Send` leaving this node, whose link cost the build does not
+    /// know). A typed op then does `execute_instr`'s post-step
+    /// bookkeeping, in its order, whether it blocked or completed.
+    fn step_sync(
+        &mut self,
+        op: MicroOp,
+        cost: &OpCost,
+        agent: AgentId,
+        pc: u32,
+        t: u64,
+    ) -> Result<Step> {
+        let charge = Charge { cycles: u64::from(cost.latency), aj: cost.aj };
+        let blocked = match op {
+            MicroOp::Load { dest, addr, width } => {
+                let a = self.effective_addr(agent, addr)?;
+                self.load_words(agent, a, dest, width, charge)?
+            }
+            MicroOp::Store { src, addr, count, width } => {
+                let a = self.effective_addr(agent, addr)?;
+                self.store_words(agent, a, src, count, width, charge)?
+            }
+            MicroOp::Send { base, transit, fifo, target, node, width } if node == self.node_id => {
+                let to = Route { node, tile: target, fifo, transit: u64::from(transit) };
+                self.send_words(agent, base, width, to, charge, t)?
+            }
+            MicroOp::Send { base, fifo, target, node, width, .. } => {
+                let addr = MemAddr::absolute(base);
+                let instr = Instruction::Send { addr, fifo, target, node, width };
+                return self.execute_instr(agent, instr, pc, t);
+            }
+            MicroOp::Recv { base, fifo, count, width } => {
+                self.receive_packet(agent, base, fifo, count, width, charge, t)?
+            }
+            MicroOp::Interp { instr, .. } => return self.execute_instr(agent, instr, pc, t),
+            _ => unreachable!("run_compiled executes core-local micro-ops itself"),
+        };
+        self.apply_wakes(agent.tile as usize, t);
+        if blocked.is_none() {
+            let slot = self.agent_slot(agent);
+            self.blocked_from[slot] = u64::MAX;
+            self.instr_counts[cost.cat as usize] += 1;
+        }
+        Ok(sync_step(blocked, pc, charge))
     }
 
     /// Schedules an agent wake-up, clamping the event time against the
@@ -2306,6 +2377,247 @@ impl NodeSim {
         })
     }
 
+    /// The charge of a `load` or `store` of `width` words.
+    fn shared_memory_charge(&self, width: u16) -> Charge {
+        let w = width as usize;
+        let nj = self.timing.shared_memory_energy_nj(w);
+        Charge { cycles: self.timing.shared_memory_cycles(w), aj: nj_to_aj(nj) }
+    }
+
+    /// Adds a completed instruction's charge to the run's accumulator.
+    #[inline]
+    fn charge_aj(&mut self, component: EnergyComponent, charge: Charge) {
+        self.stats.energy.add_aj(component.index(), charge.aj.into(), charge.cycles);
+    }
+
+    /// The register-file slot of a core agent.
+    fn reg_slot(&self, agent: AgentId) -> usize {
+        self.tiles[agent.tile as usize].cores[agent.core as usize].reg_slot as usize
+    }
+
+    // The attribute-buffer and FIFO transitions of the four synchronizing
+    // instructions (Fig. 6), one helper each, run by both engines once the
+    // address is resolved and the charge known. Each returns the condition
+    // the instruction blocked on, having changed nothing, or `None` once
+    // it completed: the words are consumed or written, the transition is
+    // recorded for `apply_wakes`, and the charge is paid.
+
+    /// A core's `load` of `width` words at `a` into `dest`: consume-read
+    /// them (into the registers in functional mode).
+    fn load_words(
+        &mut self,
+        agent: AgentId,
+        a: u32,
+        dest: RegRef,
+        width: u16,
+        charge: Charge,
+    ) -> Result<Option<WaitCond>> {
+        let t = agent.tile as usize;
+        let w = width as usize;
+        if self.mode == SimMode::Functional {
+            let slot = self.reg_slot(agent);
+            let values = match self.mem.try_read(t, a, w)? {
+                MemOutcome::Blocked(b) => return Ok(Some(WaitCond::for_mem_block(b))),
+                MemOutcome::Done(v) => v,
+            };
+            self.regs.write_vec(slot, dest, values)?;
+        } else if let MemOutcome::Blocked(b) = self.mem.try_consume(t, a, w)? {
+            return Ok(Some(WaitCond::for_mem_block(b)));
+        }
+        self.changes.push(TileChange::InvalidRange { start: a, len: w as u32 });
+        self.charge_aj(EnergyComponent::SharedMemory, charge);
+        self.stats.shared_memory_words += w as u64;
+        Ok(None)
+    }
+
+    /// A core's `store` of `width` words from `src` at `a`, each valid for
+    /// `count` consumers (zeros in timing mode).
+    fn store_words(
+        &mut self,
+        agent: AgentId,
+        a: u32,
+        src: RegRef,
+        count: u16,
+        width: u16,
+        charge: Charge,
+    ) -> Result<Option<WaitCond>> {
+        let t = agent.tile as usize;
+        let w = width as usize;
+        let written = if self.mode == SimMode::Functional {
+            let values = self.regs.read_vec(self.reg_slot(agent), src, w)?;
+            self.mem.try_write(t, a, values, count)?
+        } else {
+            self.mem.try_write_zeros(t, a, w, count)?
+        };
+        if let MemOutcome::Blocked(b) = written {
+            return Ok(Some(WaitCond::for_mem_block(b)));
+        }
+        self.changes.push(TileChange::ValidRange { start: a, len: w as u32 });
+        self.charge_aj(EnergyComponent::SharedMemory, charge);
+        self.stats.shared_memory_words += w as u64;
+        Ok(None)
+    }
+
+    /// A control unit's `send` of `width` words at `a` along `to`: consume
+    /// the words, then queue the packet's delivery (a node-local send) or
+    /// post it to the outbox after the link's fault draws (any other).
+    fn send_words(
+        &mut self,
+        agent: AgentId,
+        a: u32,
+        width: u16,
+        to: Route,
+        charge: Charge,
+        now: u64,
+    ) -> Result<Option<WaitCond>> {
+        let t = agent.tile as usize;
+        let w = width as usize;
+        // Timing mode consumes the attributes without materializing the
+        // payload (it is never inspected; receives write probe zeros at
+        // their own width).
+        let words = if self.mode == SimMode::Functional {
+            match self.mem.try_read(t, a, w)? {
+                MemOutcome::Blocked(b) => return Ok(Some(WaitCond::for_mem_block(b))),
+                // One payload carries every lane, lane after lane.
+                MemOutcome::Done(lanes) => lanes.iter().flatten().copied().collect(),
+            }
+        } else {
+            match self.mem.try_consume(t, a, w)? {
+                MemOutcome::Blocked(b) => return Ok(Some(WaitCond::for_mem_block(b))),
+                MemOutcome::Done(()) => Vec::new(),
+            }
+        };
+        self.changes.push(TileChange::InvalidRange { start: a, len: w as u32 });
+        let origin = PacketOrigin { sent_at: now, node: self.node_id, tile: agent.tile, copy: 0 };
+        let mut arrive_at = now + to.transit;
+        if to.node == self.node_id {
+            self.charge_aj(EnergyComponent::Network, charge);
+            self.stats.network_words += w as u64;
+            if arrive_at > self.max_cycles {
+                return Err(self.cycle_cap_error());
+            }
+            let (tile, fifo) = (u32::from(to.tile), to.fifo);
+            let packet = Packet { words };
+            let deliver = DeliverEvent { tile, fifo, packet, origin };
+            self.enqueue(arrive_at, PRIO_DELIVER, EventKind::Deliver(Box::new(deliver)));
+            return Ok(None);
+        }
+        // Inter-node: the co-simulation core picks the packet up from the
+        // outbox and delivers it after the full transfer time.
+        self.charge_aj(EnergyComponent::Interconnect, charge);
+        self.stats.internode_words += w as u64;
+        let faults = self.cfg.faults;
+        let mut duplicate = false;
+        if faults.has_packet_faults() {
+            // One counter-mode decision per fault kind, keyed by the
+            // packet's engine-invariant identity (endpoints, fifo, send
+            // timestamp, payload hash), so faulty runs replay bit-exactly
+            // across engines and worker counts.
+            let payload = words.iter().fold(0u64, |h, w| mix64(h ^ u64::from(w.to_bits() as u16)));
+            let mut key = [
+                u64::from(self.node_id),
+                u64::from(to.node),
+                u64::from(to.tile),
+                u64::from(to.fifo),
+                now,
+                payload,
+                0,
+            ];
+            let mut draw = |tag: u64| {
+                key[6] = tag;
+                unit_from(keyed_hash(faults.seed, &key))
+            };
+            if faults.packet_loss_rate > 0.0 && draw(TAG_PKT_DROP) < faults.packet_loss_rate {
+                // The link swallowed the packet: the sender still pays
+                // serialization, the receiver never sees it.
+                self.stats.packets_dropped += 1;
+                return Ok(None);
+            }
+            if faults.packet_duplicate_rate > 0.0
+                && draw(TAG_PKT_DUP) < faults.packet_duplicate_rate
+            {
+                self.stats.packets_duplicated += 1;
+                duplicate = true;
+            }
+            if faults.packet_delay_rate > 0.0 && draw(TAG_PKT_DELAY) < faults.packet_delay_rate {
+                self.stats.packets_delayed += 1;
+                arrive_at = arrive_at.saturating_add(faults.packet_delay_cycles);
+            }
+        }
+        if arrive_at > self.max_cycles {
+            return Err(self.cycle_cap_error());
+        }
+        let (node, tile, fifo) = (to.node, to.tile, to.fifo);
+        if duplicate {
+            let packet = Packet { words: words.clone() };
+            let origin = PacketOrigin { copy: 1, ..origin };
+            self.outbox.push(OutboundPacket { node, tile, fifo, packet, arrive_at, origin });
+        }
+        let packet = Packet { words };
+        self.outbox.push(OutboundPacket { node, tile, fifo, packet, arrive_at, origin });
+        Ok(None)
+    }
+
+    /// A control unit's `receive` of `width` words from FIFO `fifo` into
+    /// `a`, each valid for `count` consumers: pop the packet once the FIFO
+    /// has one and every destination word is free, then admit the next
+    /// backpressured packet.
+    #[allow(clippy::too_many_arguments)] // the instruction's operands, address and charge
+    fn receive_packet(
+        &mut self,
+        agent: AgentId,
+        a: u32,
+        fifo: u8,
+        count: u16,
+        width: u16,
+        charge: Charge,
+        now: u64,
+    ) -> Result<Option<WaitCond>> {
+        let t = agent.tile as usize;
+        let w = width as usize;
+        // Check availability without consuming, so a blocked write does
+        // not lose the packet.
+        let front_len = match self.fifos.front(t, fifo)? {
+            None => return Ok(Some(WaitCond::FifoPacket(fifo))),
+            Some(p) => p.words.len() / self.live,
+        };
+        // A width mismatch means two senders sharing a virtualized FIFO
+        // interleaved (§4.2: the compiler reuses FIFO ids across program
+        // phases). The synchronization protocol is payload-agnostic — the
+        // receive writes its own width at its own address — so timing
+        // simulation proceeds; the functional simulator rejects it because
+        // data would be misrouted.
+        if front_len != w && self.mode == SimMode::Functional {
+            return Err(PumaError::Execution {
+                what: format!(
+                    "receive width {width} mismatches packet of {front_len} words \
+                     (virtualized-FIFO aliasing; see compiler docs)"
+                ),
+            });
+        }
+        // Probe destination writability (dry-run: any valid word blocks
+        // the write on that word).
+        if let Some(bad) = self.mem.first_valid(t, a, w)? {
+            return Ok(Some(WaitCond::MemInvalid(bad)));
+        }
+        let packet = self.fifos.pop(t, fifo)?.expect("front checked above");
+        let written = if self.mode == SimMode::Functional {
+            let lanes = Lanes::packed(&packet.words, w, self.live);
+            self.mem.try_write(t, a, lanes, count)?
+        } else {
+            self.mem.try_write_zeros(t, a, w, count)?
+        };
+        if let MemOutcome::Blocked(_) = written {
+            unreachable!("writability probed above");
+        }
+        self.changes.push(TileChange::ValidRange { start: a, len: w as u32 });
+        self.charge_aj(EnergyComponent::SharedMemory, charge);
+        // A FIFO slot freed up: admit the next backpressured packet
+        // (drain_fifo also applies the wake-ups recorded above).
+        self.drain_fifo(agent.tile, fifo, now)?;
+        Ok(None)
+    }
+
     fn step_agent(&mut self, agent: AgentId, now: u64) -> Result<Step> {
         let (instr, pc) = self.fetch(agent)?;
         self.execute_instr(agent, instr, pc, now)
@@ -2348,7 +2660,7 @@ impl NodeSim {
                 SimEngine::Reference => {
                     self.stats.count_instruction(instr.category());
                     let fd = self.timing.fetch_decode_energy_nj();
-                    self.charge(agent, EnergyComponent::FetchDecode, fd, 1);
+                    self.charge(EnergyComponent::FetchDecode, fd, 1);
                 }
                 SimEngine::Compiled => self.instr_counts[instr.category().index()] += 1,
             }
@@ -2377,183 +2689,33 @@ impl NodeSim {
                     });
                 }
                 let a = self.effective_addr(agent, addr)?;
-                // Timing mode consumes the attributes without materializing
-                // the payload (it is never inspected; receives write probe
-                // zeros at their own width).
-                let words = if self.mode == SimMode::Functional {
-                    match self.mem.try_read(t, a, width as usize)? {
-                        MemOutcome::Blocked(b) => {
-                            return Ok(Step::Blocked(WaitCond::for_mem_block(b)))
-                        }
-                        // One payload carries every lane, lane after lane.
-                        MemOutcome::Done(lanes) => lanes.iter().flatten().copied().collect(),
-                    }
+                let w = width as usize;
+                // A node-local packet crosses the NoC; any other crosses the
+                // chip-to-chip interconnect, occupying the control unit for
+                // the link serialization time.
+                let (charge, transit) = if local {
+                    let nj = self.timing.send_energy_nj(w, t, target as usize);
+                    let cycles = self.timing.receive_cycles(w);
+                    (
+                        Charge { cycles, aj: nj_to_aj(nj) },
+                        self.timing.send_cycles(w, t, target as usize),
+                    )
                 } else {
-                    match self.mem.try_consume(t, a, width as usize)? {
-                        MemOutcome::Blocked(b) => {
-                            return Ok(Step::Blocked(WaitCond::for_mem_block(b)))
-                        }
-                        MemOutcome::Done(()) => Vec::new(),
-                    }
+                    let nj = self.interconnect.energy_nj(w);
+                    let cycles = self.interconnect.occupancy_cycles(w);
+                    (Charge { cycles, aj: nj_to_aj(nj) }, self.interconnect.transfer_cycles(w))
                 };
-                self.changes.push(TileChange::InvalidRange { start: a, len: width as u32 });
-                if !local {
-                    // Inter-node: the packet crosses the chip-to-chip
-                    // interconnect instead of the NoC. The tile control
-                    // unit is occupied for the link serialization time;
-                    // the cluster scheduler picks the packet up from the
-                    // outbox and delivers it after the full transfer time.
-                    let occupancy = self.interconnect.occupancy_cycles(width as usize);
-                    let energy = self.interconnect.energy_nj(width as usize);
-                    self.charge(agent, EnergyComponent::Interconnect, energy, occupancy);
-                    self.stats.internode_words += width as u64;
-                    let mut arrive_at = now + self.interconnect.transfer_cycles(width as usize);
-                    let faults = self.cfg.faults;
-                    let mut duplicate = false;
-                    if faults.has_packet_faults() {
-                        // One counter-mode decision per fault kind, keyed
-                        // by the packet's engine-invariant identity
-                        // (endpoints, fifo, send timestamp, payload
-                        // hash), so faulty runs replay bit-exactly
-                        // across engines and worker counts.
-                        let payload = words
-                            .iter()
-                            .fold(0u64, |h, w| mix64(h ^ u64::from(w.to_bits() as u16)));
-                        let mut key = [
-                            u64::from(self.node_id),
-                            u64::from(node),
-                            u64::from(target),
-                            u64::from(fifo),
-                            now,
-                            payload,
-                            0,
-                        ];
-                        let mut draw = |tag: u64| {
-                            key[6] = tag;
-                            unit_from(keyed_hash(faults.seed, &key))
-                        };
-                        if faults.packet_loss_rate > 0.0
-                            && draw(TAG_PKT_DROP) < faults.packet_loss_rate
-                        {
-                            // The link swallowed the packet: the sender
-                            // still pays serialization, the receiver
-                            // never sees it.
-                            self.stats.packets_dropped += 1;
-                            return Ok(Step::Advance { next_pc: pc + 1, latency: occupancy });
-                        }
-                        if faults.packet_duplicate_rate > 0.0
-                            && draw(TAG_PKT_DUP) < faults.packet_duplicate_rate
-                        {
-                            self.stats.packets_duplicated += 1;
-                            duplicate = true;
-                        }
-                        if faults.packet_delay_rate > 0.0
-                            && draw(TAG_PKT_DELAY) < faults.packet_delay_rate
-                        {
-                            self.stats.packets_delayed += 1;
-                            arrive_at = arrive_at.saturating_add(faults.packet_delay_cycles);
-                        }
-                    }
-                    if arrive_at > self.max_cycles {
-                        return Err(self.cycle_cap_error());
-                    }
-                    let origin =
-                        PacketOrigin { sent_at: now, node: self.node_id, tile: t as u32, copy: 0 };
-                    if duplicate {
-                        self.outbox.push(OutboundPacket {
-                            node,
-                            tile: target,
-                            fifo,
-                            packet: Packet { words: words.clone() },
-                            arrive_at,
-                            origin: PacketOrigin { copy: 1, ..origin },
-                        });
-                    }
-                    self.outbox.push(OutboundPacket {
-                        node,
-                        tile: target,
-                        fifo,
-                        packet: Packet { words },
-                        arrive_at,
-                        origin,
-                    });
-                    return Ok(Step::Advance { next_pc: pc + 1, latency: occupancy });
-                }
-                let occupancy = self.timing.receive_cycles(width as usize);
-                let transit = self.timing.send_cycles(width as usize, t, target as usize);
-                let energy = self.timing.send_energy_nj(width as usize, t, target as usize);
-                self.charge(agent, EnergyComponent::Network, energy, occupancy);
-                self.stats.network_words += width as u64;
-                let deliver_at = now + transit;
-                if deliver_at > self.max_cycles {
-                    return Err(self.cycle_cap_error());
-                }
-                self.enqueue(
-                    deliver_at,
-                    PRIO_DELIVER,
-                    EventKind::Deliver(Box::new(DeliverEvent {
-                        tile: target as u32,
-                        fifo,
-                        packet: Packet { words },
-                        origin: PacketOrigin {
-                            sent_at: now,
-                            node: self.node_id,
-                            tile: t as u32,
-                            copy: 0,
-                        },
-                    })),
-                );
-                Ok(Step::Advance { next_pc: pc + 1, latency: occupancy })
+                let to = Route { node, tile: target, fifo, transit };
+                let blocked = self.send_words(agent, a, width, to, charge, now)?;
+                Ok(sync_step(blocked, pc, charge))
             }
             Instruction::Receive { addr, fifo, count, width } => {
                 let a = self.effective_addr(agent, addr)?;
-                // Check availability without consuming, so a blocked write
-                // does not lose the packet.
-                let front_len = match self.fifos.front(t, fifo)? {
-                    None => return Ok(Step::Blocked(WaitCond::FifoPacket(fifo))),
-                    Some(p) => p.words.len() / self.live,
-                };
-                // A width mismatch means two senders sharing a virtualized
-                // FIFO interleaved (§4.2: the compiler reuses FIFO ids
-                // across program phases). The synchronization protocol is
-                // payload-agnostic — the receive writes its own width at
-                // its own address — so timing simulation proceeds; the
-                // functional simulator rejects it because data would be
-                // misrouted.
-                if front_len != width as usize && self.mode == SimMode::Functional {
-                    return Err(PumaError::Execution {
-                        what: format!(
-                            "receive width {width} mismatches packet of {front_len} words \
-                             (virtualized-FIFO aliasing; see compiler docs)"
-                        ),
-                    });
-                }
-                // Probe destination writability (dry-run: any valid word
-                // blocks the write on that word).
-                {
-                    if let Some(bad) = self.mem.first_valid(t, a, width as usize)? {
-                        return Ok(Step::Blocked(WaitCond::MemInvalid(bad)));
-                    }
-                    let packet = self.fifos.pop(t, fifo)?.expect("front checked above");
-                    let written = if self.mode == SimMode::Functional {
-                        let lanes = Lanes::packed(&packet.words, width as usize, self.live);
-                        self.mem.try_write(t, a, lanes, count)?
-                    } else {
-                        self.mem.try_write_zeros(t, a, width as usize, count)?
-                    };
-                    match written {
-                        MemOutcome::Done(()) => {}
-                        MemOutcome::Blocked(_) => unreachable!("writability probed above"),
-                    }
-                }
-                self.changes.push(TileChange::ValidRange { start: a, len: width as u32 });
-                let cycles = self.timing.receive_cycles(width as usize);
-                let energy = self.timing.shared_memory_energy_nj(width as usize);
-                self.charge(agent, EnergyComponent::SharedMemory, energy, cycles);
-                // A FIFO slot freed up: admit the next backpressured packet
-                // (drain_fifo also applies the wake-ups recorded above).
-                self.drain_fifo(t as u32, fifo, now)?;
-                Ok(Step::Advance { next_pc: pc + 1, latency: cycles })
+                let w = width as usize;
+                let nj = self.timing.shared_memory_energy_nj(w);
+                let charge = Charge { cycles: self.timing.receive_cycles(w), aj: nj_to_aj(nj) };
+                let blocked = self.receive_packet(agent, a, fifo, count, width, charge, now)?;
+                Ok(sync_step(blocked, pc, charge))
             }
             Instruction::Jump { pc: target } => Ok(Step::Advance { next_pc: target, latency: 1 }),
             Instruction::Halt => Ok(Step::Halted),
@@ -2632,7 +2794,7 @@ impl NodeSim {
                 }
                 let latency = self.timing.mvm_latency();
                 let energy = self.timing.mvm_energy_nj() * mask.count() as f64;
-                self.charge(agent, EnergyComponent::Mvmu, energy, latency);
+                self.charge(EnergyComponent::Mvmu, energy, latency);
                 self.stats.mvmu_activations += mask.count() as u64;
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
@@ -2650,7 +2812,7 @@ impl NodeSim {
                 } else {
                     (self.timing.vfu_cycles(w), self.timing.vfu_energy_nj(w), EnergyComponent::Vfu)
                 };
-                self.charge(agent, component, energy, latency);
+                self.charge(component, energy, latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::AluImm { op, dest, src1, imm, width } => {
@@ -2671,19 +2833,19 @@ impl NodeSim {
                     self.regs.write_vec(slot, dest, Lanes::packed(&self.vec_out, w, self.live))?;
                 }
                 let latency = self.timing.vfu_cycles(w);
-                self.charge(agent, EnergyComponent::Vfu, self.timing.vfu_energy_nj(w), latency);
+                self.charge(EnergyComponent::Vfu, self.timing.vfu_energy_nj(w), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::AluInt { op, dest, src1, src2 } => {
                 alu_int(&mut self.regs, slot, op, dest, src1, src2)?;
                 let latency = self.timing.sfu_cycles();
-                self.charge(agent, EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
+                self.charge(EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::Set { dest, imm } => {
                 self.regs.write_all(slot, dest, Fixed::from_bits(imm))?;
                 let latency = self.timing.sfu_cycles();
-                self.charge(agent, EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
+                self.charge(EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::Copy { dest, src, width } => {
@@ -2694,67 +2856,20 @@ impl NodeSim {
                     self.regs.write_vec(slot, dest, Lanes::packed(&self.vec_out, w, self.live))?;
                 }
                 let latency = self.timing.copy_cycles(w);
-                self.charge(
-                    agent,
-                    EnergyComponent::RegisterFile,
-                    self.timing.copy_energy_nj(w),
-                    latency,
-                );
+                self.charge(EnergyComponent::RegisterFile, self.timing.copy_energy_nj(w), latency);
                 Ok(Step::Advance { next_pc: pc + 1, latency })
             }
             Instruction::Load { dest, addr, width } => {
                 let a = self.effective_addr(agent, addr)?;
-                let w = width as usize;
-                if functional {
-                    let values = match self.mem.try_read(t, a, w)? {
-                        MemOutcome::Blocked(b) => {
-                            return Ok(Step::Blocked(WaitCond::for_mem_block(b)))
-                        }
-                        MemOutcome::Done(v) => v,
-                    };
-                    self.regs.write_vec(slot, dest, values)?;
-                } else {
-                    match self.mem.try_consume(t, a, w)? {
-                        MemOutcome::Blocked(b) => {
-                            return Ok(Step::Blocked(WaitCond::for_mem_block(b)))
-                        }
-                        MemOutcome::Done(()) => {}
-                    }
-                }
-                self.changes.push(TileChange::InvalidRange { start: a, len: w as u32 });
-                let latency = self.timing.shared_memory_cycles(w);
-                self.charge(
-                    agent,
-                    EnergyComponent::SharedMemory,
-                    self.timing.shared_memory_energy_nj(w),
-                    latency,
-                );
-                self.stats.shared_memory_words += w as u64;
-                Ok(Step::Advance { next_pc: pc + 1, latency })
+                let charge = self.shared_memory_charge(width);
+                let blocked = self.load_words(agent, a, dest, width, charge)?;
+                Ok(sync_step(blocked, pc, charge))
             }
             Instruction::Store { addr, src, count, width } => {
                 let a = self.effective_addr(agent, addr)?;
-                let w = width as usize;
-                let written = if functional {
-                    let values = self.regs.read_vec(slot, src, w)?;
-                    self.mem.try_write(t, a, values, count)?
-                } else {
-                    self.mem.try_write_zeros(t, a, w, count)?
-                };
-                match written {
-                    MemOutcome::Blocked(b) => return Ok(Step::Blocked(WaitCond::for_mem_block(b))),
-                    MemOutcome::Done(()) => {}
-                }
-                self.changes.push(TileChange::ValidRange { start: a, len: w as u32 });
-                let latency = self.timing.shared_memory_cycles(w);
-                self.charge(
-                    agent,
-                    EnergyComponent::SharedMemory,
-                    self.timing.shared_memory_energy_nj(w),
-                    latency,
-                );
-                self.stats.shared_memory_words += w as u64;
-                Ok(Step::Advance { next_pc: pc + 1, latency })
+                let charge = self.shared_memory_charge(width);
+                let blocked = self.store_words(agent, a, src, count, width, charge)?;
+                Ok(sync_step(blocked, pc, charge))
             }
             Instruction::Jump { pc: target } => Ok(Step::Advance { next_pc: target, latency: 1 }),
             Instruction::Branch { cond, src1, src2, pc: target } => {
@@ -2762,7 +2877,7 @@ impl NodeSim {
                 let b = self.regs.read_uniform(slot, src2)?.to_bits();
                 let next = if cond.eval(a, b) { target } else { pc + 1 };
                 let latency = self.timing.sfu_cycles();
-                self.charge(agent, EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
+                self.charge(EnergyComponent::Sfu, self.timing.sfu_energy_nj(), latency);
                 Ok(Step::Advance { next_pc: next, latency })
             }
             Instruction::Halt => Ok(Step::Halted),
@@ -3763,6 +3878,41 @@ halt
                 }
                 other => panic!("{engine:?}: expected cycle-cap fault, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn send_landing_past_the_cap_faults_at_the_send() {
+        // A packet whose delivery would land past the cap fails when it is
+        // sent, like an instruction whose latency does: no event past the
+        // cap is ever queued, so the run never observes a later time.
+        let cfg = tiny_config(2);
+        let mut img = MachineImage::new(2, cfg.tile.cores_per_tile, cfg.tile.core.mvmus_per_core);
+        img.tiles[0].program =
+            Program::from_instructions(assemble("send @0 f1 t1 4\nhalt\n").unwrap());
+        img.tiles[1].program =
+            Program::from_instructions(assemble("recv @0 f1 1 4\nhalt\n").unwrap());
+        img.inputs.push(IoBinding {
+            name: "x".into(),
+            tile: TileId::new(0),
+            addr: 0,
+            width: 4,
+            count: 1,
+        });
+        let timing = TimingModel::new(cfg);
+        let cap = timing.send_cycles(4, 0, 1) - 1;
+        assert!(cap >= timing.receive_cycles(4), "the sender itself finishes under the cap");
+        for engine in ALL_ENGINES {
+            let mut sim =
+                NodeSim::new(cfg, &img, SimMode::Timing, &NoiseModel::noiseless()).unwrap();
+            sim.set_engine(engine);
+            sim.set_max_cycles(cap);
+            sim.write_input("x", &[0.0; 4]).unwrap();
+            match sim.run() {
+                Err(PumaError::Execution { what }) => assert!(what.contains("cycle cap"), "{what}"),
+                other => panic!("{engine:?}: expected cycle-cap fault, got {other:?}"),
+            }
+            assert!(sim.last_time() <= cap, "{engine:?} ran to {}", sim.last_time());
         }
     }
 

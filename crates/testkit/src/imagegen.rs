@@ -49,7 +49,8 @@ pub enum Intent {
     Clean,
     /// An agent waits on a word or FIFO nothing ever fills.
     Deadlock,
-    /// An out-of-range or register-less indexed access.
+    /// An out-of-range address, a register-less indexed send, a negative
+    /// or `u32`-overflowing index, or a receive on a missing FIFO.
     Fault,
     /// A cycle cap below the run's length, or a core that never halts.
     CycleCap,
@@ -343,11 +344,35 @@ pub fn random_image(seed: u64) -> FuzzImage {
         }
         Intent::Fault => {
             let t = g.rng.below(tiles);
-            if g.rng.chance(50) {
-                let c = g.rng.below(cores);
-                g.agents[t][c].post.push(format!("load r4 @{} 4", MEM_WORDS * 16));
-            } else {
-                g.agents[t][cores].post.push(format!("send @0+r{INDEX_REG} f3 t0 1"));
+            let c = g.rng.below(cores);
+            let store = g.rng.chance(50);
+            let access = |at: String| {
+                if store {
+                    format!("store {at} r4 1 1")
+                } else {
+                    format!("load r4 {at} 1")
+                }
+            };
+            match g.rng.below(5) {
+                0 => g.agents[t][c].post.push(format!("load r4 @{} 4", MEM_WORDS * 16)),
+                1 => g.agents[t][cores].post.push(format!("send @0+r{INDEX_REG} f3 t0 1")),
+                2 => {
+                    // A negative index register.
+                    let k = 1 + g.rng.below(100);
+                    let at = access(format!("@4+r{INDEX_REG}"));
+                    g.agents[t][c].post.push(format!("set r{INDEX_REG} -{k}\n{at}"));
+                }
+                3 => {
+                    // An index whose sum with the base overflows `u32`.
+                    let k = 1 + g.rng.below(100);
+                    let at = access(format!("@{}+r{INDEX_REG}", u32::MAX));
+                    g.agents[t][c].post.push(format!("set r{INDEX_REG} {k}\n{at}"));
+                }
+                _ => {
+                    // A FIFO id past the tile's receive FIFOs.
+                    let (addr, fifo) = (g.alloc(t, 1), 200 + g.rng.below(56));
+                    g.agents[t][cores].post.push(format!("recv @{addr} f{fifo} 1 1"));
+                }
             }
         }
         Intent::CycleCap => {
@@ -993,6 +1018,16 @@ mod tests {
         assert!(has(&|i| matches!(i, I::Store { addr, .. } if addr.index.is_some())));
         assert!(has(&|i| matches!(i, I::Branch { .. })));
         assert!(has(&|i| matches!(i, I::Send { node, .. } if *node == 0)));
+        // The fault draws that reach the typed synchronizing micro-ops'
+        // run-time checks: a negative index register, an indexed address
+        // overflowing `u32`, and a receive on a FIFO id out of range.
+        assert!(has(&|i| matches!(i, I::Set { dest, imm }
+            if usize::from(dest.index) == INDEX_REG && *imm < 0)));
+        assert!(has(&|i| matches!(i, I::Load { addr, .. } | I::Store { addr, .. }
+            if addr.base == u32::MAX && addr.index.is_some())));
+        let fifos = crate::harness::small_node_config(16).tile.receive_fifos;
+        assert!(has(&|i| matches!(i, I::Receive { fifo, .. } if usize::from(*fifo) >= fifos)));
+
         assert!(cases.iter().any(|c| c.shards.iter().any(|s| s.tiles.iter().any(|t| t
             .program
             .instructions
