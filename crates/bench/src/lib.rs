@@ -205,19 +205,6 @@ impl TimingSession {
     pub fn state_bytes(&self) -> usize {
         self.sim.state_bytes()
     }
-
-    /// Opts this session's simulator into per-segment execution counting
-    /// (see [`NodeSim::enable_segment_profiling`]) — the programmatic
-    /// equivalent of `PUMA_PROFILE=1`, used by `profile_hot_segments`.
-    pub fn enable_segment_profiling(&mut self) {
-        self.sim.enable_segment_profiling();
-    }
-
-    /// The ranked hot-segment table of the last profiled run (see
-    /// [`NodeSim::segment_profile_table`]).
-    pub fn segment_profile_table(&self) -> Vec<String> {
-        self.sim.segment_profile_table()
-    }
 }
 
 /// A reusable timing-mode session over a *sharded* compiled model: the

@@ -11,8 +11,8 @@
 //! then fifo, then ring position), plus the per-(tile, fifo) pending
 //! in-flight queues that used to live in a hash map on the scheduler.
 //! Delivering a packet is then two flat index computations instead of a
-//! hash lookup plus a per-tile heap hop. [`ReceiveBuffer`] remains as
-//! the single-tile view (the unit-test surface) and is a one-tile arena.
+//! hash lookup plus a per-tile heap hop. A single tile's receive buffer
+//! is tile 0 of a one-tile arena.
 
 use puma_core::error::{PumaError, Result};
 use puma_core::fixed::Fixed;
@@ -35,11 +35,8 @@ struct Ring {
 /// All tiles' receive buffers packed into one slab of packet slots,
 /// together with the per-(tile, fifo) pending-delivery queues (packets
 /// that arrived while the ring was full and wait for backpressure to
-/// clear).
-///
-/// Capacity semantics, ordering, generations, and error messages are
-/// identical to the historical per-tile [`ReceiveBuffer`]; only the
-/// storage layout changed. Every operation takes the tile index first.
+/// clear). Every operation takes the tile index first and touches only
+/// that tile's FIFOs.
 #[derive(Debug, Clone)]
 pub struct FifoArena {
     /// `tiles * fifos * depth` packet slots; a popped slot is left as an
@@ -51,8 +48,6 @@ pub struct FifoArena {
     pending: Vec<VecDeque<Packet>>,
     fifos: usize,
     depth: usize,
-    /// Per-tile monotonic change counters.
-    generations: Vec<u64>,
 }
 
 impl FifoArena {
@@ -64,7 +59,6 @@ impl FifoArena {
             pending: vec![VecDeque::new(); tiles * fifos],
             fifos,
             depth,
-            generations: vec![0; tiles],
         }
     }
 
@@ -90,7 +84,6 @@ impl FifoArena {
         self.slots.len() * std::mem::size_of::<Packet>()
             + self.rings.len() * std::mem::size_of::<Ring>()
             + self.pending.len() * std::mem::size_of::<VecDeque<Packet>>()
-            + self.generations.len() * std::mem::size_of::<u64>()
             + payload
     }
 
@@ -105,12 +98,6 @@ impl FifoArena {
         for q in &mut self.pending[base..base + self.fifos] {
             q.clear();
         }
-        self.generations[tile] = 0;
-    }
-
-    /// Monotonic change counter for one tile.
-    pub fn generation(&self, tile: usize) -> u64 {
-        self.generations[tile]
     }
 
     fn check_fifo(&self, fifo: u8) -> Result<usize> {
@@ -152,7 +139,6 @@ impl FifoArena {
         let idx = self.slot_index(tile, f, ring.head + ring.len);
         self.slots[idx] = packet;
         self.rings[tile * self.fifos + f].len += 1;
-        self.generations[tile] += 1;
         Ok(None)
     }
 
@@ -173,7 +159,6 @@ impl FifoArena {
         let r = &mut self.rings[tile * self.fifos + f];
         r.head = (r.head + 1) % self.depth as u32;
         r.len -= 1;
-        self.generations[tile] += 1;
         Ok(Some(packet))
     }
 
@@ -225,7 +210,6 @@ impl FifoArena {
             let idx = self.slot_index(tile, f, ring.head + ring.len);
             self.slots[idx] = packet;
             self.rings[base].len += 1;
-            self.generations[tile] += 1;
             delivered += 1;
         }
         delivered
@@ -240,81 +224,6 @@ impl FifoArena {
     }
 }
 
-/// The receive buffer of one tile: a single-tile view over a one-tile
-/// [`FifoArena`] — the historical standalone type, kept as the
-/// unit-test surface.
-#[derive(Debug, Clone)]
-pub struct ReceiveBuffer {
-    arena: FifoArena,
-}
-
-impl ReceiveBuffer {
-    /// Creates `fifos` FIFOs of `depth` entries each.
-    pub fn new(fifos: usize, depth: usize) -> Self {
-        ReceiveBuffer { arena: FifoArena::new(1, fifos, depth) }
-    }
-
-    /// Number of FIFOs.
-    pub fn fifo_count(&self) -> usize {
-        self.arena.fifo_count()
-    }
-
-    /// Drops all queued packets in place — identical post-state to a
-    /// fresh [`ReceiveBuffer::new`] of the same shape, without
-    /// re-allocating the FIFO ring storage.
-    pub fn reset(&mut self) {
-        self.arena.reset_tile(0);
-    }
-
-    /// Monotonic change counter.
-    pub fn generation(&self) -> u64 {
-        self.arena.generation(0)
-    }
-
-    /// True if the FIFO has no free entry (network backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] for an out-of-range FIFO id.
-    pub fn is_full(&self, fifo: u8) -> Result<bool> {
-        self.arena.is_full(0, fifo)
-    }
-
-    /// Attempts to deliver a packet; returns false (packet dropped) if the
-    /// FIFO is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] for an out-of-range FIFO id.
-    pub fn try_push(&mut self, fifo: u8, packet: Packet) -> Result<bool> {
-        Ok(self.arena.try_push(0, fifo, packet)?.is_none())
-    }
-
-    /// Pops the oldest packet, or `None` if the FIFO is empty (the receive
-    /// instruction blocks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] for an out-of-range FIFO id.
-    pub fn pop(&mut self, fifo: u8) -> Result<Option<Packet>> {
-        self.arena.pop(0, fifo)
-    }
-
-    /// Peeks at the oldest packet without consuming it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] for an out-of-range FIFO id.
-    pub fn front(&self, fifo: u8) -> Result<Option<&Packet>> {
-        self.arena.front(0, fifo)
-    }
-
-    /// Total queued packets across all FIFOs.
-    pub fn queued_packets(&self) -> usize {
-        self.arena.queued_packets(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,83 +232,104 @@ mod tests {
         Packet { words: vec![Fixed::from_bits(tag)] }
     }
 
+    /// Tile 0 of a one-tile arena: the single-tile receive buffer.
+    fn one_tile(fifos: usize, depth: usize) -> FifoArena {
+        FifoArena::new(1, fifos, depth)
+    }
+
+    /// Every FIFO's queued packets, oldest first, and pending packets.
+    fn contents(a: &FifoArena) -> (Vec<Vec<Packet>>, Vec<Vec<Packet>>) {
+        let rings = a
+            .rings
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let (tile, fifo) = (i / a.fifos, i % a.fifos);
+                (0..r.len).map(|k| a.slots[a.slot_index(tile, fifo, r.head + k)].clone()).collect()
+            })
+            .collect();
+        (rings, a.pending.iter().map(|q| q.iter().cloned().collect()).collect())
+    }
+
     #[test]
     fn fifo_preserves_order() {
-        let mut rb = ReceiveBuffer::new(16, 2);
-        assert!(rb.try_push(3, packet(1)).unwrap());
-        assert!(rb.try_push(3, packet(2)).unwrap());
-        assert_eq!(rb.pop(3).unwrap().unwrap(), packet(1));
-        assert_eq!(rb.pop(3).unwrap().unwrap(), packet(2));
-        assert!(rb.pop(3).unwrap().is_none());
+        let mut rb = one_tile(16, 2);
+        assert!(rb.try_push(0, 3, packet(1)).unwrap().is_none());
+        assert!(rb.try_push(0, 3, packet(2)).unwrap().is_none());
+        assert_eq!(rb.pop(0, 3).unwrap().unwrap(), packet(1));
+        assert_eq!(rb.pop(0, 3).unwrap().unwrap(), packet(2));
+        assert!(rb.pop(0, 3).unwrap().is_none());
     }
 
     #[test]
     fn depth_limits_occupancy() {
-        let mut rb = ReceiveBuffer::new(2, 2);
-        assert!(rb.try_push(0, packet(1)).unwrap());
-        assert!(rb.try_push(0, packet(2)).unwrap());
-        assert!(rb.is_full(0).unwrap());
-        assert!(!rb.try_push(0, packet(3)).unwrap(), "third push must be refused");
-        let _ = rb.pop(0).unwrap();
-        assert!(rb.try_push(0, packet(3)).unwrap());
+        let mut rb = one_tile(2, 2);
+        assert!(rb.try_push(0, 0, packet(1)).unwrap().is_none());
+        assert!(rb.try_push(0, 0, packet(2)).unwrap().is_none());
+        assert!(rb.is_full(0, 0).unwrap());
+        assert!(rb.try_push(0, 0, packet(3)).unwrap().is_some(), "third push must be refused");
+        let _ = rb.pop(0, 0).unwrap();
+        assert!(rb.try_push(0, 0, packet(3)).unwrap().is_none());
     }
 
     #[test]
     fn fifos_are_independent() {
-        let mut rb = ReceiveBuffer::new(2, 1);
-        assert!(rb.try_push(0, packet(1)).unwrap());
-        assert!(rb.try_push(1, packet(2)).unwrap());
-        assert_eq!(rb.pop(1).unwrap().unwrap(), packet(2));
-        assert_eq!(rb.pop(0).unwrap().unwrap(), packet(1));
+        let mut rb = one_tile(2, 1);
+        assert!(rb.try_push(0, 0, packet(1)).unwrap().is_none());
+        assert!(rb.try_push(0, 1, packet(2)).unwrap().is_none());
+        assert_eq!(rb.pop(0, 1).unwrap().unwrap(), packet(2));
+        assert_eq!(rb.pop(0, 0).unwrap().unwrap(), packet(1));
     }
 
     #[test]
     fn out_of_range_fifo_is_error() {
-        let mut rb = ReceiveBuffer::new(4, 2);
-        assert!(rb.try_push(4, packet(0)).is_err());
-        assert!(rb.pop(200).is_err());
-        assert!(rb.is_full(4).is_err());
-        assert!(rb.front(4).is_err());
+        let mut rb = one_tile(4, 2);
+        assert!(rb.try_push(0, 4, packet(0)).is_err());
+        assert!(rb.pop(0, 200).is_err());
+        assert!(rb.is_full(0, 4).is_err());
+        assert!(rb.front(0, 4).is_err());
     }
 
     #[test]
-    fn generation_counts_pushes_and_pops() {
-        let mut rb = ReceiveBuffer::new(1, 1);
-        let g0 = rb.generation();
-        rb.try_push(0, packet(1)).unwrap();
-        let g1 = rb.generation();
-        assert!(g1 > g0);
-        let _ = rb.try_push(0, packet(2)).unwrap(); // refused, no change
-        assert_eq!(rb.generation(), g1);
-        rb.pop(0).unwrap();
-        assert!(rb.generation() > g1);
+    fn blocked_ops_leave_the_arena_unchanged() {
+        let mut a = FifoArena::new(2, 2, 1);
+        a.try_push(0, 0, packet(1)).unwrap();
+        a.pending_push(0, 0, packet(2)).unwrap();
+        a.try_push(1, 1, packet(3)).unwrap();
+        let before = contents(&a);
+        // A push into a full ring hands the packet back.
+        assert_eq!(a.try_push(0, 0, packet(4)).unwrap(), Some(packet(4)));
+        assert_eq!(contents(&a), before, "refused try_push");
+        // A pop on an empty FIFO finds nothing.
+        assert_eq!(a.pop(0, 1).unwrap(), None);
+        assert_eq!(contents(&a), before, "pop on an empty fifo");
     }
 
     #[test]
     fn queued_packets_sums_fifos() {
-        let mut rb = ReceiveBuffer::new(3, 2);
-        rb.try_push(0, packet(1)).unwrap();
-        rb.try_push(2, packet(2)).unwrap();
-        assert_eq!(rb.queued_packets(), 2);
-        assert_eq!(rb.front(0).unwrap().unwrap(), &packet(1));
+        let mut rb = one_tile(3, 2);
+        rb.try_push(0, 0, packet(1)).unwrap();
+        rb.try_push(0, 2, packet(2)).unwrap();
+        assert_eq!(rb.queued_packets(0), 2);
+        assert_eq!(rb.front(0, 0).unwrap().unwrap(), &packet(1));
     }
 
     #[test]
     fn ring_wraps_past_capacity_many_times() {
-        let mut rb = ReceiveBuffer::new(1, 3);
+        let mut rb = one_tile(1, 3);
         // Push/pop well past one lap of the ring; order must hold.
         let mut next_in = 0i16;
         let mut next_out = 0i16;
         for _ in 0..2 {
-            while rb.try_push(0, packet(next_in)).unwrap() {
+            while rb.try_push(0, 0, packet(next_in)).unwrap().is_none() {
                 next_in += 1;
             }
             for _ in 0..2 {
-                assert_eq!(rb.pop(0).unwrap().unwrap(), packet(next_out));
+                assert_eq!(rb.pop(0, 0).unwrap().unwrap(), packet(next_out));
                 next_out += 1;
             }
         }
-        while let Some(p) = rb.pop(0).unwrap() {
+        while let Some(p) = rb.pop(0, 0).unwrap() {
             assert_eq!(p, packet(next_out));
             next_out += 1;
         }

@@ -375,9 +375,10 @@ impl WaitCond {
     }
 }
 
-/// A state transition on a tile that may unblock parked agents. Every
-/// generation-bumping operation records one of these; they drive both the
-/// reference engine's wake-all and the compiled engine's targeted wakes.
+/// A state transition on a tile that may unblock parked agents: a write
+/// landing, a read committing, or a packet entering a FIFO records one of
+/// these. They drive both the reference engine's wake-all and the
+/// compiled engine's targeted wakes.
 #[derive(Debug, Clone, Copy)]
 enum TileChange {
     /// Words `[start, start + len)` became valid (a write landed).
@@ -669,10 +670,6 @@ pub struct NodeSim {
     /// Not part of [`RunStats`]: engines deliberately differ here, and
     /// `RunStats` equality is the cross-engine contract.
     sched: SchedStats,
-    /// Compiled-segment execution counters, populated when
-    /// `PUMA_PROFILE=1` (or [`NodeSim::enable_segment_profiling`]).
-    /// Boxed so the disabled case costs one null check in the hot loop.
-    profile: Option<Box<SegmentProfile>>,
 }
 
 /// A saved start-of-run state (see [`NodeSim::save_snapshot`]): lane 0
@@ -706,37 +703,6 @@ pub struct SchedStats {
     /// their tile's list: an agent suspended further out had to go
     /// first, or the cross-tile horizon did not clear.
     pub deferrals: u64,
-}
-
-/// Per-segment execution counters for the compiled engine: how many
-/// times each pure-charge segment (keyed by tile, core — `u32::MAX` for
-/// the tile control unit — and segment start pc) was bulk-executed.
-/// Enabled by `PUMA_PROFILE=1` (checked once per process); dumped as a
-/// ranked hot-segment table to stderr when the simulator drops. This is
-/// the measurement rung for a future native-closure JIT: the table names
-/// the segments worth compiling further.
-#[derive(Debug, Default)]
-struct SegmentProfile {
-    counts: std::collections::HashMap<(u32, u32, u32), u64>,
-}
-
-/// Whether `PUMA_PROFILE=1` was set when first consulted (cached
-/// process-wide; the simulator reads it once per construction).
-fn segment_profiling() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("PUMA_PROFILE").is_some_and(|v| v == "1"))
-}
-
-impl Drop for NodeSim {
-    fn drop(&mut self) {
-        if let Some(profile) = &self.profile {
-            if !profile.counts.is_empty() {
-                for line in self.segment_profile_table() {
-                    eprintln!("{line}");
-                }
-            }
-        }
-    }
 }
 
 impl NodeSim {
@@ -877,7 +843,6 @@ impl NodeSim {
             death_fired: false,
             floor: (u64::MAX, u64::MAX),
             sched: SchedStats::default(),
-            profile: if segment_profiling() { Some(Box::default()) } else { None },
         })
     }
 
@@ -1041,7 +1006,6 @@ impl NodeSim {
             death_fired: false,
             floor: (u64::MAX, u64::MAX),
             sched: SchedStats::default(),
-            profile: if segment_profiling() { Some(Box::default()) } else { None },
         }
     }
 
@@ -1074,52 +1038,6 @@ impl NodeSim {
     /// Every scheduler counter since the last [`NodeSim::reset`].
     pub fn sched_stats(&self) -> SchedStats {
         self.sched
-    }
-
-    /// Turns on per-segment execution counting for this instance even
-    /// when `PUMA_PROFILE=1` was not set at construction (tests and
-    /// benchmarks opt in programmatically).
-    pub fn enable_segment_profiling(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(Box::default());
-        }
-    }
-
-    /// Raw per-segment execution counts keyed by
-    /// `(tile, core, segment start pc)` — `core == u32::MAX` is the
-    /// tile control unit — sorted executions-descending with ties
-    /// broken by segment identity for determinism. Empty when
-    /// profiling is off or the compiled engine has not run.
-    pub fn segment_profile(&self) -> Vec<((u32, u32, u32), u64)> {
-        let mut rows: Vec<_> = self
-            .profile
-            .as_deref()
-            .map(|p| p.counts.iter().map(|(&k, &v)| (k, v)).collect())
-            .unwrap_or_default();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows
-    }
-
-    /// Ranked hot-segment table: one header plus one line per compiled
-    /// segment. Feeds the native-closure JIT decision — the top rows
-    /// are the segments worth specializing first.
-    pub fn segment_profile_table(&self) -> Vec<String> {
-        let rows = self.segment_profile();
-        let mut out = Vec::with_capacity(rows.len() + 1);
-        out.push(format!(
-            "PUMA_PROFILE hot segments (node {}, {} distinct):",
-            self.node_id,
-            rows.len()
-        ));
-        for ((tile, core, pc), execs) in rows {
-            let agent = if core == u32::MAX {
-                format!("tile{tile}/ctl")
-            } else {
-                format!("tile{tile}/core{core}")
-            };
-            out.push(format!("  {execs:>12}  {agent:<16} seg@pc {pc}"));
-        }
-        out
     }
 
     /// The bound configuration.
@@ -1985,9 +1903,6 @@ impl NodeSim {
                     } else {
                         start + 1
                     };
-                    if let Some(profile) = self.profile.as_deref_mut() {
-                        *profile.counts.entry((tile, agent.core, pc)).or_insert(0) += 1;
-                    }
                     let mut last_start = t;
                     let mut mvmu_acts = 0u64;
                     let acc = &mut self.stats.energy;
@@ -2236,8 +2151,9 @@ impl NodeSim {
     /// Applies the transitions recorded by the current instruction or
     /// delivery: the reference engine retries every parked agent on any
     /// change (seed behaviour); the compiled engine wakes only agents
-    /// whose wait condition matches one of the transitions — a keyed
-    /// [`ParkedSet`] lookup, not a scan.
+    /// whose wait condition matches one of the transitions:
+    /// [`ParkedSet::take_matching`] is an ordered `retain` over the tile's
+    /// parked entries, so only this tile's list is scanned.
     ///
     /// **Wake order is FIFO park order in both engines**: agents woken by
     /// one transition re-enter the queue oldest-parked-first, and all

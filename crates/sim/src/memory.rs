@@ -11,9 +11,8 @@
 //! one contiguous `Vec<Fixed>` and every tile's attribute plane in one
 //! contiguous `Vec<Attr>`, indexed by per-tile base offsets. Event
 //! dispatch across hundreds of tiles then walks two allocations instead
-//! of two per tile, and a serving replica clones two flat buffers.
-//! [`SharedMemory`] remains as the single-tile view (the unit-test and
-//! protocol-test surface) and is a one-slot arena.
+//! of two per tile, and a serving replica clones two flat buffers. A
+//! single tile's memory is tile 0 of a one-tile arena.
 //!
 //! The data plane is lane-major: an arena built with `K` lanes holds `K`
 //! copies of it back to back, one per request of a lane-batched pass,
@@ -59,18 +58,14 @@ struct MemSlot {
     /// the per-tile dirty range: reset only clears `[0, hi)`, keeping
     /// per-request resets proportional to the memory actually used.
     hi: usize,
-    /// Monotonic counter bumped on every state change of this tile's
-    /// region, used by the simulator to retry blocked agents only when
-    /// something changed.
-    generation: u64,
 }
 
 /// One lane of a [`MemArena`]'s valid words and their consumer counts
 /// (see [`MemArena::save`]).
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    /// Per tile: the dirty-range length and the change counter.
-    slots: Vec<(usize, u64)>,
+    /// Per tile: the dirty-range length.
+    slots: Vec<usize>,
     /// Runs of valid words: `(tile, tile-relative start, length)`.
     runs: Vec<(u32, u32, u32)>,
     /// The runs' words, one run after another.
@@ -82,18 +77,16 @@ pub struct MemImage {
 impl MemImage {
     /// Heap bytes held.
     pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<(usize, u64)>()
+        self.slots.len() * std::mem::size_of::<usize>()
             + self.runs.len() * std::mem::size_of::<(u32, u32, u32)>()
             + self.data.len() * std::mem::size_of::<Fixed>()
             + self.count.len() * std::mem::size_of::<u16>()
     }
 }
 
-/// All tiles' shared memories packed into contiguous planes.
-///
-/// Blocking semantics, error messages, and the dirty-watermark reset are
-/// identical to the historical per-tile [`SharedMemory`]; only the
-/// storage layout changed. Every operation takes the tile index first.
+/// All tiles' shared memories packed into contiguous planes. Every
+/// operation takes the tile index first and touches only that tile's
+/// region: bounds, blocking and the dirty-watermark reset are per tile.
 ///
 /// The attribute buffer is stored **planar** — a `u8` validity plane and
 /// a `u16` count plane — rather than as an array of `(valid, count)`
@@ -138,9 +131,7 @@ impl MemArena {
             capacity: lanes,
             valid: vec![0; tiles * words],
             count: vec![0; tiles * words],
-            slots: (0..tiles)
-                .map(|t| MemSlot { base: t * words, words, hi: 0, generation: 0 })
-                .collect(),
+            slots: (0..tiles).map(|t| MemSlot { base: t * words, words, hi: 0 }).collect(),
         }
     }
 
@@ -189,7 +180,6 @@ impl MemArena {
         self.valid[base..base + hi].fill(0);
         self.count[base..base + hi].fill(0);
         slot.hi = 0;
-        slot.generation = 0;
     }
 
     /// Lane 0 of every tile's valid words with their consumer counts —
@@ -199,7 +189,7 @@ impl MemArena {
     pub fn save(&self) -> MemImage {
         let mut image = MemImage::default();
         for (tile, slot) in self.slots.iter().enumerate() {
-            image.slots.push((slot.hi, slot.generation));
+            image.slots.push(slot.hi);
             let valid = &self.valid[slot.base..slot.base + slot.hi];
             let mut at = 0;
             while let Some(start) = Self::first_one(&valid[at..]).map(|i| at + i) {
@@ -225,11 +215,9 @@ impl MemArena {
     /// If `image` was saved from an arena of another tile count.
     pub fn restore(&mut self, image: &MemImage) {
         assert_eq!(image.slots.len(), self.slots.len(), "image of another arena");
-        for (tile, &(hi, generation)) in image.slots.iter().enumerate() {
+        for (tile, &hi) in image.slots.iter().enumerate() {
             self.reset_tile(tile);
-            let slot = &mut self.slots[tile];
-            slot.hi = hi;
-            slot.generation = generation;
+            self.slots[tile].hi = hi;
         }
         let mut at = 0;
         for &(tile, start, len) in &image.runs {
@@ -242,12 +230,6 @@ impl MemArena {
             self.count[words..words + len].copy_from_slice(&image.count[at..at + len]);
             at += len;
         }
-    }
-
-    /// Monotonic change counter for one tile (bumps on successful reads
-    /// and writes).
-    pub fn generation(&self, tile: usize) -> u64 {
-        self.slots[tile].generation
     }
 
     /// Resolves `[addr, addr+width)` within `tile`'s region to an
@@ -291,7 +273,6 @@ impl MemArena {
             return Ok(MemOutcome::Blocked(MemBlock::NotValid { addr: addr + i as u32 }));
         }
         self.consume_attrs(start, width);
-        self.slots[tile].generation += 1;
         Ok(MemOutcome::Done(self.lanes_at(start, width)))
     }
 
@@ -359,7 +340,6 @@ impl MemArena {
             return Ok(MemOutcome::Blocked(MemBlock::NotValid { addr: addr + i as u32 }));
         }
         self.consume_attrs(start, width);
-        self.slots[tile].generation += 1;
         Ok(MemOutcome::Done(()))
     }
 
@@ -393,7 +373,6 @@ impl MemArena {
         self.count[start..start + width].fill(count);
         let slot = &mut self.slots[tile];
         slot.hi = slot.hi.max(addr as usize + width);
-        slot.generation += 1;
         Ok(MemOutcome::Done(()))
     }
 
@@ -430,7 +409,6 @@ impl MemArena {
         self.count[start..start + width].fill(count);
         let slot = &mut self.slots[tile];
         slot.hi = slot.hi.max(addr as usize + width);
-        slot.generation += 1;
         Ok(MemOutcome::Done(()))
     }
 
@@ -460,7 +438,6 @@ impl MemArena {
         self.count[start..start + width].fill(count);
         let slot = &mut self.slots[tile];
         slot.hi = slot.hi.max(addr as usize + width);
-        slot.generation += 1;
         Ok(())
     }
 
@@ -489,119 +466,6 @@ impl MemArena {
     }
 }
 
-/// Tile shared memory: data words plus the attribute buffer. A
-/// single-tile view over a one-slot [`MemArena`] — the historical
-/// standalone type, kept as the protocol-test surface.
-#[derive(Debug, Clone)]
-pub struct SharedMemory {
-    arena: MemArena,
-}
-
-impl SharedMemory {
-    /// Allocates `words` invalid words.
-    pub fn new(words: usize) -> Self {
-        SharedMemory { arena: MemArena::new(1, words) }
-    }
-
-    /// Capacity in words.
-    pub fn words(&self) -> usize {
-        self.arena.words(0)
-    }
-
-    /// Clears data and attributes in place — identical post-state to a
-    /// fresh [`SharedMemory::new`] of the same capacity, without
-    /// re-allocating (the simulator resets per request on serving paths).
-    pub fn reset(&mut self) {
-        self.arena.reset_tile(0);
-    }
-
-    /// Monotonic change counter (bumps on successful reads and writes).
-    pub fn generation(&self) -> u64 {
-        self.arena.generation(0)
-    }
-
-    /// Attempts a blocking consume-read of `width` words (Fig. 6 read).
-    ///
-    /// All words must be valid; each has its count decremented and is
-    /// invalidated when the count reaches zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds.
-    pub fn try_read(&mut self, addr: u32, width: usize) -> Result<MemOutcome<Vec<Fixed>>> {
-        Ok(match self.arena.try_read(0, addr, width)? {
-            MemOutcome::Done(words) => MemOutcome::Done(words.lane(0).to_vec()),
-            MemOutcome::Blocked(b) => MemOutcome::Blocked(b),
-        })
-    }
-
-    /// [`SharedMemory::try_read`] without materializing the data; see
-    /// [`MemArena::try_consume`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds.
-    pub fn try_consume(&mut self, addr: u32, width: usize) -> Result<MemOutcome<()>> {
-        self.arena.try_consume(0, addr, width)
-    }
-
-    /// Attempts a blocking write of `values` with consumer count `count`
-    /// (Fig. 6 write). All destination words must be invalid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds or
-    /// `count` is zero (a zero-consumer write would deadlock all readers).
-    pub fn try_write(&mut self, addr: u32, values: &[Fixed], count: u16) -> Result<MemOutcome<()>> {
-        self.arena.try_write(0, addr, Lanes::one(values), count)
-    }
-
-    /// [`SharedMemory::try_write`] of an all-zero payload; see
-    /// [`MemArena::try_write_zeros`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds or
-    /// `count` is zero.
-    pub fn try_write_zeros(
-        &mut self,
-        addr: u32,
-        width: usize,
-        count: u16,
-    ) -> Result<MemOutcome<()>> {
-        self.arena.try_write_zeros(0, addr, width, count)
-    }
-
-    /// Host-side non-consuming read (used to fetch outputs after a run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds or any
-    /// word was never produced.
-    pub fn peek(&self, addr: u32, width: usize) -> Result<Vec<Fixed>> {
-        Ok(self.arena.peek(0, 0, addr, width)?.to_vec())
-    }
-
-    /// Host-side forced write (used to inject inputs before a run); does not
-    /// respect blocking semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if the range is out of bounds.
-    pub fn poke(&mut self, addr: u32, values: &[Fixed], count: u16) -> Result<()> {
-        self.arena.poke(0, addr, Lanes::one(values), count)
-    }
-
-    /// True if the word at `addr` is valid (has unconsumed data).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PumaError::Execution`] if out of bounds.
-    pub fn is_valid(&self, addr: u32) -> Result<bool> {
-        self.arena.is_valid(0, addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,85 +474,125 @@ mod tests {
         Fixed::from_f32(v)
     }
 
+    /// Tile 0 of a one-tile arena: the single-tile memory.
+    fn one_tile(words: usize) -> MemArena {
+        MemArena::new(1, words)
+    }
+
+    /// Every tile's valid bits, consumer counts, dirty watermark, and
+    /// data in every lane in use.
+    fn state(a: &MemArena) -> (Vec<u8>, Vec<u16>, Vec<usize>, Vec<Vec<Fixed>>) {
+        let data = (0..a.lanes)
+            .flat_map(|lane| {
+                (0..a.tiles()).map(move |t| a.peek(lane, t, 0, a.words(t)).unwrap().to_vec())
+            })
+            .collect();
+        (a.valid.clone(), a.count.clone(), a.slots.iter().map(|s| s.hi).collect(), data)
+    }
+
     #[test]
     fn read_blocks_until_written() {
-        let mut m = SharedMemory::new(16);
-        match m.try_read(0, 4).unwrap() {
+        let mut m = one_tile(16);
+        match m.try_read(0, 0, 4).unwrap() {
             MemOutcome::Blocked(MemBlock::NotValid { addr: 0 }) => {}
             other => panic!("expected block, got {other:?}"),
         }
-        m.try_write(0, &[fx(1.0); 4], 1).unwrap();
-        match m.try_read(0, 4).unwrap() {
-            MemOutcome::Done(v) => assert_eq!(v, vec![fx(1.0); 4]),
+        m.try_write(0, 0, Lanes::one(&[fx(1.0); 4]), 1).unwrap();
+        match m.try_read(0, 0, 4).unwrap() {
+            MemOutcome::Done(v) => assert_eq!(v.lane(0), &[fx(1.0); 4]),
             other => panic!("expected data, got {other:?}"),
         }
     }
 
     #[test]
     fn count_allows_multiple_consumers() {
-        let mut m = SharedMemory::new(4);
-        m.try_write(0, &[fx(2.0)], 3).unwrap();
+        let mut m = one_tile(4);
+        m.try_write(0, 0, Lanes::one(&[fx(2.0)]), 3).unwrap();
         for _ in 0..3 {
-            assert!(matches!(m.try_read(0, 1).unwrap(), MemOutcome::Done(_)));
+            assert!(matches!(m.try_read(0, 0, 1).unwrap(), MemOutcome::Done(_)));
         }
         // Fourth read blocks: data fully consumed.
-        assert!(matches!(m.try_read(0, 1).unwrap(), MemOutcome::Blocked(_)));
+        assert!(matches!(m.try_read(0, 0, 1).unwrap(), MemOutcome::Blocked(_)));
     }
 
     #[test]
     fn write_blocks_until_consumed() {
-        let mut m = SharedMemory::new(4);
-        m.try_write(0, &[fx(1.0)], 1).unwrap();
+        let mut m = one_tile(4);
+        m.try_write(0, 0, Lanes::one(&[fx(1.0)]), 1).unwrap();
         // Producer cannot overwrite unconsumed data.
         assert!(matches!(
-            m.try_write(0, &[fx(9.0)], 1).unwrap(),
+            m.try_write(0, 0, Lanes::one(&[fx(9.0)]), 1).unwrap(),
             MemOutcome::Blocked(MemBlock::StillValid { addr: 0 })
         ));
-        let _ = m.try_read(0, 1).unwrap();
-        assert!(matches!(m.try_write(0, &[fx(9.0)], 1).unwrap(), MemOutcome::Done(())));
+        let _ = m.try_read(0, 0, 1).unwrap();
+        assert!(matches!(
+            m.try_write(0, 0, Lanes::one(&[fx(9.0)]), 1).unwrap(),
+            MemOutcome::Done(())
+        ));
     }
 
     #[test]
     fn partial_validity_blocks_whole_vector_read() {
-        let mut m = SharedMemory::new(8);
-        m.try_write(0, &[fx(1.0); 3], 1).unwrap();
+        let mut m = one_tile(8);
+        m.try_write(0, 0, Lanes::one(&[fx(1.0); 3]), 1).unwrap();
         assert!(matches!(
-            m.try_read(0, 4).unwrap(),
+            m.try_read(0, 0, 4).unwrap(),
             MemOutcome::Blocked(MemBlock::NotValid { addr: 3 })
         ));
     }
 
     #[test]
     fn out_of_bounds_is_error() {
-        let mut m = SharedMemory::new(4);
-        assert!(m.try_read(2, 4).is_err());
-        assert!(m.try_write(4, &[fx(0.0)], 1).is_err());
-        assert!(m.peek(0, 5).is_err());
+        let mut m = one_tile(4);
+        assert!(m.try_read(0, 2, 4).is_err());
+        assert!(m.try_write(0, 4, Lanes::one(&[fx(0.0)]), 1).is_err());
+        assert!(m.peek(0, 0, 0, 5).is_err());
     }
 
     #[test]
     fn zero_count_write_is_error() {
-        let mut m = SharedMemory::new(4);
-        assert!(m.try_write(0, &[fx(0.0)], 0).is_err());
+        let mut m = one_tile(4);
+        assert!(m.try_write(0, 0, Lanes::one(&[fx(0.0)]), 0).is_err());
     }
 
     #[test]
-    fn generation_tracks_changes() {
-        let mut m = SharedMemory::new(4);
-        let g0 = m.generation();
-        assert!(matches!(m.try_read(0, 1).unwrap(), MemOutcome::Blocked(_)));
-        assert_eq!(m.generation(), g0, "blocked ops must not bump generation");
-        m.try_write(0, &[fx(1.0)], 1).unwrap();
-        assert!(m.generation() > g0);
+    fn blocked_ops_leave_the_arena_unchanged() {
+        let mut a = MemArena::with_lanes(2, 8, 2);
+        a.set_lanes(2);
+        let words = [fx(1.0), fx(2.0), fx(3.0), fx(4.0), fx(5.0), fx(6.0)];
+        a.try_write(0, 0, Lanes::packed(&words, 3, 2), 2).unwrap();
+        a.try_write(1, 4, Lanes::one(&[fx(7.0)]), 1).unwrap();
+        let before = state(&a);
+        // Words 0..3 are valid with two consumers each; word 3 is not.
+        assert!(matches!(
+            a.try_read(0, 1, 4).unwrap(),
+            MemOutcome::Blocked(MemBlock::NotValid { addr: 3 })
+        ));
+        assert_eq!(state(&a), before, "blocked try_read");
+        assert!(matches!(
+            a.try_consume(0, 2, 3).unwrap(),
+            MemOutcome::Blocked(MemBlock::NotValid { addr: 3 })
+        ));
+        assert_eq!(state(&a), before, "blocked try_consume");
+        assert!(matches!(
+            a.try_write(0, 2, Lanes::one(&[fx(9.0); 4]), 1).unwrap(),
+            MemOutcome::Blocked(MemBlock::StillValid { addr: 2 })
+        ));
+        assert_eq!(state(&a), before, "blocked try_write");
+        assert!(matches!(
+            a.try_write_zeros(0, 1, 6, 1).unwrap(),
+            MemOutcome::Blocked(MemBlock::StillValid { addr: 1 })
+        ));
+        assert_eq!(state(&a), before, "blocked try_write_zeros");
     }
 
     #[test]
     fn poke_and_peek_bypass_attributes() {
-        let mut m = SharedMemory::new(4);
-        m.poke(1, &[fx(5.0)], 2).unwrap();
-        assert_eq!(m.peek(1, 1).unwrap(), vec![fx(5.0)]);
-        assert!(m.is_valid(1).unwrap());
-        assert!(!m.is_valid(0).unwrap());
+        let mut m = one_tile(4);
+        m.poke(0, 1, Lanes::one(&[fx(5.0)]), 2).unwrap();
+        assert_eq!(m.peek(0, 0, 1, 1).unwrap(), &[fx(5.0)]);
+        assert!(m.is_valid(0, 1).unwrap());
+        assert!(!m.is_valid(0, 0).unwrap());
     }
 
     #[test]
@@ -699,15 +603,11 @@ mod tests {
         assert!(!a.is_valid(0, 0).unwrap());
         assert!(!a.is_valid(2, 0).unwrap());
         assert!(a.is_valid(1, 0).unwrap());
-        // Per-tile generations advance independently.
-        assert_eq!(a.generation(0), 0);
-        assert!(a.generation(1) > 0);
         // Per-tile reset clears only that tile's dirty range.
         a.try_write(2, 0, Lanes::one(&[fx(3.0)]), 1).unwrap();
         a.reset_tile(1);
         assert!(!a.is_valid(1, 0).unwrap());
         assert!(a.is_valid(2, 0).unwrap());
-        assert_eq!(a.generation(1), 0);
     }
 
     #[test]
@@ -773,7 +673,6 @@ mod tests {
             for addr in 0..8 {
                 assert_eq!(a.is_valid(tile, addr).unwrap(), want.is_valid(tile, addr).unwrap());
             }
-            assert_eq!(a.generation(tile), want.generation(tile));
         }
         // Counts came back too: tile 1 word 6 takes five reads.
         for _ in 0..5 {

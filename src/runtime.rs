@@ -2810,13 +2810,11 @@ impl<'a> TenantScheduler<'a> {
         self.slots[s].iter().filter(|x| !x.removed).count()
     }
 
-    /// An idle live replica of stream `s` that may take a request now —
-    /// only when nobody is queued ahead.
+    /// An idle live replica of stream `s` that may take a request now.
+    /// Nobody is queued ahead of it: a slot falls idle only after serving
+    /// the queue dry, and a request queues only while no slot is idle.
     fn idle_slot(&self, s: usize) -> Option<usize> {
-        self.slots[s]
-            .iter()
-            .position(|x| !x.busy && !x.removed)
-            .filter(|_| self.waiting[s].is_empty())
+        self.slots[s].iter().position(|x| !x.busy && !x.removed)
     }
 
     /// Starts request `r` of stream `s` on the free `slot` at cycle `t` —
